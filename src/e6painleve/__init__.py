@@ -48,7 +48,6 @@ from .birational import (
     BirationalStep,
     Indeterminate,
     MapComparison,
-    ParamVector,
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
@@ -59,6 +58,7 @@ from .birational import (
     word_map,
 )
 from .periodmap import (
+    ParamVector,
     RootVariables,
     params_from_root_variables,
     root_variable_evolution,

@@ -3,7 +3,9 @@
 Each generator acts on the family data (b1..b8; f, g): a linear map on the
 eight blowup-position parameters and a pair of rational coordinate maps on
 the affine chart of P1 x P1.  Every generator fixes b4 and the parameter sum
-(the gauge normalization that makes the maps compose as a group).
+(the gauge normalization that makes the maps compose as a group).  The
+parameter action is not tabulated: it is induced through the period map from
+the generator's lattice action on the symmetry roots.
 
 Points are held projectively: a coordinate is a pair (num : den) with den
 normalized to 0 or 1, so outputs at infinity are first-class values, while
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
+from .periodmap import ParamVector, params_from_root_variables, root_variable_evolution, root_variables
 from .weylgroup import PicMap, generator_picmap, SYMBOLS
 
 
@@ -190,29 +193,6 @@ B1, B2, B3, B4, B5, B6, B7, B8 = (Var(f"b{i}") for i in range(1, 9))
 
 
 @dataclass(frozen=True)
-class ParamVector:
-    """The eight blowup-position parameters (b1, ..., b8), exact rationals."""
-
-    b: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.b) != 8:
-            raise ValueError(f"expected 8 parameters, got {len(self.b)}")
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-
-    @classmethod
-    def of(cls, *values) -> "ParamVector":
-        return cls(tuple(Fraction(v) for v in values))
-
-    def chi_delta(self) -> Fraction:
-        """The parameter sum b1 + ... + b8 (value of the period map on delta)."""
-        return sum(self.b, Fraction(0))
-
-    def to_json(self) -> list[str]:
-        return [str(x) for x in self.b]
-
-
-@dataclass(frozen=True)
 class SurfacePoint:
     """Point (f, g) of P1 x P1, each coordinate projective."""
 
@@ -233,145 +213,18 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class BirationalStep:
-    """One elementary map: linear parameter action plus coordinate formulas."""
+    """One elementary map: lattice action plus coordinate formulas."""
 
     name: str
-    param_matrix: tuple[tuple[Fraction, ...], ...]
-    param_shift: tuple[Fraction, ...]
     coord_f: Expr
     coord_g: Expr
     picmap: PicMap
 
     def apply_params(self, b: ParamVector) -> ParamVector:
-        new = tuple(
-            sum((self.param_matrix[i][j] * b.b[j] for j in range(8)), self.param_shift[i])
-            for i in range(8)
-        )
-        return ParamVector(new)
+        """Parameter action induced through the period map (b4 is fixed)."""
+        a = root_variable_evolution((self.name,), root_variables(b))
+        return params_from_root_variables(a, b.b[3])
 
-
-def _linear_rows(*rows: dict[int, int]) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows given as {b-index: coefficient} with 1-based b indices."""
-    out = []
-    for row in rows:
-        out.append(tuple(Fraction(row.get(j + 1, 0)) for j in range(8)))
-    return tuple(out)
-
-
-_ZERO_SHIFT = (Fraction(0),) * 8
-
-
-def _swap_rows(i: int, j: int) -> tuple[tuple[Fraction, ...], ...]:
-    rows = []
-    for k in range(1, 9):
-        target = j if k == i else i if k == j else k
-        rows.append({target: 1})
-    return _linear_rows(*rows)
-
-
-# Parameter tables of the elementary maps.  Every one of them fixes b4 and
-# the total sum b1 + ... + b8.
-_PARAM_TABLES: dict[str, tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]] = {
-    "w0": (
-        _linear_rows(
-            {1: 1, 3: -1, 4: 1},
-            {2: 1, 3: -1, 4: 1},
-            {3: -1, 4: 2},
-            {4: 1},
-            {5: 1, 3: 1, 4: -1},
-            {6: 1, 3: 1, 4: -1},
-            {7: 1, 3: 1, 4: -1},
-            {8: 1, 3: 1, 4: -1},
-        ),
-        _ZERO_SHIFT,
-    ),
-    "w1": (_swap_rows(2, 3), _ZERO_SHIFT),
-    "w2": (_swap_rows(1, 2), _ZERO_SHIFT),
-    "w3": (
-        _linear_rows(
-            {7: -1},
-            {2: 1},
-            {3: 1},
-            {4: 1},
-            {5: 1, 1: 1, 7: 1},
-            {6: 1, 1: 1, 7: 1},
-            {1: -1},
-            {8: 1},
-        ),
-        _ZERO_SHIFT,
-    ),
-    "w4": (_swap_rows(7, 8), _ZERO_SHIFT),
-    "w5": (
-        _linear_rows(
-            {5: -1},
-            {2: 1},
-            {3: 1},
-            {4: 1},
-            {1: -1},
-            {6: 1},
-            {7: 1, 1: 1, 5: 1},
-            {8: 1, 1: 1, 5: 1},
-        ),
-        _ZERO_SHIFT,
-    ),
-    "w6": (_swap_rows(5, 6), _ZERO_SHIFT),
-    "m0": (
-        _linear_rows({1: 1}, {2: 1}, {3: 1}, {4: 1}, {7: 1}, {8: 1}, {5: 1}, {6: 1}),
-        _ZERO_SHIFT,
-    ),
-    "m1": (
-        _linear_rows(
-            {4: 1, 2: -1, 8: -1},
-            {4: 1, 1: -1, 8: -1},
-            {4: 1, 7: 1, 8: -1},
-            {4: 1},
-            {1: 1, 2: 1, 5: 1, 8: 1, 4: -1},
-            {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
-            {3: 1, 8: 1, 4: -1},
-            {8: 1},
-        ),
-        _ZERO_SHIFT,
-    ),
-    "m2": (
-        _linear_rows(
-            {4: 1, 2: -1, 6: -1},
-            {4: 1, 1: -1, 6: -1},
-            {4: 1, 5: 1, 6: -1},
-            {4: 1},
-            {3: 1, 6: 1, 4: -1},
-            {6: 1},
-            {1: 1, 2: 1, 6: 1, 7: 1, 4: -1},
-            {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
-        ),
-        _ZERO_SHIFT,
-    ),
-    "r": (
-        _linear_rows(
-            {4: 1, 2: -1, 8: -1},
-            {4: 1, 1: -1, 8: -1},
-            {4: 1, 7: 1, 8: -1},
-            {4: 1},
-            {3: 1, 8: 1, 4: -1},
-            {8: 1},
-            {1: 1, 2: 1, 5: 1, 8: 1, 4: -1},
-            {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
-        ),
-        _ZERO_SHIFT,
-    ),
-    "r2": (
-        _linear_rows(
-            {4: 1, 2: -1, 6: -1},
-            {4: 1, 1: -1, 6: -1},
-            {4: 1, 5: 1, 6: -1},
-            {4: 1},
-            {1: 1, 2: 1, 6: 1, 7: 1, 4: -1},
-            {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
-            {3: 1, 6: 1, 4: -1},
-            {6: 1},
-        ),
-        _ZERO_SHIFT,
-    ),
-}
 
 # Coordinate tables of the elementary maps (affine-chart formulas).
 _COORD_TABLES: dict[str, tuple[Expr, Expr]] = {
@@ -407,9 +260,8 @@ def generator_step(symbol: str) -> BirationalStep:
     """The elementary birational map attached to a generator symbol."""
     if symbol not in SYMBOLS:
         raise ValueError(f"unknown generator symbol {symbol!r}")
-    matrix, shift = _PARAM_TABLES[symbol]
     coord_f, coord_g = _COORD_TABLES[symbol]
-    return BirationalStep(symbol, matrix, shift, coord_f, coord_g, generator_picmap(symbol))
+    return BirationalStep(symbol, coord_f, coord_g, generator_picmap(symbol))
 
 
 def eval_step(

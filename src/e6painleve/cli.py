@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .birational import Indeterminate, eval_word, generator_step
@@ -25,8 +24,8 @@ from .models import (
     phi_orbit,
     psi_orbit,
 )
-from .periodmap import root_variables
-from .serialize import coord_decimal, decimal_str, parse_params, parse_point, parse_schlesinger
+from .periodmap import ParamVector, root_variables
+from .serialize import coord_decimal, decimal_str, parse_fraction_list, parse_params, parse_point, parse_schlesinger
 from .verify import SUITES, run_suite
 from .weylgroup import NormMismatch, PicMap, SYMBOLS, parse_word, word_to_picmap
 
@@ -105,15 +104,18 @@ def _print(obj) -> None:
 
 
 def cmd_gens(args: argparse.Namespace) -> int:
+    units = [ParamVector(tuple(int(i == j) for i in range(8))) for j in range(8)]
     generators = []
     for symbol in SYMBOLS:
         step = generator_step(symbol)
+        columns = [step.apply_params(u).b for u in units]
         generators.append(
             {
                 "symbol": symbol,
                 "picmap": step.picmap.to_json(),
-                "param_matrix": [[str(x) for x in row] for row in step.param_matrix],
-                "param_shift": [str(x) for x in step.param_shift],
+                "param_matrix": [[str(col[i]) for col in columns] for i in range(8)],
+                # The induced parameter action is linear.
+                "param_shift": ["0"] * 8,
                 "coord_f": str(step.coord_f),
                 "coord_g": str(step.coord_g),
             }
@@ -130,7 +132,9 @@ def _load_picmap(args: argparse.Namespace) -> PicMap:
     try:
         with open(args.picmap, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(row) for row in data)
+        if not all(type(x) is int for row in rows for x in row):
+            raise ValueError("matrix entries must be integers")
         return PicMap(rows)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read picmap file: {exc}") from exc
@@ -231,7 +235,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             if args.theta is None:
                 raise InputError("--map psi requires --theta")
             t = parse_schlesinger(args.theta)
-            x, y = (Fraction(s) for s in args.point.split(","))
+            x, y = parse_fraction_list(args.point, 2)
     except InputError:
         raise
     except ValueError as exc:
@@ -251,6 +255,9 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag in ("trials", "bound"):
+        if getattr(args, flag) <= 0:
+            raise InputError(f"--{flag} must be positive")
     checks = run_suite(
         args.suite,
         trials=args.trials,

@@ -13,6 +13,10 @@ variables by the *inverse* of its action on the roots: the new value of a_i
 is the period of w^{-1}(a_i), expanded linearly in the old values.  No
 normalization is imposed on the period of delta (the parameter sum); it is
 carried exactly.
+
+Every generator fixes b4, so its action on the parameters is induced through
+the period map: evolve the root variables, then invert the bijection with
+the same b4 (birational.BirationalStep.apply_params).
 """
 
 from __future__ import annotations
@@ -21,9 +25,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .birational import ParamVector
-from .piclattice import DELTA_WEIGHTS, symmetry_root, to_alpha_coords
-from .weylgroup import invert_word, word_to_picmap
+from .piclattice import CARTAN, DELTA_WEIGHTS, RationalRootVector
+from .weylgroup import REFLECTION_SYMBOLS, parse_word, permute_coords
+
+
+@dataclass(frozen=True)
+class ParamVector:
+    """The eight blowup-position parameters (b1, ..., b8), exact rationals."""
+
+    b: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.b) != 8:
+            raise ValueError(f"expected 8 parameters, got {len(self.b)}")
+        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+
+    @classmethod
+    def of(cls, *values) -> "ParamVector":
+        return cls(tuple(Fraction(v) for v in values))
+
+    def chi_delta(self) -> Fraction:
+        """The parameter sum b1 + ... + b8 (value of the period map on delta)."""
+        return sum(self.b, Fraction(0))
+
+    def to_json(self) -> list[str]:
+        return [str(x) for x in self.b]
 
 
 @dataclass(frozen=True)
@@ -78,12 +104,17 @@ def params_from_root_variables(a: RootVariables, b4) -> ParamVector:
 def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariables:
     """Root variables after applying a word of generators.
 
-    The new a_i is the period of the image of a_i under the inverse word,
-    evaluated linearly on the old root variables.
+    The new a_i is the period of the image of a_i under the inverse word.
+    Letters act right to left on the seven values: w_i sends a_j to
+    a_j + c_ij a_i (c the Cartan pairings), and an automorphism sigma moves
+    the value of a_i to a_sigma(i).
     """
-    m = word_to_picmap(invert_word(word))
-    new = []
-    for i in range(7):
-        coords = to_alpha_coords(m(symmetry_root(i)))
-        new.append(sum((Fraction(c) * x for c, x in zip(coords.coeffs, a.a)), Fraction(0)))
-    return RootVariables(tuple(new))
+    values = a.a
+    for symbol in reversed(parse_word(word)):
+        if symbol in REFLECTION_SYMBOLS:
+            i = int(symbol[1])
+            pivot = values[i]
+            values = tuple(x + c * pivot if c else x for x, c in zip(values, CARTAN[i]))
+        else:
+            values = permute_coords(symbol, RationalRootVector(values)).coeffs
+    return RootVariables(values)

@@ -17,8 +17,9 @@ spanned by seven simple roots a0, ..., a6 forming an affine E6 diagram:
                   |
                   a6
 
-All computations are exact: integer vectors, and rational Gaussian
-elimination for changes of basis.  Every value is immutable.
+All computations are exact: integer vectors, root coordinates by a
+triangular closed form, and rational Gaussian elimination only for the
+defining vectors of translations.  Every value is immutable.
 """
 
 from __future__ import annotations
@@ -266,27 +267,22 @@ def solve_linear_system(
     return tuple(solution)
 
 
-def _alpha_coordinates(c: DivisorClass) -> tuple[Fraction, ...]:
-    rows = [
-        [Fraction(_SYMMETRY_ROOTS[j].coeffs[r]) for j in range(7)] for r in range(RANK)
-    ]
-    rhs = [Fraction(x) for x in c.coeffs]
-    solution = solve_linear_system(rows, rhs)
-    if solution is None:
-        raise NotInSymmetryLattice(f"{c} is not in the span of the symmetry roots")
-    return solution
-
-
 def to_alpha_coords(c: DivisorClass) -> RootVector:
     """Express a class in symmetry-root coordinates.
 
-    Raises NotInSymmetryLattice when the class is outside the integer span
-    of a0..a6 (membership decided by an exact linear solve).
+    Q is a primitive sublattice, so the coordinates are a triangular closed
+    form: x3 and x5 are the Hf and Hg coefficients, x4 and x6 minus those of
+    E8 and E6, and x0, x1, x2 follow from E4, E3, E2 in turn.  Raises
+    NotInSymmetryLattice when the class is outside Q, decided by
+    reconstructing the class from the coordinates.
     """
-    solution = _alpha_coordinates(c)
-    if not all(x.denominator == 1 for x in solution):
-        raise NotInSymmetryLattice(f"{c} has non-integral symmetry coordinates")
-    return RootVector(tuple(int(x) for x in solution))
+    hf, hg, _, e2, e3, e4, _, e6, _, e8 = c.coeffs
+    x0 = -e4
+    x1 = x0 - e3
+    v = RootVector((x0, x1, x1 - e2, hf, -e8, hg, -e6))
+    if from_alpha_coords(v) != c:
+        raise NotInSymmetryLattice(f"{c} is not in the span of the symmetry roots")
+    return v
 
 
 def from_alpha_coords(v: RootVector) -> DivisorClass:

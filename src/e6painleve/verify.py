@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .birational import (
     Indeterminate,
+    MapComparison,
     ParamVector,
     SurfacePoint,
     TooManyDegenerateSamples,
@@ -54,6 +55,10 @@ SUITES = ("coxeter", "birational", "period", "equivalence", "all")
 
 def _check(name: str, passed: bool, samples: int = 0, note: str = "") -> CheckResult:
     return CheckResult(name, passed, samples, note=note)
+
+
+def _compared(name: str, result: MapComparison) -> CheckResult:
+    return CheckResult(name, result.equal, result.samples, result.rejected)
 
 
 def coxeter_suite() -> list[CheckResult]:
@@ -125,11 +130,11 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> li
 
     for s in list(REFLECTION_SYMBOLS) + ["m0", "m1", "m2"]:
         result = maps_equal(word_map((s, s)), identity_map, trials=trials, seed=seed, bound=bound)
-        checks.append(_check(f"involution_{s}", result.equal, result.samples))
+        checks.append(_compared(f"involution_{s}", result))
     result = maps_equal(word_map(("r", "r", "r")), identity_map, trials=trials, seed=seed, bound=bound)
-    checks.append(_check("r_cubed", result.equal, result.samples))
+    checks.append(_compared("r_cubed", result))
     result = maps_equal(word_map(("r", "r")), word_map(("r2",)), trials=trials, seed=seed, bound=bound)
-    checks.append(_check("r_squared", result.equal, result.samples))
+    checks.append(_compared("r_squared", result))
 
     for i, j in sorted(E6_EDGES):
         braid = maps_equal(
@@ -139,17 +144,17 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> li
             seed=seed,
             bound=bound,
         )
-        checks.append(_check(f"braid_w{i}_w{j}", braid.equal, braid.samples))
+        checks.append(_compared(f"braid_w{i}_w{j}", braid))
 
     commute = maps_equal(
         word_map(("w3", "w5")), word_map(("w5", "w3")), trials=trials, seed=seed, bound=bound
     )
-    checks.append(_check("w3_w5_commute", commute.equal, commute.samples))
+    checks.append(_compared("w3_w5_commute", commute))
 
     semidirect = maps_equal(
         word_map(("m1", "w0", "m1")), word_map(("w4",)), trials=trials, seed=seed, bound=bound
     )
-    checks.append(_check("m1_w0_m1_equals_w4", semidirect.equal, semidirect.samples))
+    checks.append(_compared("m1_w0_m1_equals_w4", semidirect))
 
     rng = random.Random(f"gauge:{seed}")
     gauge_ok = True
@@ -252,7 +257,7 @@ def equivalence_suite(
     )
 
     phi_vs_word = maps_equal(phi_step, word_map(PHI_WORD), trials=trials, seed=seed, bound=bound)
-    checks.append(_check("phi_formula_equals_word", phi_vs_word.equal, phi_vs_word.samples))
+    checks.append(_compared("phi_formula_equals_word", phi_vs_word))
 
     psi_ok = True
     rng = random.Random(f"psi-word:{seed}")
@@ -281,7 +286,7 @@ def equivalence_suite(
             and word_p.g.as_fraction() == y_new
             and word_b == b_from_schlesinger_chart(t_new)
         )
-    checks.append(_check("psi_formula_equals_word", psi_ok, accepted))
+    checks.append(CheckResult("psi_formula_equals_word", psi_ok, accepted, rejected))
 
     report = verify_equivalence(trials=trials, seed=seed)
     checks.extend(report.checks)
@@ -300,7 +305,7 @@ def run_suite(
     if suite == "birational":
         return birational_suite(trials=trials, seed=seed, bound=bound)
     if suite == "period":
-        return period_suite(seed=seed)
+        return period_suite(seed=seed, samples=trials)
     if suite == "equivalence":
         return equivalence_suite(
             trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
@@ -309,7 +314,7 @@ def run_suite(
         return (
             coxeter_suite()
             + birational_suite(trials=trials, seed=seed, bound=bound)
-            + period_suite(seed=seed)
+            + period_suite(seed=seed, samples=trials)
             + equivalence_suite(
                 trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
             )

@@ -50,17 +50,6 @@ AUTOMORPHISM_SYMBOLS = SYMBOLS[7:]
 #: Inverse of each generator symbol (reflections and m_i are involutions).
 SYMBOL_INVERSE = {s: s for s in SYMBOLS} | {"r": "r2", "r2": "r"}
 
-#: Action of each diagram automorphism on the symmetry-root indices,
-#: as a mapping i -> sigma(i) read off the surface-root permutations:
-#: m0 = (d1 d2), m1 = (d0 d2), m2 = (d0 d1), r = (d0 d1 d2).
-ALPHA_PERMUTATIONS = {
-    "m0": {0: 0, 1: 1, 2: 2, 3: 5, 4: 6, 5: 3, 6: 4},
-    "m1": {0: 4, 1: 3, 2: 2, 3: 1, 4: 0, 5: 5, 6: 6},
-    "m2": {0: 6, 1: 5, 2: 2, 3: 3, 4: 4, 5: 1, 6: 0},
-    "r": {0: 6, 1: 5, 2: 2, 3: 1, 4: 0, 5: 3, 6: 4},
-    "r2": {0: 4, 1: 3, 2: 2, 3: 5, 4: 6, 5: 1, 6: 0},
-}
-
 Word = tuple[str, ...]
 
 
@@ -225,6 +214,17 @@ def generator_picmap(symbol: str) -> PicMap:
     if symbol in REFLECTION_SYMBOLS:
         return _reflection_picmap(int(symbol[1]))
     return _automorphism_picmap(symbol)
+
+
+_SIMPLE_ROOTS = tuple(symmetry_root(i) for i in range(7))
+
+#: Action of each diagram automorphism on the symmetry-root indices, as a
+#: mapping i -> sigma(i) with sigma(a_i) = a_sigma(i), read off the lattice
+#: matrices.
+ALPHA_PERMUTATIONS = {
+    s: {i: _SIMPLE_ROOTS.index(generator_picmap(s)(a)) for i, a in enumerate(_SIMPLE_ROOTS)}
+    for s in AUTOMORPHISM_SYMBOLS
+}
 
 
 def word_to_picmap(word: Iterable[str]) -> PicMap:

@@ -1,10 +1,15 @@
-"""Independent oracle transcriptions of the two dynamics.
+"""Independent oracle transcriptions of the two dynamics and the generators.
 
 These are second, structurally different transcriptions of the defining
 formulas, kept deliberately separate from the library path: the library and
 the oracle must agree exactly at random samples before anything else is
 trusted.  Plain Fraction arithmetic; degenerate samples raise
 ZeroDivisionError and are skipped by callers.
+
+The library derives the parameter action of each generator and the
+permutation of the symmetry roots under each diagram automorphism from the
+lattice matrices; the hand-written tables below are the second source those
+derivations are checked against.
 """
 
 from __future__ import annotations
@@ -83,3 +88,108 @@ def schlesinger_oracle(
 
     new_theta = (t01 - 1, t02, t11 + 1, t12, k1, k2, k3)
     return new_theta, x_bar, y_bar
+
+
+#: Action of each diagram automorphism on the symmetry-root indices,
+#: i -> sigma(i), read off the surface-root permutations:
+#: m0 = (d1 d2), m1 = (d0 d2), m2 = (d0 d1), r = (d0 d1 d2).
+ALPHA_PERMUTATIONS = {
+    "m0": {0: 0, 1: 1, 2: 2, 3: 5, 4: 6, 5: 3, 6: 4},
+    "m1": {0: 4, 1: 3, 2: 2, 3: 1, 4: 0, 5: 5, 6: 6},
+    "m2": {0: 6, 1: 5, 2: 2, 3: 3, 4: 4, 5: 1, 6: 0},
+    "r": {0: 6, 1: 5, 2: 2, 3: 1, 4: 0, 5: 3, 6: 4},
+    "r2": {0: 4, 1: 3, 2: 2, 3: 5, 4: 6, 5: 1, 6: 0},
+}
+
+
+def _swap(i: int, j: int) -> tuple[dict[int, int], ...]:
+    return tuple({j if k == i else i if k == j else k: 1} for k in range(1, 9))
+
+
+#: Parameter action of each generator: row k gives the new b_k as
+#: {old b-index: coefficient}, 1-based.  Every row set fixes b4 and the
+#: total sum b1 + ... + b8; no generator has a constant shift.
+PARAM_TABLES: dict[str, tuple[dict[int, int], ...]] = {
+    "w0": (
+        {1: 1, 3: -1, 4: 1},
+        {2: 1, 3: -1, 4: 1},
+        {3: -1, 4: 2},
+        {4: 1},
+        {5: 1, 3: 1, 4: -1},
+        {6: 1, 3: 1, 4: -1},
+        {7: 1, 3: 1, 4: -1},
+        {8: 1, 3: 1, 4: -1},
+    ),
+    "w1": _swap(2, 3),
+    "w2": _swap(1, 2),
+    "w3": (
+        {7: -1},
+        {2: 1},
+        {3: 1},
+        {4: 1},
+        {5: 1, 1: 1, 7: 1},
+        {6: 1, 1: 1, 7: 1},
+        {1: -1},
+        {8: 1},
+    ),
+    "w4": _swap(7, 8),
+    "w5": (
+        {5: -1},
+        {2: 1},
+        {3: 1},
+        {4: 1},
+        {1: -1},
+        {6: 1},
+        {7: 1, 1: 1, 5: 1},
+        {8: 1, 1: 1, 5: 1},
+    ),
+    "w6": _swap(5, 6),
+    "m0": ({1: 1}, {2: 1}, {3: 1}, {4: 1}, {7: 1}, {8: 1}, {5: 1}, {6: 1}),
+    "m1": (
+        {4: 1, 2: -1, 8: -1},
+        {4: 1, 1: -1, 8: -1},
+        {4: 1, 7: 1, 8: -1},
+        {4: 1},
+        {1: 1, 2: 1, 5: 1, 8: 1, 4: -1},
+        {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
+        {3: 1, 8: 1, 4: -1},
+        {8: 1},
+    ),
+    "m2": (
+        {4: 1, 2: -1, 6: -1},
+        {4: 1, 1: -1, 6: -1},
+        {4: 1, 5: 1, 6: -1},
+        {4: 1},
+        {3: 1, 6: 1, 4: -1},
+        {6: 1},
+        {1: 1, 2: 1, 6: 1, 7: 1, 4: -1},
+        {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
+    ),
+    "r": (
+        {4: 1, 2: -1, 8: -1},
+        {4: 1, 1: -1, 8: -1},
+        {4: 1, 7: 1, 8: -1},
+        {4: 1},
+        {3: 1, 8: 1, 4: -1},
+        {8: 1},
+        {1: 1, 2: 1, 5: 1, 8: 1, 4: -1},
+        {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
+    ),
+    "r2": (
+        {4: 1, 2: -1, 6: -1},
+        {4: 1, 1: -1, 6: -1},
+        {4: 1, 5: 1, 6: -1},
+        {4: 1},
+        {1: 1, 2: 1, 6: 1, 7: 1, 4: -1},
+        {1: 1, 2: 1, 6: 1, 8: 1, 4: -1},
+        {3: 1, 6: 1, 4: -1},
+        {6: 1},
+    ),
+}
+
+
+def param_oracle(symbol: str, b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Apply the hand-written parameter table of one generator."""
+    return tuple(
+        sum((c * b[j - 1] for j, c in row.items()), Fraction(0)) for row in PARAM_TABLES[symbol]
+    )

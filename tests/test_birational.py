@@ -20,6 +20,7 @@ from e6painleve.birational import (
 )
 from e6painleve.piclattice import E6_EDGES
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
+from oracles import param_oracle
 
 
 def test_projective_coord_canonicalization():
@@ -153,6 +154,14 @@ def test_gauge_normalization():
             new_b = generator_step(s).apply_params(b)
             assert new_b.b[3] == b.b[3], s
             assert new_b.chi_delta() == b.chi_delta(), s
+
+
+def test_parameter_action_matches_oracle_tables():
+    rng = random.Random(12)
+    for _ in range(25):
+        b = ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
+        for s in SYMBOLS:
+            assert generator_step(s).apply_params(b).b == param_oracle(s, b.b), s
 
 
 def test_too_many_degenerate_samples():

@@ -59,6 +59,18 @@ def test_decompose_rejects_non_group_matrix(capsys, tmp_path):
     assert json.loads(err)["error"] == "domain"
 
 
+def test_decompose_rejects_non_integer_entries(capsys, tmp_path):
+    for bad in (1.6, True, 1.0, "1"):
+        rows = PicMap.identity().to_json()
+        rows[0][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run_cli(capsys, "decompose", "--picmap", str(path))
+        assert code == 1, bad
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
+
+
 def test_decompose_requires_exactly_one_source(capsys):
     code, _, err = run_cli(capsys, "decompose")
     assert code == 1
@@ -121,6 +133,17 @@ def test_orbit_phi_csv(capsys):
     assert len(lines) == 4
 
 
+def test_orbit_psi_rejects_malformed_point(capsys):
+    theta = "1/2,1/3,1/5,1/7,2/3,3/5,-171/70"
+    for point in ("1/0,2", "1,2,3"):
+        code, out, err = run_cli(
+            capsys, "orbit", "--map", "psi", "--steps", "1", "--theta", theta, "--point", point
+        )
+        assert code == 1, point
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
+
+
 def test_orbit_requires_matching_initial_data(capsys):
     code, _, err = run_cli(
         capsys, "orbit", "--map", "phi", "--steps", "1", "--point", "2,3"
@@ -148,6 +171,29 @@ def test_verify_equivalence_small(capsys):
     assert data["passed"] is True
     names = [c["name"] for c in data["checks"]]
     assert "conjugation" in names and "transported_dynamics" in names
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-5"):
+        code, out, err = run_cli(capsys, "verify", "all", "--trials", trials)
+        assert code == 1, trials
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
+
+
+def test_verify_rejects_nonpositive_bound(capsys):
+    for bound in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "birational", "--bound", bound)
+        assert code == 1, bound
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
+
+
+def test_verify_period_reports_trials(capsys):
+    code, out, _ = run_cli(capsys, "verify", "period", "--trials", "3", "--seed", "2")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["samples"] == 3 for c in checks)
 
 
 def test_same_seed_gives_identical_output(capsys):

@@ -13,8 +13,8 @@ from e6painleve.decompose import (
 )
 from e6painleve.models import PHI_PIC_ACTION, PSI_PIC_ACTION
 from e6painleve.piclattice import RootVector
+from oracles import ALPHA_PERMUTATIONS
 from e6painleve.weylgroup import (
-    ALPHA_PERMUTATIONS,
     PicMap,
     SYMBOLS,
     generator_picmap,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from e6painleve.models import PHI_PIC_ACTION, PSI_PIC_ACTION
 from e6painleve.piclattice import (
     E6_EDGES,
@@ -106,9 +107,15 @@ def test_semidirect_relations():
         s_inv = s.inverse()
         for i in range(7):
             conjugated = s @ generator_picmap(f"w{i}") @ s_inv
-            assert conjugated == generator_picmap(f"w{ALPHA_PERMUTATIONS[sigma][i]}")
+            assert conjugated == generator_picmap(f"w{oracles.ALPHA_PERMUTATIONS[sigma][i]}")
     # the named instance: m1 w0 m1 = w4
     assert word_to_picmap(("m1", "w0", "m1")) == generator_picmap("w4")
+
+
+def test_alpha_permutations_match_oracle():
+    assert set(ALPHA_PERMUTATIONS) == set(AUTOMORPHISM_SYMBOLS)
+    for sigma in AUTOMORPHISM_SYMBOLS:
+        assert ALPHA_PERMUTATIONS[sigma] == oracles.ALPHA_PERMUTATIONS[sigma], sigma
 
 
 def test_surface_root_action():
