@@ -360,8 +360,11 @@ def maps_equal(
     Draws seeded generic rational samples, resampling any draw on which
     either map runs into an indeterminate point.  Outputs are compared
     exactly, coordinates projectively.  Raises TooManyDegenerateSamples when
-    more than 90 percent of draws get rejected.
+    more than 90 percent of draws get rejected, and ValueError when trials
+    is below 1, since no sample would then be compared.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     accepted = 0
     rejected = 0
     index = 0

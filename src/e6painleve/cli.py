@@ -183,13 +183,22 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def _orbit_json_lines(trace: OrbitTrace) -> None:
-    for entry in trace.entries:
-        if trace.kind == "phi":
-            f, g = entry.point
-            _print({"step": entry.step, "b": entry.params.to_json(), "f": f.to_json(), "g": g.to_json()})
-        else:
-            x, y = entry.point
-            _print({"step": entry.step, "theta": entry.params.to_json(), "x": str(x), "y": str(y)})
+    # Orbit heights grow past CPython's 4300-digit limit on int-to-str
+    # conversion (3.11+); lift it while writing exact values, then restore it.
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for entry in trace.entries:
+            if trace.kind == "phi":
+                f, g = entry.point
+                _print({"step": entry.step, "b": entry.params.to_json(), "f": f.to_json(), "g": g.to_json()})
+            else:
+                x, y = entry.point
+                _print({"step": entry.step, "theta": entry.params.to_json(), "x": str(x), "y": str(y)})
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def _orbit_csv(trace: OrbitTrace) -> None:

@@ -5,7 +5,9 @@ running element.  While some image is a negative root, right-multiplying by
 the corresponding simple reflection shortens the element (length drops
 exactly when the image of the reflecting root is negative), and the image
 vector updates cheaply: multiplying on the right by w_i replaces each image
-v_j by v_j + c_ij * v_i, where c_ij are the Cartan pairings.  Once every
+v_j by v_j + c_ij * v_i, where c_ij are the Cartan pairings, and only the
+images with c_ij != 0 change.  The loop runs on plain 7-int tuples; a
+negative root is one with no positive and some negative entry.  Once every
 image is a positive root, an element of the extended group must send simple
 roots to simple roots, and the residual permutation is matched against the
 diagram automorphisms.  Undoing the accumulated cancellation gives the word.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .piclattice import CARTAN, NotInSymmetryLattice, RootVector, Sign, root_sign, symmetry_root, to_alpha_coords
+from .piclattice import CARTAN_TERMS, NotInSymmetryLattice, RootVector, symmetry_root, to_alpha_coords
 from .weylgroup import ALPHA_PERMUTATIONS, PicMap, Word, word_to_picmap
 
 #: Hard cap on reduction steps; generous for every element handled here
@@ -77,11 +79,6 @@ def match_automorphism(images: SimpleRootImages) -> str:
     raise NoAutomorphismMatch("permutation is not a diagram automorphism")
 
 
-def _apply_right_reflection(images: SimpleRootImages, i: int) -> SimpleRootImages:
-    pivot = images[i]
-    return tuple(img + CARTAN[i][j] * pivot for j, img in enumerate(images))
-
-
 def simple_root_images(m: PicMap) -> SimpleRootImages:
     """Images of a0..a6 under m, in symmetry-root coordinates."""
     try:
@@ -97,23 +94,23 @@ def decompose(m: PicMap, trace: bool = False):
     word reproduces m exactly (checked by matrix equality).  Raises
     NotInGroup for maps outside the extended affine Weyl group.
     """
-    images = simple_root_images(m)
+    images = [v.coeffs for v in simple_root_images(m)]
     cancellation: list[int] = []
     steps: list[ReductionStep] = []
     for _ in range(MAX_REDUCTION_STEPS):
-        pivot = next(
-            (i for i in range(7) if root_sign(images[i]) is Sign.NEGATIVE), None
-        )
+        pivot = next((i for i, v in enumerate(images) if max(v) <= 0 and min(v) < 0), None)
         if pivot is None:
             break
-        images = _apply_right_reflection(images, pivot)
+        p = images[pivot]
+        for j, c in CARTAN_TERMS[pivot]:
+            images[j] = tuple(x + c * y for x, y in zip(images[j], p))
         cancellation.append(pivot)
         if trace:
-            steps.append(ReductionStep(pivot, images))
+            steps.append(ReductionStep(pivot, tuple(map(RootVector, images))))
     else:
         raise NotInGroup("reduction did not terminate; map is outside the group")
     try:
-        residual = match_automorphism(images)
+        residual = match_automorphism(tuple(map(RootVector, images)))
     except NoAutomorphismMatch as exc:
         raise NotInGroup(str(exc)) from exc
     symbols = ([residual] if residual else []) + [f"w{i}" for i in reversed(cancellation)]

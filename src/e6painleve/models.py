@@ -337,15 +337,11 @@ def verify_equivalence(
        step (in (x, y)) with one phi step (in (f, g)) under the matched
        dictionary, including the parameter evolution.
 
-    With trials = 0 both checks pass vacuously and are flagged.
+    Raises ValueError when trials is below 1, since neither check would
+    then compare a sample.
     """
-    if trials == 0:
-        return EquivalenceReport(
-            (
-                CheckResult("conjugation", True, 0, note="no samples"),
-                CheckResult("transported_dynamics", True, 0, note="no samples"),
-            )
-        )
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
     conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
     conj_result = _comparison_check(

@@ -17,16 +17,23 @@ carried exactly.
 Every generator fixes b4, so its action on the parameters is induced through
 the period map: evolve the root variables, then invert the bijection with
 the same b4 (birational.BirationalStep.apply_params).
+
+root_variable_evolution scales the seven values to integers over their
+common denominator and folds the word on those integers: a reflection adds
+integer multiples of one value to its neighbours, an automorphism permutes
+indices.  Every letter acts by an integer matrix, so one division at the
+end gives the exact result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .piclattice import CARTAN, DELTA_WEIGHTS, RationalRootVector
-from .weylgroup import REFLECTION_SYMBOLS, parse_word, permute_coords
+from .piclattice import CARTAN_TERMS, DELTA_WEIGHTS
+from .weylgroup import ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, parse_word
 
 
 @dataclass(frozen=True)
@@ -109,12 +116,17 @@ def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariab
     a_j + c_ij a_i (c the Cartan pairings), and an automorphism sigma moves
     the value of a_i to a_sigma(i).
     """
-    values = a.a
+    den = math.lcm(*(x.denominator for x in a.a))
+    values = [x.numerator * (den // x.denominator) for x in a.a]
     for symbol in reversed(parse_word(word)):
         if symbol in REFLECTION_SYMBOLS:
             i = int(symbol[1])
             pivot = values[i]
-            values = tuple(x + c * pivot if c else x for x, c in zip(values, CARTAN[i]))
+            for j, c in CARTAN_TERMS[i]:
+                values[j] += c * pivot
         else:
-            values = permute_coords(symbol, RationalRootVector(values)).coeffs
-    return RootVariables(values)
+            moved = values[:]
+            for i, j in ALPHA_PERMUTATIONS[symbol].items():
+                moved[j] = values[i]
+            values = moved
+    return RootVariables(tuple(Fraction(x, den) for x in values))

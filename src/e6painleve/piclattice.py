@@ -156,6 +156,10 @@ def cartan_matrix() -> tuple[tuple[int, ...], ...]:
 
 CARTAN = cartan_matrix()
 
+#: The nonzero entries (j, c_ij) of each row of CARTAN: the coordinates a
+#: reflection w_i moves, with the multiple of the pivot each one gains.
+CARTAN_TERMS = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in CARTAN)
+
 
 @dataclass(frozen=True)
 class RootVector:

@@ -9,7 +9,13 @@ together with the five nontrivial diagram automorphisms m0, m1, m2, r, r2
 Cremona isometry: it preserves the intersection form and fixes the canonical
 class.  Words are finite sequences of generator symbols; the sequence
 (g1, g2, ..., gk) denotes the composition g1 o g2 o ... o gk, with gk applied
-first, so that word_to_picmap is the left-to-right matrix product.
+first, so that word_to_picmap is the left-to-right matrix product.  That
+product is kept as the 10 integer columns of the running matrix M: a letter
+G acts on the right as a column operation, column j of M G being
+sum_k G[k][j] col_k(M), read off G's sparse columns.  A reflection moves two
+or three columns, an automorphism mostly permutes them; every moved column
+is a sum of at most four old ones with coefficients +-1, and the columns G
+leaves alone pass through unchanged.
 
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
 for all i.  The defining vector alpha of the translation (with
@@ -101,9 +107,8 @@ class PicMap:
         return PicMap(rows)
 
     def __call__(self, c: DivisorClass) -> DivisorClass:
-        return DivisorClass(
-            tuple(sum(self.rows[i][j] * c.coeffs[j] for j in range(RANK)) for i in range(RANK))
-        )
+        terms = [(j, x) for j, x in enumerate(c.coeffs) if x]
+        return DivisorClass(tuple(sum(row[j] * x for j, x in terms) for row in self.rows))
 
     def inverse(self) -> "PicMap":
         # For an isometry M of the form J: M^-1 = J M^T J, and J is an involution.
@@ -227,12 +232,30 @@ ALPHA_PERMUTATIONS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _moved_columns(symbol: str) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The columns j a generator G moves, each with its nonzero entries (k, G[k][j]).
+
+    Column j of M G is sum_k G[k][j] col_k(M); a column of G equal to the
+    basis vector e_j is left out, since M G keeps col_j(M) there.
+    """
+    rows = generator_picmap(symbol).rows
+    columns = ((j, tuple((k, rows[k][j]) for k in range(RANK) if rows[k][j])) for j in range(RANK))
+    return tuple((j, terms) for j, terms in columns if terms != ((j, 1),))
+
+
 def word_to_picmap(word: Iterable[str]) -> PicMap:
     """Product of generator matrices; the rightmost symbol acts first."""
-    result = PicMap.identity()
+    cols = list(PicMap.identity().rows)  # the identity's rows are its columns
     for symbol in word:
-        result = result @ generator_picmap(symbol)
-    return result
+        old = cols[:]
+        for j, terms in _moved_columns(symbol):
+            (k, c), *rest = terms
+            col = old[k] if c == 1 else [c * x for x in old[k]]
+            for k, c in rest:
+                col = [a + c * x for a, x in zip(col, old[k])]
+            cols[j] = col
+    return PicMap(tuple(zip(*cols)))
 
 
 def invert_word(word: Iterable[str]) -> Word:

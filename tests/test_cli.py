@@ -1,8 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import sys
+from fractions import Fraction
 
+from e6painleve.birational import ParamVector, SurfacePoint
 from e6painleve.cli import main
+from e6painleve.models import phi_orbit
 from e6painleve.weylgroup import PicMap
 
 
@@ -47,6 +51,41 @@ def test_decompose_trace(capsys):
     data = json.loads(out)
     assert len(data["trace"]) == 16
     assert all(len(step["images"]) == 7 for step in data["trace"])
+
+
+#: Reference standard output of `decompose --element phi --trace` and of
+#: `period --b=1,2,3,4,5,6,7,8`.  A change to the lattice, group or period
+#: kernels must reproduce it byte for byte.
+GOLDEN_DECOMPOSE_PHI_TRACE = (
+    '{"word": ["r", "w5", "w6", "w2", "w5", "w3", "w4", "w2", "w3", "w1", "w2", "w5", "w6", "w0", "w1", "w2", "w5"], "length": 17, "verified": true, "trace": ['
+    '{"index": 5, "images": [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [-1, -2, -2, -2, -1, -1, -1], [1, 2, 3, 3, 1, 2, 1], [0, 0, 0, 0, 1, 0, 0], [1, 2, 3, 2, 1, 1, 1], [-1, -2, -3, -2, -1, -1, 0]]}, '
+    '{"index": 2, "images": [[1, 0, 0, 0, 0, 0, 0], [-1, -1, -2, -2, -1, -1, -1], [1, 2, 2, 2, 1, 1, 1], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0], [-1, -2, -3, -2, -1, -1, 0]]}, '
+    '{"index": 1, "images": [[0, -1, -2, -2, -1, -1, -1], [1, 1, 2, 2, 1, 1, 1], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0], [-1, -2, -3, -2, -1, -1, 0]]}, '
+    '{"index": 0, "images": [[0, 1, 2, 2, 1, 1, 1], [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0], [-1, -2, -3, -2, -1, -1, 0]]}, '
+    '{"index": 6, "images": [[0, 1, 2, 2, 1, 1, 1], [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0], [-1, -2, -2, -2, -1, -1, 0], [1, 2, 3, 2, 1, 1, 0]]}, '
+    '{"index": 5, "images": [[0, 1, 2, 2, 1, 1, 1], [1, 0, 0, 0, 0, 0, 0], [-1, -1, -2, -2, -1, -1, 0], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0], [1, 2, 2, 2, 1, 1, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 2, "images": [[0, 1, 2, 2, 1, 1, 1], [0, -1, -2, -2, -1, -1, 0], [1, 1, 2, 2, 1, 1, 0], [-1, -1, -1, -1, -1, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 1, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 1, 2, 2, 1, 1, 0], [1, 0, 0, 0, 0, 0, 0], [-1, -1, -1, -1, -1, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 3, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 1, 2, 2, 1, 1, 0], [0, -1, -1, -1, -1, 0, 0], [1, 1, 1, 1, 1, 0, 0], [-1, -1, -1, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 2, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1, 0], [0, 1, 1, 1, 1, 0, 0], [1, 0, 0, 0, 0, 0, 0], [-1, -1, -1, -1, 0, 0, 0], [0, 0, -1, -1, -1, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 4, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1, 0], [0, 1, 1, 1, 1, 0, 0], [0, -1, -1, -1, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0], [0, 0, -1, -1, -1, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 3, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0], [0, 1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0, 0, -1, -1, -1, 0, 0], [0, 0, 1, 0, 0, 0, 0]]}, '
+    '{"index": 5, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1, 0], [0, 0, -1, -1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0, 0], [0, 0, 0, -1, -1, 0, 0]]}, '
+    '{"index": 2, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, -1, -1, 0, 0]]}, '
+    '{"index": 6, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0]]}, '
+    '{"index": 5, "images": [[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0]]}]}'
+    "\n"
+)
+GOLDEN_PERIOD = '{"a": ["1", "1", "1", "8", "1", "6", "1"], "chi_delta": "36"}\n'
+
+
+def test_decompose_trace_and_period_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--element", "phi", "--trace")
+    assert code == 0
+    assert out == GOLDEN_DECOMPOSE_PHI_TRACE
+    code, out, _ = run_cli(capsys, "period", "--b=1,2,3,4,5,6,7,8")
+    assert code == 0
+    assert out == GOLDEN_PERIOD
 
 
 def test_decompose_rejects_non_group_matrix(capsys, tmp_path):
@@ -113,8 +152,6 @@ def test_orbit_psi_json_lines(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4
-    from fractions import Fraction
-
     for line in lines:
         state = json.loads(line)
         total = sum(Fraction(v) for v in state["theta"].values())
@@ -131,6 +168,36 @@ def test_orbit_phi_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "step,b1,b2,b3,b4,b5,b6,b7,b8,f,g"
     assert len(lines) == 4
+
+
+def test_orbit_json_past_int_digit_limit(capsys):
+    # Heights pass CPython's 4300-digit int-to-str limit by step 28.  The
+    # command lifts the limit only while it writes, so parsing here lifts it too.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old_limit = limit() if limit else None
+    code, out, err = run_cli(
+        capsys,
+        "orbit", "--map", "phi", "--steps", "28",
+        "--b=1,2,3,4,5,6,7,8", "--point=2,3", "--format", "json",
+    )
+    assert code == 0, err
+    assert (limit() if limit else None) == old_limit
+    lines = out.splitlines()
+    assert len(lines) == 29
+    final = phi_orbit(ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8), SurfacePoint.affine(2, 3), 28).entries[-1]
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        state = json.loads(lines[-1])
+        assert state["step"] == 28
+        assert tuple(Fraction(x) for x in state["b"]) == final.params.b
+        for key, coord in zip("fg", final.point):
+            assert coord.is_finite and state[key]["d"] != "0"
+            assert Fraction(int(state[key]["n"]), int(state[key]["d"])) == coord.num
+        assert max(len(state[key]["n"]) for key in "fg") > 4300
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def test_orbit_psi_rejects_malformed_point(capsys):

@@ -11,13 +11,14 @@ from e6painleve.decompose import (
     match_automorphism,
     simple_root_images,
 )
-from e6painleve.models import PHI_PIC_ACTION, PSI_PIC_ACTION
-from e6painleve.piclattice import RootVector
+from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
+from e6painleve.piclattice import CARTAN, RootVector, Sign, root_sign
 from oracles import ALPHA_PERMUTATIONS
 from e6painleve.weylgroup import (
     PicMap,
     SYMBOLS,
     generator_picmap,
+    invert_word,
     word_to_picmap,
 )
 
@@ -110,3 +111,22 @@ def test_simple_root_images_of_automorphism_match_tables():
     for i in range(7):
         expected = RootVector(tuple(1 if j == perm[i] else 0 for j in range(7)))
         assert imgs[i] == expected
+
+
+def test_trace_steps_are_right_reflections():
+    # Each traced step moves the images by v_j + c_ij v_i for its pivot i,
+    # and the pivot is the first image that is a negative root.
+    conj = ("w1", "m2", "w6")
+    for word in (PHI_WORD * 4, conj + PSI_WORD * 2 + invert_word(conj)):
+        m = word_to_picmap(word)
+        recovered, steps = decompose(m, trace=True)
+        assert word_to_picmap(recovered) == m
+        assert len(steps) > 16
+        images = simple_root_images(m)
+        for step in steps:
+            signs = [root_sign(v) for v in images]
+            assert signs.index(Sign.NEGATIVE) == step.index
+            pivot = images[step.index]
+            images = tuple(v + CARTAN[step.index][j] * pivot for j, v in enumerate(images))
+            assert step.images == images
+        assert Sign.NEGATIVE not in [root_sign(v) for v in images]

@@ -249,9 +249,12 @@ def test_verify_equivalence_passes():
 
 
 def test_verify_equivalence_zero_trials_is_flagged():
-    report = verify_equivalence(trials=0)
-    assert report.passed
-    assert all(c.note == "no samples" and c.samples == 0 for c in report.checks)
+    # No check may pass on zero samples: both entry points refuse trials < 1.
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials"):
+            verify_equivalence(trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            maps_equal(phi_step, phi_step, trials=trials)
 
 
 def test_verify_equivalence_detects_perturbed_dictionary():

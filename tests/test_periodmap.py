@@ -11,8 +11,8 @@ from e6painleve.periodmap import (
     root_variable_evolution,
     root_variables,
 )
-from e6painleve.piclattice import DELTA_WEIGHTS
-from e6painleve.weylgroup import SYMBOLS
+from e6painleve.piclattice import DELTA_WEIGHTS, symmetry_root, to_alpha_coords
+from e6painleve.weylgroup import SYMBOLS, invert_word, word_to_picmap
 from oracles import param_oracle
 
 
@@ -101,3 +101,21 @@ def test_evolution_linearity():
         r1 = root_variable_evolution(word, a1)
         r2 = root_variable_evolution(word, a2)
         assert lhs.a == tuple(x + y for x, y in zip(r1.a, r2.a))
+
+
+def test_evolution_matches_lattice_action():
+    # Lattice-side reference: the new a_i is the period sum_j x_j a_j of
+    # the image w^-1(a_i), with x its symmetry-root coordinates.
+    rng = random.Random(47)
+    values = [Fraction(0), Fraction(-7, 3), Fraction(5, 12), Fraction(-1), Fraction(9, 8), Fraction(13)]
+    cases = [RootVariables(tuple(rng.choice(values) for _ in range(7))) for _ in range(8)]
+    cases += [RootVariables.of(0, 0, 0, 0, 0, 0, 0), RootVariables.of(-1, -2, -3, -4, -5, -6, -7)]
+    for a in cases:
+        for length in (0, 1, 2, 9, 40):
+            word = tuple(rng.choices(SYMBOLS, k=length))
+            inverse = word_to_picmap(invert_word(word))
+            expected = []
+            for i in range(7):
+                x = to_alpha_coords(inverse(symmetry_root(i))).coeffs
+                expected.append(sum((c * v for c, v in zip(x, a.a)), Fraction(0)))
+            assert root_variable_evolution(word, a).a == tuple(expected)

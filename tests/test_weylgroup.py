@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 import oracles
-from e6painleve.models import PHI_PIC_ACTION, PSI_PIC_ACTION
+from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
 from e6painleve.piclattice import (
+    DivisorClass,
     E6_EDGES,
     H_F,
     H_G,
@@ -192,3 +194,26 @@ def test_find_conjugator_not_found():
 def test_picmap_serialization_roundtrip():
     m = word_to_picmap(("r", "w3"))
     assert PicMap(tuple(tuple(row) for row in m.to_json())) == m
+
+
+def test_word_to_picmap_matches_dense_product():
+    # Reference: the dense left-to-right product of the generator matrices.
+    def dense(word):
+        return reduce(lambda m, s: m @ generator_picmap(s), word, IDENTITY)
+
+    rng = random.Random(41)
+    words = [tuple(rng.choices(SYMBOLS, k=n)) for n in (0, 1, 2, 3, 200)]
+    words += [tuple(rng.choices(SYMBOLS, k=rng.randint(0, 200))) for _ in range(12)]
+    conj = ("m1", "w2", "r", "w5")
+    words += [PHI_WORD * 16, conj + PSI_WORD * 8 + invert_word(conj)]
+    for word in words:
+        assert word_to_picmap(word) == dense(word)
+
+
+def test_picmap_application_matches_dense_matvec():
+    rng = random.Random(43)
+    for _ in range(30):
+        m = word_to_picmap(rng.choices(SYMBOLS, k=rng.randint(0, 40)))
+        coeffs = tuple(rng.choice((0, 0, 0, -3, -1, 1, 2, 7)) for _ in range(10))
+        expected = tuple(sum(m.rows[i][j] * coeffs[j] for j in range(10)) for i in range(10))
+        assert m(DivisorClass(coeffs)).coeffs == expected
