@@ -5,23 +5,35 @@ eight blowup-position parameters and a pair of rational coordinate maps on
 the affine chart of P1 x P1.  Every generator fixes b4 and the parameter sum
 (the gauge normalization that makes the maps compose as a group).  The
 parameter action is not tabulated: it is induced through the period map from
-the generator's lattice action on the symmetry roots.
+the generator's lattice action on the symmetry roots, read off once per
+generator on the eight unit vectors as integer rows (new b_k = sum of c b_j),
+and then applied as those rows.
 
 Points are held projectively: a coordinate is a pair (num : den) with den
 normalized to 0 or 1, so outputs at infinity are first-class values, while
 0/0 signals that the evaluation hit an indeterminate point of the map and
 raises.  Coordinate formulas are stored as small expression trees over the
-variables f, g, b1..b8 and evaluated with this projective arithmetic, which
-keeps chains of generators exact end to end.
+variables f, g, b1..b8; these trees are the single table of the formulas
+(gens prints them).  Each tree is compiled once per generator, on first
+use, into nested closures over plain Fractions, and a step whose point is
+finite evaluates both coordinates in that one pass.  The projective walk of
+the trees runs only when an input coordinate is at infinity or a
+denominator of the compiled pass vanishes; it gives the same values
+wherever the plain pass is defined, and decides infinity and base points
+(Indeterminate) everywhere else, so chains of generators stay exact end to
+end.
 
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
 (randomized polynomial identity testing), and every agreement check here is
-exact, never approximate.
+exact, never approximate.  Every sampling loop stops with
+TooManyDegenerateSamples once more than 90 percent of its draws were
+rejected (check_rejection_rate).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +57,9 @@ class TooManyDegenerateSamples(RuntimeError):
     """Random sampling rejected more than 90 percent of its draws."""
 
 
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class ProjectiveCoord:
     """Point of P1 as a pair (num : den), normalized so den is 0 or 1."""
@@ -65,7 +80,11 @@ class ProjectiveCoord:
 
     @classmethod
     def finite(cls, value) -> "ProjectiveCoord":
-        return cls(Fraction(value), Fraction(1))
+        # A finite value is already normalized; only non-Fractions are coerced.
+        coord = object.__new__(cls)
+        object.__setattr__(coord, "num", value if type(value) is Fraction else Fraction(value))
+        object.__setattr__(coord, "den", _ONE)
+        return coord
 
     @classmethod
     def infinity(cls) -> "ProjectiveCoord":
@@ -102,6 +121,9 @@ class ProjectiveCoord:
 
     def to_json(self) -> dict[str, str]:
         return {"n": str(self.num.numerator), "d": str(self.num.denominator if self.is_finite else 0)}
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class Expr:
@@ -167,15 +189,7 @@ class BinOp(Expr):
     right: Expr
 
     def evaluate(self, env: Mapping[str, ProjectiveCoord]) -> ProjectiveCoord:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+        return _OPERATORS[self.op](self.left.evaluate(env), self.right.evaluate(env))
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -221,9 +235,11 @@ class BirationalStep:
     picmap: PicMap
 
     def apply_params(self, b: ParamVector) -> ParamVector:
-        """Parameter action induced through the period map (b4 is fixed)."""
-        a = root_variable_evolution((self.name,), root_variables(b))
-        return params_from_root_variables(a, b.b[3])
+        """Parameter action induced through the period map (b4 is fixed).
+
+        Applies the generator's integer rows (param_rows) to b.
+        """
+        return ParamVector(tuple(_row_value(row, b.b) for row in param_rows(self.name)))
 
 
 # Coordinate tables of the elementary maps (affine-chart formulas).
@@ -256,6 +272,68 @@ _COORD_TABLES: dict[str, tuple[Expr, Expr]] = {
 
 
 @lru_cache(maxsize=None)
+def param_rows(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Integer rows of a generator's parameter action, 0-based.
+
+    Row k lists the nonzero (j, c) with new b_k = sum of c * b_j.  The rows
+    are read off the period-map action (root variables evolved by the
+    generator, then inverted with the same b4) on the eight unit vectors;
+    that action is linear with integer coefficients.
+    """
+    columns = []
+    for j in range(8):
+        unit = ParamVector(tuple(int(i == j) for i in range(8)))
+        a = root_variable_evolution((symbol,), root_variables(unit))
+        columns.append(params_from_root_variables(a, unit.b[3]).b)
+    return tuple(
+        tuple((j, int(col[k])) for j, col in enumerate(columns) if col[k]) for k in range(8)
+    )
+
+
+def _row_value(row: tuple[tuple[int, int], ...], b: tuple[Fraction, ...]) -> Fraction:
+    # Coefficients are small integers, mostly +-1: add or subtract those.
+    (j, c), *rest = row
+    value = b[j] if c == 1 else c * b[j]
+    for j, c in rest:
+        if c == 1:
+            value = value + b[j]
+        elif c == -1:
+            value = value - b[j]
+        else:
+            value = value + c * b[j]
+    return value
+
+
+Formula = Callable[[Fraction, Fraction, tuple[Fraction, ...]], Fraction]
+
+
+def _compile(expr: Expr) -> Formula:
+    """An expression tree as nested closures over plain (f, g, b1..b8).
+
+    Division by zero raises ZeroDivisionError; wherever it does not, every
+    value is finite and the result equals the projective evaluation.
+    """
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda f, g, b: value
+    if isinstance(expr, Var):
+        if expr.name == "f":
+            return lambda f, g, b: f
+        if expr.name == "g":
+            return lambda f, g, b: g
+        index = int(expr.name[1:]) - 1
+        return lambda f, g, b: b[index]
+    op, left, right = _OPERATORS[expr.op], _compile(expr.left), _compile(expr.right)
+    return lambda f, g, b: op(left(f, g, b), right(f, g, b))
+
+
+@lru_cache(maxsize=None)
+def _compiled_coords(symbol: str) -> tuple[Formula, Formula]:
+    coord_f, coord_g = _COORD_TABLES[symbol]
+    return _compile(coord_f), _compile(coord_g)
+
+
+@lru_cache(maxsize=None)
 def generator_step(symbol: str) -> BirationalStep:
     """The elementary birational map attached to a generator symbol."""
     if symbol not in SYMBOLS:
@@ -270,9 +348,21 @@ def eval_step(
     """Apply one elementary map to (parameters; point).
 
     Coordinates are evaluated with the incoming parameters, then the
-    parameters are updated.  Raises Indeterminate when the point is a base
-    point of the map.
+    parameters are updated.  A finite point goes through the compiled
+    formulas; a point at infinity, or a vanishing denominator there, falls
+    back to the projective tree walk.  Raises Indeterminate when the point
+    is a base point of the map.
     """
+    if p.is_finite:
+        formula_f, formula_g = _compiled_coords(step.name)
+        f, g = p.f.num, p.g.num
+        try:
+            new_f, new_g = formula_f(f, g, b.b), formula_g(f, g, b.b)
+        except ZeroDivisionError:
+            pass  # the projective walk below decides infinity or a base point
+        else:
+            new_p = SurfacePoint(ProjectiveCoord.finite(new_f), ProjectiveCoord.finite(new_g))
+            return step.apply_params(b), new_p
     env: dict[str, ProjectiveCoord] = {"f": p.f, "g": p.g}
     for i in range(8):
         env[f"b{i + 1}"] = ProjectiveCoord.finite(b.b[i])
@@ -323,6 +413,15 @@ def sample_state(rng: random.Random, bound: int = SAMPLE_BOUND) -> tuple[ParamVe
     return b, p
 
 
+def check_rejection_rate(accepted: int, rejected: int, what: str) -> None:
+    """Stop a sampling loop once more than 90 percent of its draws were rejected.
+
+    Called before each draw; the first 10 rejections are always allowed.
+    """
+    if rejected > 9 * (accepted + 1) and rejected >= 10:
+        raise TooManyDegenerateSamples(f"rejected {rejected} of {accepted + rejected} {what}")
+
+
 def _per_sample_rng(seed: int, index: int) -> random.Random:
     # Split the stream per sample index so results do not depend on scheduling.
     return random.Random(f"{seed}:{index}")
@@ -370,10 +469,7 @@ def maps_equal(
     index = 0
     while accepted < trials:
         index += 1
-        if rejected > 9 * (accepted + 1) and rejected >= 10:
-            raise TooManyDegenerateSamples(
-                f"rejected {rejected} of {accepted + rejected} sampled inputs"
-            )
+        check_rejection_rate(accepted, rejected, "sampled inputs")
         rng = _per_sample_rng(seed, index)
         b, p = sample_state(rng, bound)
         try:

@@ -36,7 +36,7 @@ from .birational import (
     ParamVector,
     ProjectiveCoord,
     SurfacePoint,
-    TooManyDegenerateSamples,
+    check_rejection_rate,
     eval_word,
     maps_equal,
     sample_fraction,
@@ -354,10 +354,7 @@ def verify_equivalence(
     failure: dict | None = None
     while accepted < trials and failure is None:
         index += 1
-        if rejected > 9 * (accepted + 1) and rejected >= 10:
-            raise TooManyDegenerateSamples(
-                f"rejected {rejected} of {accepted + rejected} Schlesinger samples"
-            )
+        check_rejection_rate(accepted, rejected, "Schlesinger samples")
         rng = random.Random(f"equivalence:{seed}:{index}")
         t = sample_schlesinger(rng)
         x, y = sample_fraction(rng, 100), sample_fraction(rng, 100)

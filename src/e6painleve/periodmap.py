@@ -45,7 +45,8 @@ class ParamVector:
     def __post_init__(self) -> None:
         if len(self.b) != 8:
             raise ValueError(f"expected 8 parameters, got {len(self.b)}")
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+        if type(self.b) is not tuple or not all(type(x) is Fraction for x in self.b):
+            object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
 
     @classmethod
     def of(cls, *values) -> "ParamVector":

@@ -17,9 +17,8 @@ spanned by seven simple roots a0, ..., a6 forming an affine E6 diagram:
                   |
                   a6
 
-All computations are exact: integer vectors, root coordinates by a
-triangular closed form, and rational Gaussian elimination only for the
-defining vectors of translations.  Every value is immutable.
+All computations are exact: integer vectors and root coordinates by a
+triangular closed form, with no linear solve.  Every value is immutable.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 RANK = 10
 BASIS_LABELS = ("Hf", "Hg", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -234,41 +232,6 @@ def root_sign(v: RootVector) -> Sign:
     if has_neg:
         return Sign.NEGATIVE
     return Sign.ZERO
-
-
-def solve_linear_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """Solve A x = rhs exactly by Gaussian elimination.
-
-    Returns one solution with all free variables set to zero, or None when
-    the system is inconsistent.  A may be rectangular and rank-deficient.
-    """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[r])] for r, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n_cols):
-        sel = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pivot = aug[row][col]
-        aug[row] = [x / pivot for x in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for r, c in pivots:
-        solution[c] = aug[r][n_cols]
-    return tuple(solution)
 
 
 def to_alpha_coords(c: DivisorClass) -> RootVector:

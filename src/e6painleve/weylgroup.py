@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 from .piclattice import (
     CARTAN,
+    CARTAN_TERMS,
     DELTA_WEIGHTS,
     RANK,
     DivisorClass,
@@ -44,7 +45,7 @@ from .piclattice import (
     H_F,
     H_G,
     intersection,
-    solve_linear_system,
+    surface_root,
     symmetry_root,
     to_alpha_coords,
 )
@@ -127,17 +128,19 @@ class PicMap:
         return inv
 
     def is_cremona_isometry(self) -> bool:
-        """Check M^T J M = J and that the canonical class is fixed."""
+        """Check M^T J M = J and that the canonical class is fixed.
+
+        Entry (a, b) of M^T J M is the intersection number of the images of
+        basis classes a and b, which reads only the nonzero entries of J.
+        """
         j = gram_matrix()
-        for a in range(RANK):
-            for b in range(RANK):
-                lhs = sum(
-                    self.rows[i][a] * j[i][k] * self.rows[k][b]
-                    for i in range(RANK)
-                    for k in range(RANK)
-                )
-                if lhs != j[a][b]:
-                    return False
+        images = [DivisorClass(col) for col in zip(*self.rows)]
+        if any(
+            intersection(images[a], images[b]) != j[a][b]
+            for a in range(RANK)
+            for b in range(a, RANK)
+        ):
+            return False
         k_class = -1 * anticanonical()
         return self(k_class) == k_class
 
@@ -232,6 +235,19 @@ ALPHA_PERMUTATIONS = {
 }
 
 
+def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
+    """The permutation (k_0, k_1, k_2) with m(d_j) = d_(k_j), or None.
+
+    None when m does not map the three surface roots onto themselves.
+    """
+    roots = [surface_root(j) for j in range(3)]
+    images = [m(d) for d in roots]
+    if any(x not in roots for x in images):
+        return None
+    perm = tuple(roots.index(x) for x in images)
+    return perm if len(set(perm)) == 3 else None
+
+
 @lru_cache(maxsize=None)
 def _moved_columns(symbol: str) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """The columns j a generator G moves, each with its nonzero entries (k, G[k][j]).
@@ -295,19 +311,51 @@ def canonicalize_mod_delta(x: RationalRootVector) -> RationalRootVector:
     return RationalRootVector(tuple(c - t * w for c, w in zip(x.coeffs, DELTA_WEIGHTS)))
 
 
+def _det(m: list[list[int]]) -> int:
+    # Laplace expansion along the first row, skipping zero entries: cheap
+    # for the sparse Cartan blocks it is used on.
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * c * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, c in enumerate(m[0])
+        if c
+    )
+
+
+@lru_cache(maxsize=None)
+def _finite_cartan_adjugate() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Determinant and integer adjugate of the finite E6 Cartan block (nodes 1-6)."""
+    block = [list(row[1:]) for row in CARTAN[1:]]
+
+    def minor(i: int, j: int) -> list[list[int]]:
+        return [row[:j] + row[j + 1:] for k, row in enumerate(block) if k != i]
+
+    n = len(block)
+    adjugate = tuple(
+        tuple((-1) ** (i + j) * _det(minor(j, i)) for j in range(n)) for i in range(n)
+    )
+    return _det(block), adjugate
+
+
 def kac_vector(m: PicMap) -> RationalRootVector:
     """Defining vector of a translation: (alpha . a_i) = n_i for all i.
 
     The solution is unique modulo delta; the representative returned has
-    a0-coordinate zero.  Raises NotTranslation when m is not a translation.
+    a0-coordinate zero, so the other six solve the finite E6 block of the
+    Cartan system: the integer adjugate of that block applied to
+    (n_1..n_6), divided once by its determinant 3.  Raises NotTranslation
+    when m is not a translation or the system has no solution, which is
+    when sum delta_i n_i != 0.
     """
     ns = translation_delta_vector(m)
-    rows = [[Fraction(CARTAN[i][j]) for j in range(7)] for i in range(7)]
-    rhs = [Fraction(n) for n in ns]
-    solution = solve_linear_system(rows, rhs)
-    if solution is None:
+    det, adjugate = _finite_cartan_adjugate()
+    scaled = (0,) + tuple(sum(c * n for c, n in zip(row, ns[1:])) for row in adjugate)
+    if sum(w * n for w, n in zip(DELTA_WEIGHTS, ns)) != 0 or any(
+        sum(c * scaled[j] for j, c in CARTAN_TERMS[i]) != det * ns[i] for i in range(7)
+    ):
         raise NotTranslation("inconsistent translation vector")
-    return canonicalize_mod_delta(RationalRootVector(solution))
+    return RationalRootVector(tuple(Fraction(x, det) for x in scaled))
 
 
 def translation_norm(m: PicMap) -> Fraction:

@@ -7,14 +7,17 @@ trusted.  Plain Fraction arithmetic; degenerate samples raise
 ZeroDivisionError and are skipped by callers.
 
 The library derives the parameter action of each generator and the
-permutation of the symmetry roots under each diagram automorphism from the
-lattice matrices; the hand-written tables below are the second source those
-derivations are checked against.
+permutations of the symmetry and surface roots under each diagram
+automorphism from the lattice matrices; the hand-written tables below are
+the second source those derivations are checked against.  The defining
+vector of a translation is cross-checked against a general exact linear
+solve (solve_linear_system).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 
 def qrt_oracle(
@@ -99,6 +102,17 @@ ALPHA_PERMUTATIONS = {
     "m2": {0: 6, 1: 5, 2: 2, 3: 3, 4: 4, 5: 1, 6: 0},
     "r": {0: 6, 1: 5, 2: 2, 3: 1, 4: 0, 5: 3, 6: 4},
     "r2": {0: 4, 1: 3, 2: 2, 3: 5, 4: 6, 5: 1, 6: 0},
+}
+
+
+#: Action of each diagram automorphism on the surface roots, j -> k with
+#: sigma(d_j) = d_k.
+SURFACE_PERMUTATIONS = {
+    "m0": (0, 2, 1),
+    "m1": (2, 1, 0),
+    "m2": (1, 0, 2),
+    "r": (1, 2, 0),
+    "r2": (2, 0, 1),
 }
 
 
@@ -193,3 +207,50 @@ def param_oracle(symbol: str, b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(
         sum((c * b[j - 1] for j, c in row.items()), Fraction(0)) for row in PARAM_TABLES[symbol]
     )
+
+
+def solve_linear_system(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[Fraction, ...] | None:
+    """Solve A x = rhs exactly by Gaussian elimination.
+
+    Returns one solution with all free variables set to zero, or None when
+    the system is inconsistent.  A may be rectangular and rank-deficient.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[r])] for r, row in enumerate(rows)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(n_cols):
+        sel = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pivot = aug[row][col]
+        aug[row] = [x / pivot for x in aug[row]]
+        for r in range(n_rows):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+    for r in range(row, n_rows):
+        if aug[r][n_cols] != 0:
+            return None
+    solution = [Fraction(0)] * n_cols
+    for r, c in pivots:
+        solution[c] = aug[r][n_cols]
+    return tuple(solution)
+
+
+def kac_vector_oracle(
+    cartan: Sequence[Sequence[int]], ns: Sequence[int], delta: Sequence[int]
+) -> tuple[Fraction, ...] | None:
+    """Solve (alpha . a_i) = n_i by elimination; shift alpha by delta to a0 = 0."""
+    solution = solve_linear_system(
+        [[Fraction(c) for c in row] for row in cartan], [Fraction(n) for n in ns]
+    )
+    if solution is None:
+        return None
+    return tuple(x - solution[0] * w for x, w in zip(solution, delta))

@@ -11,16 +11,18 @@ from e6painleve.birational import (
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
+    check_rejection_rate,
     eval_step,
     eval_word,
     generator_step,
     maps_equal,
+    param_rows,
     sample_fraction,
     word_map,
 )
 from e6painleve.piclattice import E6_EDGES
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
-from oracles import param_oracle
+from oracles import PARAM_TABLES, param_oracle
 
 
 def test_projective_coord_canonicalization():
@@ -162,6 +164,117 @@ def test_parameter_action_matches_oracle_tables():
         b = ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
         for s in SYMBOLS:
             assert generator_step(s).apply_params(b).b == param_oracle(s, b.b), s
+
+
+def test_parameter_rows_match_oracle_tables():
+    for s in SYMBOLS:
+        rows = param_rows(s)
+        assert len(rows) == 8, s
+        for row, oracle_row in zip(rows, PARAM_TABLES[s]):
+            assert all(type(c) is int and c != 0 for _, c in row), s
+            assert dict(row) == {j - 1: c for j, c in oracle_row.items()}, s
+
+
+def _tree_step(step, b, p):
+    """Reference step: the projective walk of the coordinate trees, oracle parameters."""
+    env = {"f": p.f, "g": p.g}
+    env.update((f"b{i + 1}", ProjectiveCoord.finite(x)) for i, x in enumerate(b.b))
+    new_p = SurfacePoint(step.coord_f.evaluate(env), step.coord_g.evaluate(env))
+    return ParamVector(param_oracle(step.name, b.b)), new_p
+
+
+def _tree_word(word, b, p):
+    for pos, symbol in enumerate(reversed(word)):
+        try:
+            b, p = _tree_step(generator_step(symbol), b, p)
+        except Indeterminate as exc:
+            raise Indeterminate("reference", step_index=pos, symbol=symbol) from exc
+    return b, p
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Indeterminate:
+        return "indeterminate"
+
+
+def _sample_params(rng):
+    return ParamVector(tuple(sample_fraction(rng, 50) for _ in range(8)))
+
+
+def test_compiled_steps_match_tree_walk_at_finite_points():
+    rng = random.Random(21)
+    for s in SYMBOLS:
+        step = generator_step(s)
+        for _ in range(20):
+            b = _sample_params(rng)
+            p = SurfacePoint.affine(sample_fraction(rng, 50), sample_fraction(rng, 50))
+            assert eval_step(step, b, p) == _tree_step(step, b, p), s
+
+
+def test_compiled_steps_match_tree_walk_at_infinity():
+    rng = random.Random(22)
+    inf = ProjectiveCoord.infinity()
+    outcomes = set()
+    for s in SYMBOLS:
+        step = generator_step(s)
+        for _ in range(5):
+            b = _sample_params(rng)
+            x = ProjectiveCoord.finite(sample_fraction(rng, 50))
+            for p in (SurfacePoint(inf, x), SurfacePoint(x, inf), SurfacePoint(inf, inf)):
+                expected = _outcome(_tree_step, step, b, p)
+                assert _outcome(eval_step, step, b, p) == expected, (s, p)
+                outcomes.add(expected == "indeterminate")
+    assert outcomes == {True, False}
+
+
+def test_compiled_steps_match_tree_walk_where_a_denominator_vanishes():
+    # f = b1, g = -b1 and f + g = 0 zero the denominators of w3, w5 and the
+    # m1, m2, r, r2 formulas; some of these points are base points.
+    rng = random.Random(23)
+    infinite = set()
+    for s in SYMBOLS:
+        step = generator_step(s)
+        for _ in range(5):
+            b = _sample_params(rng)
+            b1, b2, t = b.b[0], b.b[1], sample_fraction(rng, 50)
+            for f, g in ((b1, t), (t, -b1), (t, -t), (b1, -b1), (b2, -b2)):
+                p = SurfacePoint.affine(f, g)
+                expected = _outcome(_tree_step, step, b, p)
+                assert _outcome(eval_step, step, b, p) == expected, (s, f, g)
+                if expected != "indeterminate" and not expected[1].is_finite:
+                    infinite.add(s)
+    assert infinite == {"w3", "w5", "m1", "m2", "r", "r2"}
+
+
+def test_base_points_report_step_and_symbol():
+    rng = random.Random(24)
+    base_point_symbols = set()
+    for s in SYMBOLS:
+        b = _sample_params(rng)
+        p = SurfacePoint.affine(b.b[0], -b.b[0])  # (b1, -b1)
+        word = (s, "w1")  # w1 moves b2, b3 only, so (b1, -b1) reaches s unchanged
+        reference = _outcome(_tree_word, word, b, p)
+        if reference != "indeterminate":
+            assert eval_word(word, b, p) == reference, s
+            continue
+        base_point_symbols.add(s)
+        with pytest.raises(Indeterminate) as compiled:
+            eval_word(word, b, p)
+        with pytest.raises(Indeterminate) as tree:
+            _tree_word(word, b, p)
+        assert (compiled.value.step_index, compiled.value.symbol) == (1, s)
+        assert (tree.value.step_index, tree.value.symbol) == (1, s)
+    assert base_point_symbols == {"w3", "w5", "m1", "m2", "r", "r2"}
+
+
+def test_rejection_rate_cap():
+    check_rejection_rate(0, 9, "draws")
+    check_rejection_rate(5, 54, "draws")
+    for accepted, rejected in ((0, 10), (5, 55)):
+        with pytest.raises(TooManyDegenerateSamples, match=f"rejected {rejected} of"):
+            check_rejection_rate(accepted, rejected, "draws")
 
 
 def test_too_many_degenerate_samples():

@@ -9,6 +9,7 @@ from e6painleve.birational import (
     Indeterminate,
     ParamVector,
     SurfacePoint,
+    TooManyDegenerateSamples,
     eval_word,
     maps_equal,
     sample_fraction,
@@ -255,6 +256,23 @@ def test_verify_equivalence_zero_trials_is_flagged():
             verify_equivalence(trials=trials)
         with pytest.raises(ValueError, match="trials"):
             maps_equal(phi_step, phi_step, trials=trials)
+
+
+def test_sampling_loops_share_the_rejection_cap(monkeypatch):
+    # With psi undefined everywhere, the transport loop and the psi-word loop
+    # of the equivalence suite both stop after 10 straight rejections.
+    import e6painleve.models as models
+    import e6painleve.verify as verify
+
+    def undefined(t, x, y):
+        raise Indeterminate("forced")
+
+    monkeypatch.setattr(models, "psi_step", undefined)
+    monkeypatch.setattr(verify, "psi_step", undefined)
+    with pytest.raises(TooManyDegenerateSamples, match="rejected 10 of 10 Schlesinger samples"):
+        verify_equivalence(trials=3, seed=1)
+    with pytest.raises(TooManyDegenerateSamples, match="rejected 10 of 10 psi/word samples"):
+        verify.equivalence_suite(trials=3, seed=1)
 
 
 def test_verify_equivalence_detects_perturbed_dictionary():

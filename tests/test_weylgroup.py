@@ -9,11 +9,15 @@ import pytest
 import oracles
 from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
 from e6painleve.piclattice import (
+    CARTAN,
+    DELTA_WEIGHTS,
     DivisorClass,
     E6_EDGES,
     H_F,
     H_G,
+    anticanonical,
     exceptional,
+    gram_matrix,
     surface_root,
 )
 from e6painleve.weylgroup import (
@@ -30,12 +34,21 @@ from e6painleve.weylgroup import (
     invert_word,
     kac_vector,
     parse_word,
+    surface_root_permutation,
     translation_delta_vector,
     translation_norm,
     word_to_picmap,
 )
 
 IDENTITY = PicMap.identity()
+
+
+def _basis_swap(i, j):
+    """The matrix exchanging basis classes i and j."""
+    rows = [list(r) for r in IDENTITY.rows]
+    rows[i], rows[j] = rows[j], rows[i]
+    return PicMap(tuple(tuple(r) for r in rows))
+
 
 
 def test_generator_actions_on_basis():
@@ -55,6 +68,34 @@ def test_generator_actions_on_basis():
 def test_generators_are_cremona_isometries():
     for s in SYMBOLS:
         assert generator_picmap(s).is_cremona_isometry(), s
+
+
+def test_cremona_isometry_matches_dense_form():
+    # Reference: M^T J M = J as the full double sum, and K fixed.
+    gram = gram_matrix()
+    canonical = tuple(-c for c in anticanonical().coeffs)
+
+    def dense(m):
+        form_ok = all(
+            sum(m.rows[i][a] * gram[i][k] * m.rows[k][b] for i in range(10) for k in range(10))
+            == gram[a][b]
+            for a in range(10)
+            for b in range(10)
+        )
+        image = tuple(sum(m.rows[i][j] * canonical[j] for j in range(10)) for i in range(10))
+        return form_ok and image == canonical
+
+    rng = random.Random(19)
+    maps = [word_to_picmap(rng.choices(SYMBOLS, k=rng.randint(0, 30))) for _ in range(10)]
+    maps += [_basis_swap(0, 1), _basis_swap(2, 3), _basis_swap(0, 2)]
+    for m in list(maps):
+        rows = [list(r) for r in m.rows]
+        rows[rng.randrange(10)][rng.randrange(10)] += rng.choice((-1, 1))
+        maps.append(PicMap(tuple(tuple(r) for r in rows)))
+    for m in maps:
+        assert m.is_cremona_isometry() == dense(m)
+    assert any(m.is_cremona_isometry() for m in maps)
+    assert not all(m.is_cremona_isometry() for m in maps)
 
 
 def test_word_composition_convention():
@@ -122,12 +163,15 @@ def test_alpha_permutations_match_oracle():
 
 def test_surface_root_action():
     for s in REFLECTION_SYMBOLS:
-        for j in range(3):
-            assert generator_picmap(s)(surface_root(j)) == surface_root(j)
-    perms = {"m0": (0, 2, 1), "m1": (2, 1, 0), "m2": (1, 0, 2), "r": (1, 2, 0), "r2": (2, 0, 1)}
-    for sigma, perm in perms.items():
+        assert surface_root_permutation(generator_picmap(s)) == (0, 1, 2), s
+    for sigma in AUTOMORPHISM_SYMBOLS:
+        perm = surface_root_permutation(generator_picmap(sigma))
+        assert perm == oracles.SURFACE_PERMUTATIONS[sigma], sigma
         for j in range(3):
             assert generator_picmap(sigma)(surface_root(j)) == surface_root(perm[j])
+    assert surface_root_permutation(PHI_PIC_ACTION) == (1, 2, 0)
+    # Swapping E1 and E5 sends d0 = Hf + Hg - E1 - ... - E4 off the surface roots.
+    assert surface_root_permutation(_basis_swap(2, 6)) is None
 
 
 def test_phi_induces_surface_root_cycle():
@@ -147,6 +191,29 @@ def test_kac_vectors():
     assert kac_vector(PHI_PIC_ACTION).coeffs == (0, 0, 0, -2 * third, -third, 2 * third, third)
     assert kac_vector(PSI_PIC_ACTION).coeffs == (0, 0, 0, third, -third, -third, third)
     assert kac_vector(IDENTITY).coeffs == (Fraction(0),) * 7
+
+
+def test_kac_vector_matches_elimination_oracle():
+    rng = random.Random(17)
+    elements = [word_to_picmap(PHI_WORD * n) for n in range(6)]
+    elements += [word_to_picmap(PSI_WORD * n) for n in range(1, 6)]
+    for _ in range(20):
+        w = tuple(rng.choices(SYMBOLS, k=rng.randint(1, 8)))
+        power = rng.choice((PHI_WORD, PSI_WORD)) * rng.randint(1, 4)
+        elements.append(word_to_picmap(w + power + invert_word(w)))
+    for m in elements:
+        expected = oracles.kac_vector_oracle(CARTAN, translation_delta_vector(m), DELTA_WEIGHTS)
+        assert kac_vector(m).coeffs == expected
+
+
+def test_kac_vector_rejects_inconsistent_translation(monkeypatch):
+    import e6painleve.weylgroup as weylgroup
+
+    ns = (1, 0, 0, 0, 0, 0, 0)  # sum delta_i n_i = 1: no solution
+    assert oracles.kac_vector_oracle(CARTAN, ns, DELTA_WEIGHTS) is None
+    monkeypatch.setattr(weylgroup, "translation_delta_vector", lambda m: ns)
+    with pytest.raises(NotTranslation):
+        kac_vector(IDENTITY)
 
 
 def test_translation_norms():
