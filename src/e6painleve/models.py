@@ -7,7 +7,12 @@ parameters b1..b8.  Writing d for the parameter sum, one step solves
     (f~ + g)(f~ + g~) = (f~ - b1~)...(f~ - b4~) / ((f~ + b7~)(f~ + b8~)),
 
 in that order (each relation is explicit in its unknown), with parameters
-moving by b5, b6 -> +d and b7, b8 -> -d.
+moving by b5, b6 -> +d and b7, b8 -> -d.  Substituting (f, g) -> (-g, -f~)
+and (b1..b6) -> (b1~..b4~, b7~, b8~) turns the first relation into the
+second, so one solver serves both.  It evaluates the unknown as a ratio of
+two bihomogeneous integer polynomials on P1 x P1 and reduces it with one
+gcd, which makes it exact on the lines at infinity and leaves 0/0 only at
+base points.
 
 psi is an elementary two-point Schlesinger transformation, realized as a
 closed-form birational map in isomonodromic coordinates (x, y) whose
@@ -25,6 +30,7 @@ pointwise at seeded generic rational samples, exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,32 +142,74 @@ class SchlesingerParams:
         }
 
 
+def _solve_qrt_relation(
+    u: tuple[int, int], v: tuple[int, int], r: Sequence[Fraction], p: Sequence[Fraction]
+) -> Fraction | None:
+    """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)) for u~.
+
+    u = (U : X) and v = (V : W) are integer pairs, a zero second entry
+    meaning infinity; r holds four parameters and p two.  The parameters are
+    scaled to integers by the lcm L of their denominators, and the removable
+    factor W is cancelled symbolically: with Vs = L V,
+    Q = (Vs - L p_1 W)(Vs - L p_2 W), S = L U W + Vs X and the cubic form
+    R = (prod_i (Vs + L r_i W) - Vs^2 Q) / W,
+
+        u~ = (X R - L Vs Q U) : (L Q S),
+
+    a map of bidegree (1, 3) in (u, v), reduced with one gcd.  Returns None
+    at infinity; a 0/0 pair is a base point and raises Indeterminate.
+    """
+    U, X = u
+    V, W = v
+    params = (*r, *p)
+    L = math.lcm(*(x.denominator for x in params))
+    r1, r2, r3, r4, p1, p2 = (x.numerator * (L // x.denominator) for x in params)
+    s12, s34, m12, m34 = r1 + r2, r3 + r4, r1 * r2, r3 * r4
+    Vs = L * V
+    W2 = W * W
+    Q = (Vs - p1 * W) * (Vs - p2 * W)
+    S = L * U * W + Vs * X
+    R = (
+        (((s12 + s34 + p1 + p2) * Vs + (m12 + m34 + s12 * s34 - p1 * p2) * W) * Vs
+         + (s12 * m34 + s34 * m12) * W2) * Vs
+        + m12 * m34 * W2 * W
+    )
+    num = X * R - L * Vs * Q * U
+    den = L * Q * S
+    if den:
+        return Fraction(num, den)
+    if num:
+        return None
+    raise Indeterminate("phi hit a base point", symbol="phi")
+
+
+def _pair(c: ProjectiveCoord) -> tuple[int, int]:
+    return (c.num.numerator, c.num.denominator) if c.den else (1, 0)
+
+
+def _coord(value: Fraction | None) -> ProjectiveCoord:
+    return ProjectiveCoord.infinity() if value is None else ProjectiveCoord.finite(value)
+
+
 def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
     """One step of the deautonomized QRT dynamics on (b; f, g).
 
-    The second defining relation is evaluated at the already-updated
-    parameters.  Raises Indeterminate on base points (e.g. f + g = 0).
+    Each defining relation is one call of _solve_qrt_relation on integer
+    pairs: the first with (u, v) = (f, g), the second, at the
+    already-updated parameters, with (u, v) = (-g, -f~), which turns it into
+    the same form with r = b~1..b~4 and p = (b~7, b~8).  Exact on the lines
+    at infinity; raises Indeterminate only at base points.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = b.b
     d = b.chi_delta()
-    c = ProjectiveCoord.finite
-    f, g = p.f, p.g
-    try:
-        rhs1 = (
-            (g + c(b1)) * (g + c(b2)) * (g + c(b3)) * (g + c(b4))
-            / ((g - c(b5)) * (g - c(b6)))
-        )
-        f_new = rhs1 / (f + g) - g
-        new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
-        n1, n2, n3, n4, _, _, n7, n8 = new_b.b
-        rhs2 = (
-            (f_new - c(n1)) * (f_new - c(n2)) * (f_new - c(n3)) * (f_new - c(n4))
-            / ((f_new + c(n7)) * (f_new + c(n8)))
-        )
-        g_new = rhs2 / (f_new + g) - f_new
-    except Indeterminate as exc:
-        raise Indeterminate("phi hit a base point", symbol="phi") from exc
-    return new_b, SurfacePoint(f_new, g_new)
+    new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
+    roots = (b1, b2, b3, b4)
+    g_num, g_den = _pair(p.g)
+    f_new = _solve_qrt_relation(_pair(p.f), (g_num, g_den), roots, (b5, b6))
+    minus_f_new = (1, 0) if f_new is None else (-f_new.numerator, f_new.denominator)
+    minus_g_new = _solve_qrt_relation((-g_num, g_den), minus_f_new, roots, new_b.b[6:])
+    g_new = None if minus_g_new is None else -minus_g_new
+    return new_b, SurfacePoint(_coord(f_new), _coord(g_new))
 
 
 def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, Fraction]:
@@ -174,30 +222,27 @@ def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, F
     t01, t02, t11, t12 = t.theta01, t.theta02, t.theta11, t.theta12
     k1, k2, k3 = t.kappa1, t.kappa2, t.kappa3
 
-    r1 = (
-        k1 * k2 + k2 * k3 + k3 * k1
-        - (y - t12) * (x - t02)
-        - t01 * (y + t02)
-        - t11 * (t01 + t02 + t12)
-    )
-    r2 = k1 * k2 * k3 + t11 * ((y - t12) * (x - t02) + t01 * (y + t02))
+    dt, d12 = t01 - t02, t11 - t12
+    y12, y02 = y - t12, y + t02
+    P = y12 * (x - t02) + t01 * y02
+    H = x * y12 + dt * y
+    xs = x + dt
+    r1 = k1 * k2 + k2 * k3 + k3 * k1 - P - t11 * (t01 + t02 + t12)
+    r2 = k1 * k2 * k3 + t11 * P
 
-    den_shared = (x + y) * (t11 - t12)
-    if den_shared == 0 or x + t01 - t02 == 0:
+    den_shared = (x + y) * d12
+    if den_shared == 0 or xs == 0:
         raise Indeterminate("psi hit a base point", symbol="psi")
-    alpha = (y * r1 + x * (t01 * r1 + r2) / (x + t01 - t02)) / den_shared
-    beta = ((y + t02) * r1 + r2) / den_shared
+    alpha = (y * r1 + x * (t01 * r1 + r2) / xs) / den_shared
+    beta = (y02 * r1 + r2) / den_shared
 
     dab = alpha - beta
-    den_x = dab * (x * (y - t12) + (t01 - t02) * y) - alpha * (t11 + 1) * (t01 - t02)
-    den_y = alpha * (t01 - t02)
+    den_x = dab * H - alpha * (t11 + 1) * dt
+    den_y = alpha * dt
     if den_x == 0 or den_y == 0:
         raise Indeterminate("psi hit a base point", symbol="psi")
-    x_new = (
-        dab * (alpha * x * (t11 - t12) + (1 + t02) * (x * (y - t12) + y * (t01 - t02)))
-        / den_x
-    )
-    y_new = dab * (y * (x + t01 - t02) - t12 * x) / den_y
+    x_new = dab * (alpha * x * d12 + (1 + t02) * H) / den_x
+    y_new = dab * (y * xs - t12 * x) / den_y
     return t.shifted(), x_new, y_new
 
 

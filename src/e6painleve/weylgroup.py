@@ -300,8 +300,9 @@ def translation_delta_vector(m: PicMap) -> tuple[int, ...]:
 
 def bullet(x: RationalRootVector, y: RationalRootVector) -> Fraction:
     """Intersection pairing on Q tensor QQ in simple-root coordinates."""
+    ys = y.coeffs
     return sum(
-        x.coeffs[i] * CARTAN[i][j] * y.coeffs[j] for i in range(7) for j in range(7)
+        xi * sum(c * ys[j] for j, c in terms) for xi, terms in zip(x.coeffs, CARTAN_TERMS)
     )
 
 
@@ -366,7 +367,7 @@ def translation_norm(m: PicMap) -> Fraction:
 
 def reflect_coords(i: int, x: RationalRootVector) -> RationalRootVector:
     """Simple reflection w_i on Q tensor QQ in root coordinates."""
-    pairing = sum(CARTAN[i][j] * x.coeffs[j] for j in range(7))
+    pairing = sum(c * x.coeffs[j] for j, c in CARTAN_TERMS[i])
     coeffs = list(x.coeffs)
     coeffs[i] += pairing
     return RationalRootVector(tuple(coeffs))

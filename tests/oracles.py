@@ -4,7 +4,9 @@ These are second, structurally different transcriptions of the defining
 formulas, kept deliberately separate from the library path: the library and
 the oracle must agree exactly at random samples before anything else is
 trusted.  Plain Fraction arithmetic; degenerate samples raise
-ZeroDivisionError and are skipped by callers.
+ZeroDivisionError and are skipped by callers.  The one exception is
+phi_projective_chain, phi's relations evaluated on the library's projective
+coordinates: the reference for phi_step at and through infinity.
 
 The library derives the parameter action of each generator and the
 permutations of the symmetry and surface roots under each diagram
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from e6painleve.birational import ProjectiveCoord
 
 
 def qrt_oracle(
@@ -53,6 +57,32 @@ def qrt_relations_hold(
         (f_bar - b1) * (f_bar - b2) * (f_bar - b3) * (f_bar - b4)
     )
     return first and second
+
+
+def phi_projective_chain(b: tuple[Fraction, ...], f, g):
+    """One phi step evaluated node by node on ProjectiveCoord arithmetic.
+
+    The relations are rearranged as in qrt_oracle, but every intermediate is
+    a projective coordinate, so inputs and intermediates at infinity are
+    followed exactly until an operation meets 0/0 or infinity/infinity,
+    which raises Indeterminate (also where the map itself is defined).
+    Returns the new (f, g) as ProjectiveCoords.
+    """
+    c = ProjectiveCoord.finite
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    d = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
+    rhs1 = (
+        (g + c(b1)) * (g + c(b2)) * (g + c(b3)) * (g + c(b4))
+        / ((g - c(b5)) * (g - c(b6)))
+    )
+    f_new = rhs1 / (f + g) - g
+    n7, n8 = b7 - d, b8 - d
+    rhs2 = (
+        (f_new - c(b1)) * (f_new - c(b2)) * (f_new - c(b3)) * (f_new - c(b4))
+        / ((f_new + c(n7)) * (f_new + c(n8)))
+    )
+    g_new = rhs2 / (f_new + g) - f_new
+    return f_new, g_new
 
 
 def schlesinger_oracle(

@@ -3,6 +3,9 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from e6painleve.birational import ParamVector, SurfacePoint
 from e6painleve.cli import main
@@ -335,3 +338,27 @@ def test_gens_lists_all_generators(capsys):
 
 def test_unknown_subcommand_is_input_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+README_PHI = ("--b", "1,2,3,4,5,6,7,8", "--point", "2,3")
+README_PSI = ("--theta", "1/2,1/3,1/5,1/7,2/3,3/5,-171/70", "--point", "17/5,23/9")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, kind, steps, start, fmt",
+    [
+        ("phi_12.jsonl", "phi", 12, README_PHI, "json"),
+        ("phi_20.csv", "phi", 20, README_PHI, "csv"),
+        ("psi_8.jsonl", "psi", 8, README_PSI, "json"),
+        ("psi_16.csv", "psi", 16, README_PSI, "csv"),
+    ],
+)
+def test_orbit_golden_output(capsys, name, kind, steps, start, fmt):
+    # Byte-for-byte the output of the projective-chain phi and the
+    # unshared psi expressions, from the README starts.
+    code, out, err = run_cli(
+        capsys, "orbit", "--map", kind, "--steps", str(steps), *start, "--format", fmt
+    )
+    assert code == 0, err
+    assert out == (GOLDEN / name).read_text()

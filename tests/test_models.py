@@ -8,6 +8,7 @@ import pytest
 from e6painleve.birational import (
     Indeterminate,
     ParamVector,
+    ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
     eval_word,
@@ -37,7 +38,7 @@ from e6painleve.models import (
 from e6painleve.periodmap import root_variable_evolution, root_variables
 from e6painleve.weylgroup import word_to_picmap
 
-from oracles import qrt_oracle, qrt_relations_hold, schlesinger_oracle
+from oracles import phi_projective_chain, qrt_oracle, qrt_relations_hold, schlesinger_oracle
 
 
 def _random_params(rng, bound=60):
@@ -69,6 +70,122 @@ def test_phi_step_against_oracle():
         assert new_p.g.as_fraction() == expected_g
         assert qrt_relations_hold(b.b, f, g, expected_f, expected_g)
         checked += 1
+
+
+INF = ProjectiveCoord.infinity()
+FIN = ProjectiveCoord.finite
+
+
+def _phi_kernel(b, f, g):
+    """phi_step on raw coordinates; None where it raises Indeterminate."""
+    try:
+        _, p = phi_step(ParamVector(b), SurfacePoint(f, g))
+    except Indeterminate as exc:
+        assert exc.symbol == "phi"
+        return None
+    return p.f, p.g
+
+
+def _phi_reference(b, f, g):
+    """The projective chain; None where it raises Indeterminate."""
+    try:
+        return phi_projective_chain(b, f, g)
+    except Indeterminate:
+        return None
+
+
+def test_phi_kernel_matches_references_at_finite_points():
+    rng = random.Random(24)
+    checked = 0
+    while checked < 60:
+        # Denominators up to 7 and both signs, so the parameter lcm is not 1.
+        b = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(8))
+        f, g = sample_fraction(rng, 60), sample_fraction(rng, 60)
+        try:
+            expected_b, expected_f, expected_g = qrt_oracle(b, f, g)
+        except ZeroDivisionError:
+            continue
+        new_b, new_p = phi_step(ParamVector(b), SurfacePoint.affine(f, g))
+        assert new_b.b == expected_b
+        assert (new_p.f, new_p.g) == (FIN(expected_f), FIN(expected_g))
+        assert (new_p.f, new_p.g) == _phi_reference(b, FIN(f), FIN(g))
+        checked += 1
+
+
+def test_phi_kernel_agrees_with_projective_chain_on_special_lines():
+    # Coordinates on the lines at infinity, on the parameter lines, on
+    # f + g = 0, and points whose intermediate f~ is infinite, zero of a
+    # factor, or -g: wherever the chain returns a value the kernel returns
+    # the same one, and it never raises where the chain does not.
+    rng = random.Random(25)
+    agreed = kernel_only = both_raise = at_infinity = 0
+    for _ in range(1500):
+        b = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8))
+        d = sum(b)
+        g = rng.choice(
+            [INF, FIN(-rng.choice(b[:4])), FIN(rng.choice(b[4:6]))]
+            + [FIN(sample_fraction(rng, 9))] * 3
+        )
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = INF
+        elif kind == 1 and g.is_finite:
+            f = FIN(-g.num)
+        elif kind == 2 and g.is_finite:
+            # choose f so that the intermediate f~ lands on a special value
+            target = rng.choice([b[0], b[1], b[2], b[3], -(b[6] - d), -(b[7] - d), -g.num])
+            try:
+                rhs = (
+                    (g.num + b[0]) * (g.num + b[1]) * (g.num + b[2]) * (g.num + b[3])
+                    / ((g.num - b[4]) * (g.num - b[5]))
+                )
+                f = FIN(rhs / (target + g.num) - g.num)
+            except ZeroDivisionError:
+                f = INF
+        else:
+            f = FIN(sample_fraction(rng, 9))
+        expected = _phi_reference(b, f, g)
+        got = _phi_kernel(b, f, g)
+        if expected is not None:
+            assert got == expected, (b, f, g)
+            agreed += 1
+            at_infinity += not (f.is_finite and g.is_finite and all(c.is_finite for c in got))
+        elif got is not None:
+            kernel_only += 1
+        else:
+            both_raise += 1
+    assert min(agreed, kernel_only, both_raise) >= 100
+    assert at_infinity >= 100
+
+
+def test_phi_kernel_is_exact_where_the_chain_raised():
+    b = tuple(map(Fraction, range(1, 9)))
+    b_frac = tuple(map(Fraction, (-6, 3, -1, 1, "-2/3", "1/5", "1/2", "3/2")))
+    cases = [
+        # on g = infinity, f~ = b1 + ... + b6 - f
+        (b, FIN(Fraction(2)), INF, (FIN(Fraction(19)), FIN(Fraction(-19)))),
+        # a generic point of f + g = 0 (its f~ is infinite)
+        (b_frac, FIN(Fraction(1, 3)), FIN(Fraction(-1, 3)), (INF, FIN(Fraction(-8, 5)))),
+    ]
+    for params, f, g, expected in cases:
+        assert _phi_reference(params, f, g) is None
+        assert _phi_kernel(params, f, g) == expected
+    # on f = infinity, f~ = -g; the chain reaches the same value here
+    expected = (FIN(Fraction(-3)), INF)
+    assert _phi_kernel(b, INF, FIN(Fraction(3))) == expected
+    assert _phi_reference(b, INF, FIN(Fraction(3))) == expected
+
+
+def test_phi_step_does_no_projective_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("ProjectiveCoord arithmetic in phi_step")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        monkeypatch.setattr(ProjectiveCoord, name, forbidden)
+    b = ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8)
+    phi_orbit(b, SurfacePoint.affine(2, 3), 6)
+    phi_step(b, SurfacePoint(FIN(Fraction(2)), INF))
+    phi_step(b, SurfacePoint(INF, FIN(Fraction(3))))
 
 
 def test_phi_autonomous_when_parameter_sum_vanishes():
@@ -328,7 +445,9 @@ def test_orbit_dispatch():
 
 def test_phi_orbit_partial_trace_on_indeterminate():
     b = ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8)
-    # f + g = 0 at the start: the very first step is indeterminate
+    # (2, -2) is a base point because g = -b2 (and f + g = 0): the very
+    # first step is indeterminate
     with pytest.raises(Indeterminate) as info:
         phi_orbit(b, SurfacePoint.affine(2, -2), 3)
     assert len(info.value.partial_trace) == 1
+    assert info.value.symbol == "phi"
