@@ -10,6 +10,7 @@ parameters evolve exactly as the inverse lattice action predicts.
 
 from e6painleve import (
     ParamVector,
+    ProjectiveCoord,
     SurfacePoint,
     eval_word,
     generator_picmap,
@@ -30,9 +31,11 @@ print("\nThe same reflection as a birational map")
 b = ParamVector.of(1, 9, 4, 7, 5, 6, 2, 8)
 p = SurfacePoint.affine(2, 3)
 step = generator_step("w3")
-print("  coordinate formulas:  f ->", step.coord_f, ",  g ->", step.coord_g)
+print("  coordinate maps (num/den forms on P1 x P1):  f ->", step.coord_f, ",  g ->", step.coord_g)
 new_b, new_p = eval_word(("w3",), b, p)
 print("  (f, g) = (2, 3)  ->  ", (str(new_p.f), str(new_p.g)))
+_, at_infinity = eval_word(("w3",), b, SurfacePoint(ProjectiveCoord.infinity(), ProjectiveCoord.finite(3)))
+print("  (f, g) = (inf, 3)  ->", (str(at_infinity.f), str(at_infinity.g)), " (g + b1 + b7 on the line f = inf)")
 print("  parameters:", [str(x) for x in new_b.b])
 
 print("\nGroup relations hold pointwise, not just on matrices")

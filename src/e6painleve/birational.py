@@ -1,27 +1,25 @@
 """Exact birational realization of the group generators on parameters and points.
 
 Each generator acts on the family data (b1..b8; f, g): a linear map on the
-eight blowup-position parameters and a pair of rational coordinate maps on
-the affine chart of P1 x P1.  Every generator fixes b4 and the parameter sum
-(the gauge normalization that makes the maps compose as a group).  The
-parameter action is not tabulated: it is induced through the period map from
-the generator's lattice action on the symmetry roots, read off once per
-generator on the eight unit vectors as integer rows (new b_k = sum of c b_j),
-and then applied as those rows.
+eight blowup-position parameters and a birational map of P1 x P1 on the
+point.  Every generator fixes b4 and the parameter sum (the gauge
+normalization that makes the maps compose as a group).  The parameter action
+is not tabulated: it is induced through the period map from the generator's
+lattice action on the symmetry roots, read off once per generator on the
+eight unit vectors as integer rows (new b_k = sum of c b_j), and then applied
+as those rows.
 
-Points are held projectively: a coordinate is a pair (num : den) with den
-normalized to 0 or 1, so outputs at infinity are first-class values, while
-0/0 signals that the evaluation hit an indeterminate point of the map and
-raises.  Coordinate formulas are stored as small expression trees over the
-variables f, g, b1..b8; these trees are the single table of the formulas
-(gens prints them).  Each tree is compiled once per generator, on first
-use, into nested closures over plain Fractions, and a step whose point is
-finite evaluates both coordinates in that one pass.  The projective walk of
-the trees runs only when an input coordinate is at infinity or a
-denominator of the compiled pass vanishes; it gives the same values
-wherever the plain pass is defined, and decides infinity and base points
-(Indeterminate) everywhere else, so chains of generators stay exact end to
-end.
+The coordinate maps have one table, _FORMULAS: each coordinate is an affine
+formula in f, g, b1..b8 in Python syntax (gens prints it), expanded once into
+a Form, a numerator and a denominator bihomogeneous of the map's bidegree (at
+most (1, 1)) in ((f0 : f1), (g0 : g1)) with integer polynomial coefficients
+in b1..b8.  Every formula is weighted homogeneous of degree 1 when f, g and
+the b_k all have weight 1, so a word runs on integers: b is scaled once to
+integers over the lcm L of its denominators (the rows are integers, so L
+never changes along the word), the point enters each step as integer pairs
+of L f and L g, and each coordinate leaves as (num : L den) reduced with one
+gcd.  A zero denominator is infinity, so the lines at infinity are ordinary
+inputs, and 0/0 is a base point of the map and raises Indeterminate.
 
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
@@ -33,12 +31,13 @@ rejected (check_rejection_rate).
 
 from __future__ import annotations
 
-import operator
+import ast
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .periodmap import ParamVector, params_from_root_variables, root_variable_evolution, root_variables
 from .weylgroup import PicMap, generator_picmap, SYMBOLS
@@ -99,23 +98,6 @@ class ProjectiveCoord:
             raise ValueError("coordinate is at infinity")
         return self.num
 
-    def __add__(self, other: "ProjectiveCoord") -> "ProjectiveCoord":
-        return ProjectiveCoord(
-            self.num * other.den + self.den * other.num, self.den * other.den
-        )
-
-    def __neg__(self) -> "ProjectiveCoord":
-        return ProjectiveCoord(-self.num, self.den)
-
-    def __sub__(self, other: "ProjectiveCoord") -> "ProjectiveCoord":
-        return self + (-other)
-
-    def __mul__(self, other: "ProjectiveCoord") -> "ProjectiveCoord":
-        return ProjectiveCoord(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "ProjectiveCoord") -> "ProjectiveCoord":
-        return ProjectiveCoord(self.num * other.den, self.den * other.num)
-
     def __str__(self) -> str:
         return str(self.num) if self.is_finite else "inf"
 
@@ -123,87 +105,21 @@ class ProjectiveCoord:
         return {"n": str(self.num.numerator), "d": str(self.num.denominator if self.is_finite else 0)}
 
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def pair_from_coord(c: ProjectiveCoord, scale: int = 1) -> tuple[int, int]:
+    """Integer pair (num : den) of scale * c; infinity is (1 : 0)."""
+    return (scale * c.num.numerator, c.num.denominator) if c.den else (1, 0)
 
 
-class Expr:
-    """Rational expression over f, g, b1..b8 with exact projective evaluation."""
+def coord_from_pair(num: int, den: int, scale: int = 1) -> ProjectiveCoord:
+    """The coordinate (num : scale den), reduced with one gcd.
 
-    def evaluate(self, env: Mapping[str, ProjectiveCoord]) -> ProjectiveCoord:
-        raise NotImplementedError
-
-    def __add__(self, other) -> "Expr":
-        return BinOp("+", self, as_expr(other))
-
-    def __radd__(self, other) -> "Expr":
-        return BinOp("+", as_expr(other), self)
-
-    def __sub__(self, other) -> "Expr":
-        return BinOp("-", self, as_expr(other))
-
-    def __rsub__(self, other) -> "Expr":
-        return BinOp("-", as_expr(other), self)
-
-    def __mul__(self, other) -> "Expr":
-        return BinOp("*", self, as_expr(other))
-
-    def __rmul__(self, other) -> "Expr":
-        return BinOp("*", as_expr(other), self)
-
-    def __truediv__(self, other) -> "Expr":
-        return BinOp("/", self, as_expr(other))
-
-    def __rtruediv__(self, other) -> "Expr":
-        return BinOp("/", as_expr(other), self)
-
-    def __neg__(self) -> "Expr":
-        return BinOp("-", Const(Fraction(0)), self)
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: Fraction
-
-    def evaluate(self, env: Mapping[str, ProjectiveCoord]) -> ProjectiveCoord:
-        return ProjectiveCoord.finite(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-    def evaluate(self, env: Mapping[str, ProjectiveCoord]) -> ProjectiveCoord:
-        return env[self.name]
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def evaluate(self, env: Mapping[str, ProjectiveCoord]) -> ProjectiveCoord:
-        return _OPERATORS[self.op](self.left.evaluate(env), self.right.evaluate(env))
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
-
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(Fraction(x))
-
-
-F = Var("f")
-G = Var("g")
-B1, B2, B3, B4, B5, B6, B7, B8 = (Var(f"b{i}") for i in range(1, 9))
+    A zero den is infinity; 0/0 is not a point and raises Indeterminate.
+    """
+    if den:
+        return ProjectiveCoord.finite(Fraction(num, den * scale))
+    if num:
+        return ProjectiveCoord.infinity()
+    raise Indeterminate("0/0 is not a point of P1")
 
 
 @dataclass(frozen=True)
@@ -225,13 +141,109 @@ class SurfacePoint:
         return {"f": self.f.to_json(), "g": self.g.to_json()}
 
 
+# Affine coordinate formulas (f~, g~) of the elementary maps, Python syntax
+# over f, g, b1..b8: +, -, * and at most one top-level division.
+_IDENTITY = ("f", "g")
+_FORMULAS: dict[str, tuple[str, str]] = {
+    "w0": ("f - b3 + b4", "g + b3 - b4"),
+    "w1": _IDENTITY,
+    "w2": _IDENTITY,
+    "w3": ("f", "(f*g + (b1 + b7)*f + b7*g)/(f - b1)"),
+    "w4": _IDENTITY,
+    "w5": ("(f*g - b5*f - (b1 + b5)*g)/(g + b1)", "g"),
+    "w6": _IDENTITY,
+    "m0": ("-g", "-f"),
+    "m1": ("-f + b4 - b8", "(f*g + (b1 + b2 - b4 + b8)*f + (b8 - b4)*g - b1*b2)/(f + g)"),
+    "m2": ("(f*g + (b4 - b6)*f + (b4 - b1 - b2 - b6)*g - b1*b2)/(f + g)", "-g - b4 + b6"),
+    "r": ("(-f*g + (b4 - b1 - b2 - b8)*f + (b4 - b8)*g + b1*b2)/(f + g)", "f - b4 + b8"),
+    "r2": ("g + b4 - b6", "(-f*g + (b6 - b4)*f + (b1 + b2 - b4 + b6)*g + b1*b2)/(f + g)"),
+}
+
+#: Terms of an integer polynomial in b: (c, ks) stands for c * prod of b[k].
+Coefficient = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _expand(node: ast.expr) -> dict[tuple[str, ...], int]:
+    """A +, -, * expression over names and integers as {sorted names: coefficient}."""
+    if isinstance(node, ast.Name):
+        return {(node.id,): 1}
+    if isinstance(node, ast.Constant):
+        return {(): node.value}
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {m: -c for m, c in _expand(node.operand).items()}
+    left, right = _expand(node.left), _expand(node.right)
+    if isinstance(node.op, ast.Mult):
+        terms = [(tuple(sorted(m + n)), c * d) for m, c in left.items() for n, d in right.items()]
+    else:
+        sign = {ast.Add: 1, ast.Sub: -1}[type(node.op)]
+        terms = [*left.items(), *((m, sign * c) for m, c in right.items())]
+    out: dict[tuple[str, ...], int] = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@dataclass(frozen=True)
+class Form:
+    """One coordinate map num / den of P1 x P1, both forms of bidegree (df, dg).
+
+    A term (i, j, c) is the monomial f0^i f1^(df - i) g0^j g1^(dg - j) with
+    coefficient c, an integer polynomial in b1..b8.  str() is the affine
+    formula the form was expanded from.
+    """
+
+    text: str
+    degree: tuple[int, int]
+    num: tuple[tuple[int, int, Coefficient], ...]
+    den: tuple[tuple[int, int, Coefficient], ...]
+
+    @classmethod
+    def parse(cls, text: str) -> "Form":
+        node = ast.parse(text, mode="eval").body
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            polys = (_expand(node.left), _expand(node.right))
+        else:
+            polys = (_expand(node), {(): 1})
+        grouped: tuple[dict, dict] = ({}, {})
+        for poly, terms in zip(polys, grouped):
+            for m, c in poly.items():
+                ks = tuple(int(name[1:]) - 1 for name in m if name[0] == "b")
+                terms.setdefault((m.count("f"), m.count("g")), []).append((c, ks))
+        degree = tuple(max(key[v] for terms in grouped for key in terms) for v in (0, 1))
+        num, den = (tuple((i, j, tuple(c)) for (i, j), c in terms.items()) for terms in grouped)
+        return cls(text, degree, num, den)
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __call__(self, f: tuple[int, int], g: tuple[int, int], b: tuple[int, ...]) -> tuple[int, int]:
+        """(num : den) at integer pairs f = (f0, f1), g = (g0, g1) and integer b."""
+        fs = (f[1], f[0]) if self.degree[0] else (1,)
+        gs = (g[1], g[0]) if self.degree[1] else (1,)
+        num = den = 0
+        for i, j, coefficient in self.num:
+            num += _coefficient_value(coefficient, b) * fs[i] * gs[j]
+        for i, j, coefficient in self.den:
+            den += _coefficient_value(coefficient, b) * fs[i] * gs[j]
+        return num, den
+
+
+def _coefficient_value(coefficient: Coefficient, b: tuple[int, ...]) -> int:
+    value = 0
+    for c, ks in coefficient:
+        for k in ks:
+            c *= b[k]
+        value += c
+    return value
+
+
 @dataclass(frozen=True)
 class BirationalStep:
-    """One elementary map: lattice action plus coordinate formulas."""
+    """One elementary map: lattice action plus coordinate forms."""
 
     name: str
-    coord_f: Expr
-    coord_g: Expr
+    coord_f: Form
+    coord_g: Form
     picmap: PicMap
 
     def apply_params(self, b: ParamVector) -> ParamVector:
@@ -239,36 +251,8 @@ class BirationalStep:
 
         Applies the generator's integer rows (param_rows) to b.
         """
-        return ParamVector(tuple(_row_value(row, b.b) for row in param_rows(self.name)))
-
-
-# Coordinate tables of the elementary maps (affine-chart formulas).
-_COORD_TABLES: dict[str, tuple[Expr, Expr]] = {
-    "w0": (F - B3 + B4, G + B3 - B4),
-    "w1": (F, G),
-    "w2": (F, G),
-    "w3": (F, (F + B7) * (G + B1) / (F - B1) + B7),
-    "w4": (F, G),
-    "w5": ((F - B1) * (G - B5) / (G + B1) - B5, G),
-    "w6": (F, G),
-    "m0": (-G, -F),
-    "m1": (
-        -F + B4 - B8,
-        (F * (G + B1) + B2 * (F - B1)) / (F + G) + B8 - B4,
-    ),
-    "m2": (
-        (G * (F - B1) - B2 * (G + B1)) / (F + G) + B4 - B6,
-        -G - B4 + B6,
-    ),
-    "r": (
-        -((F * (G + B1) + B2 * (F - B1)) / (F + G)) + B4 - B8,
-        F - B4 + B8,
-    ),
-    "r2": (
-        G + B4 - B6,
-        -((G * (F - B1) - B2 * (G + B1)) / (F + G)) - B4 + B6,
-    ),
-}
+        scale, ints = _integer_params(b)
+        return ParamVector(tuple(Fraction(x, scale) for x in _apply_rows(param_rows(self.name), ints)))
 
 
 @lru_cache(maxsize=None)
@@ -290,47 +274,20 @@ def param_rows(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _row_value(row: tuple[tuple[int, int], ...], b: tuple[Fraction, ...]) -> Fraction:
-    # Coefficients are small integers, mostly +-1: add or subtract those.
-    (j, c), *rest = row
-    value = b[j] if c == 1 else c * b[j]
-    for j, c in rest:
-        if c == 1:
-            value = value + b[j]
-        elif c == -1:
-            value = value - b[j]
-        else:
-            value = value + c * b[j]
-    return value
+def _integer_params(b: ParamVector) -> tuple[int, tuple[int, ...]]:
+    """(L, L b): b scaled to integers by the lcm L of its denominators."""
+    scale = math.lcm(*(x.denominator for x in b.b))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in b.b)
 
 
-Formula = Callable[[Fraction, Fraction, tuple[Fraction, ...]], Fraction]
-
-
-def _compile(expr: Expr) -> Formula:
-    """An expression tree as nested closures over plain (f, g, b1..b8).
-
-    Division by zero raises ZeroDivisionError; wherever it does not, every
-    value is finite and the result equals the projective evaluation.
-    """
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda f, g, b: value
-    if isinstance(expr, Var):
-        if expr.name == "f":
-            return lambda f, g, b: f
-        if expr.name == "g":
-            return lambda f, g, b: g
-        index = int(expr.name[1:]) - 1
-        return lambda f, g, b: b[index]
-    op, left, right = _OPERATORS[expr.op], _compile(expr.left), _compile(expr.right)
-    return lambda f, g, b: op(left(f, g, b), right(f, g, b))
-
-
-@lru_cache(maxsize=None)
-def _compiled_coords(symbol: str) -> tuple[Formula, Formula]:
-    coord_f, coord_g = _COORD_TABLES[symbol]
-    return _compile(coord_f), _compile(coord_g)
+def _apply_rows(rows: tuple[tuple[tuple[int, int], ...], ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = []
+    for row in rows:
+        value = 0
+        for j, c in row:
+            value += c * b[j]
+        out.append(value)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -338,57 +295,43 @@ def generator_step(symbol: str) -> BirationalStep:
     """The elementary birational map attached to a generator symbol."""
     if symbol not in SYMBOLS:
         raise ValueError(f"unknown generator symbol {symbol!r}")
-    coord_f, coord_g = _COORD_TABLES[symbol]
-    return BirationalStep(symbol, coord_f, coord_g, generator_picmap(symbol))
+    coord_f, coord_g = _FORMULAS[symbol]
+    return BirationalStep(symbol, Form.parse(coord_f), Form.parse(coord_g), generator_picmap(symbol))
 
 
 def eval_step(
     step: BirationalStep, b: ParamVector, p: SurfacePoint
 ) -> tuple[ParamVector, SurfacePoint]:
-    """Apply one elementary map to (parameters; point).
-
-    Coordinates are evaluated with the incoming parameters, then the
-    parameters are updated.  A finite point goes through the compiled
-    formulas; a point at infinity, or a vanishing denominator there, falls
-    back to the projective tree walk.  Raises Indeterminate when the point
-    is a base point of the map.
-    """
-    if p.is_finite:
-        formula_f, formula_g = _compiled_coords(step.name)
-        f, g = p.f.num, p.g.num
-        try:
-            new_f, new_g = formula_f(f, g, b.b), formula_g(f, g, b.b)
-        except ZeroDivisionError:
-            pass  # the projective walk below decides infinity or a base point
-        else:
-            new_p = SurfacePoint(ProjectiveCoord.finite(new_f), ProjectiveCoord.finite(new_g))
-            return step.apply_params(b), new_p
-    env: dict[str, ProjectiveCoord] = {"f": p.f, "g": p.g}
-    for i in range(8):
-        env[f"b{i + 1}"] = ProjectiveCoord.finite(b.b[i])
-    try:
-        new_f = step.coord_f.evaluate(env)
-        new_g = step.coord_g.evaluate(env)
-    except Indeterminate as exc:
-        raise Indeterminate(f"base point of {step.name}", symbol=step.name) from exc
-    return step.apply_params(b), SurfacePoint(new_f, new_g)
+    """Apply one elementary map to (parameters; point): a word of one letter."""
+    return eval_word((step.name,), b, p)
 
 
 def eval_word(
     word: Iterable[str], b: ParamVector, p: SurfacePoint
 ) -> tuple[ParamVector, SurfacePoint]:
-    """Apply a word of generators (rightmost symbol first)."""
-    symbols = tuple(word)
-    for pos, symbol in enumerate(reversed(symbols)):
+    """Apply a word of generators (rightmost symbol first).
+
+    Each step evaluates the coordinates with the incoming parameters, then
+    updates the parameters.  Raises Indeterminate, with the step index and
+    symbol, when the point is a base point of a step.
+    """
+    scale, ints = _integer_params(b)
+    for pos, symbol in enumerate(reversed(tuple(word))):
+        step = generator_step(symbol)
+        f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
         try:
-            b, p = eval_step(generator_step(symbol), b, p)
+            p = SurfacePoint(
+                coord_from_pair(*step.coord_f(f, g, ints), scale),
+                coord_from_pair(*step.coord_g(f, g, ints), scale),
+            )
         except Indeterminate as exc:
             raise Indeterminate(
                 f"indeterminate at step {pos} ({symbol}) of word",
                 step_index=pos,
                 symbol=symbol,
             ) from exc
-    return b, p
+        ints = _apply_rows(param_rows(symbol), ints)
+    return ParamVector(tuple(Fraction(x, scale) for x in ints)), p
 
 
 def word_map(word: Iterable[str]) -> Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]]:

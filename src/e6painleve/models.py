@@ -40,11 +40,12 @@ from .birational import (
     Indeterminate,
     MapComparison,
     ParamVector,
-    ProjectiveCoord,
     SurfacePoint,
     check_rejection_rate,
+    coord_from_pair,
     eval_word,
     maps_equal,
+    pair_from_coord,
     sample_fraction,
     word_map,
 )
@@ -144,7 +145,7 @@ class SchlesingerParams:
 
 def _solve_qrt_relation(
     u: tuple[int, int], v: tuple[int, int], r: Sequence[Fraction], p: Sequence[Fraction]
-) -> Fraction | None:
+) -> tuple[int, int]:
     """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)) for u~.
 
     u = (U : X) and v = (V : W) are integer pairs, a zero second entry
@@ -156,8 +157,7 @@ def _solve_qrt_relation(
 
         u~ = (X R - L Vs Q U) : (L Q S),
 
-    a map of bidegree (1, 3) in (u, v), reduced with one gcd.  Returns None
-    at infinity; a 0/0 pair is a base point and raises Indeterminate.
+    a map of bidegree (1, 3) in (u, v), returned as that unreduced pair.
     """
     U, X = u
     V, W = v
@@ -174,21 +174,7 @@ def _solve_qrt_relation(
          + (s12 * m34 + s34 * m12) * W2) * Vs
         + m12 * m34 * W2 * W
     )
-    num = X * R - L * Vs * Q * U
-    den = L * Q * S
-    if den:
-        return Fraction(num, den)
-    if num:
-        return None
-    raise Indeterminate("phi hit a base point", symbol="phi")
-
-
-def _pair(c: ProjectiveCoord) -> tuple[int, int]:
-    return (c.num.numerator, c.num.denominator) if c.den else (1, 0)
-
-
-def _coord(value: Fraction | None) -> ProjectiveCoord:
-    return ProjectiveCoord.infinity() if value is None else ProjectiveCoord.finite(value)
+    return X * R - L * Vs * Q * U, L * Q * S
 
 
 def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
@@ -197,19 +183,23 @@ def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint
     Each defining relation is one call of _solve_qrt_relation on integer
     pairs: the first with (u, v) = (f, g), the second, at the
     already-updated parameters, with (u, v) = (-g, -f~), which turns it into
-    the same form with r = b~1..b~4 and p = (b~7, b~8).  Exact on the lines
-    at infinity; raises Indeterminate only at base points.
+    the same form with r = b~1..b~4 and p = (b~7, b~8).  Each result is
+    reduced with one gcd (coord_from_pair).  Exact on the lines at infinity;
+    raises Indeterminate only at base points.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = b.b
     d = b.chi_delta()
     new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
     roots = (b1, b2, b3, b4)
-    g_num, g_den = _pair(p.g)
-    f_new = _solve_qrt_relation(_pair(p.f), (g_num, g_den), roots, (b5, b6))
-    minus_f_new = (1, 0) if f_new is None else (-f_new.numerator, f_new.denominator)
-    minus_g_new = _solve_qrt_relation((-g_num, g_den), minus_f_new, roots, new_b.b[6:])
-    g_new = None if minus_g_new is None else -minus_g_new
-    return new_b, SurfacePoint(_coord(f_new), _coord(g_new))
+    g_num, g_den = pair_from_coord(p.g)
+    try:
+        f_new = coord_from_pair(*_solve_qrt_relation(pair_from_coord(p.f), (g_num, g_den), roots, (b5, b6)))
+        f_num, f_den = pair_from_coord(f_new)
+        num, den = _solve_qrt_relation((-g_num, g_den), (-f_num, f_den), roots, new_b.b[6:])
+        g_new = coord_from_pair(-num, den)
+    except Indeterminate as exc:
+        raise Indeterminate("phi hit a base point", symbol="phi") from exc
+    return new_b, SurfacePoint(f_new, g_new)
 
 
 def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, Fraction]:

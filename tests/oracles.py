@@ -3,23 +3,24 @@
 These are second, structurally different transcriptions of the defining
 formulas, kept deliberately separate from the library path: the library and
 the oracle must agree exactly at random samples before anything else is
-trusted.  Plain Fraction arithmetic; degenerate samples raise
-ZeroDivisionError and are skipped by callers.  The one exception is
-phi_projective_chain, phi's relations evaluated on the library's projective
-coordinates: the reference for phi_step at and through infinity.
+trusted.  Plain field arithmetic (Fractions, or sympy symbols for the
+proofs); degenerate samples raise ZeroDivisionError and are skipped by
+callers.  The one exception is phi_projective_chain, phi's relations
+evaluated node by node on ProjectiveValue, the field operations of P1: the
+reference for phi_step at and through infinity.
 
 The library derives the parameter action of each generator and the
 permutations of the symmetry and surface roots under each diagram
-automorphism from the lattice matrices; the hand-written tables below are
-the second source those derivations are checked against.  The defining
-vector of a translation is cross-checked against a general exact linear
-solve (solve_linear_system).
+automorphism from the lattice matrices, and keeps its coordinate maps as
+bihomogeneous forms; the hand-written tables below are the second source
+those are checked against.  The defining vector of a translation is
+cross-checked against a general exact linear solve (solve_linear_system).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from e6painleve.birational import ProjectiveCoord
 
@@ -59,16 +60,50 @@ def qrt_relations_hold(
     return first and second
 
 
-def phi_projective_chain(b: tuple[Fraction, ...], f, g):
-    """One phi step evaluated node by node on ProjectiveCoord arithmetic.
+class ProjectiveValue:
+    """A point of P1 with the field operations extended to infinity.
+
+    c + inf = inf, c / 0 = inf for c != 0, c / inf = 0; an operation that
+    meets 0/0 (inf - inf, 0 * inf, 0 / 0, inf / inf) raises Indeterminate.
+    """
+
+    def __init__(self, num, den=1):
+        self.coord = ProjectiveCoord(Fraction(num), Fraction(den))
+
+    @classmethod
+    def of(cls, c: ProjectiveCoord) -> "ProjectiveValue":
+        return cls(c.num, c.den)
+
+    def __add__(self, other: "ProjectiveValue") -> "ProjectiveValue":
+        a, b = self.coord, other.coord
+        return ProjectiveValue(a.num * b.den + a.den * b.num, a.den * b.den)
+
+    def __neg__(self) -> "ProjectiveValue":
+        return ProjectiveValue(-self.coord.num, self.coord.den)
+
+    def __sub__(self, other: "ProjectiveValue") -> "ProjectiveValue":
+        return self + (-other)
+
+    def __mul__(self, other: "ProjectiveValue") -> "ProjectiveValue":
+        a, b = self.coord, other.coord
+        return ProjectiveValue(a.num * b.num, a.den * b.den)
+
+    def __truediv__(self, other: "ProjectiveValue") -> "ProjectiveValue":
+        a, b = self.coord, other.coord
+        return ProjectiveValue(a.num * b.den, a.den * b.num)
+
+
+def phi_projective_chain(b: tuple[Fraction, ...], f: ProjectiveCoord, g: ProjectiveCoord):
+    """One phi step evaluated node by node on ProjectiveValue arithmetic.
 
     The relations are rearranged as in qrt_oracle, but every intermediate is
-    a projective coordinate, so inputs and intermediates at infinity are
+    a projective value, so inputs and intermediates at infinity are
     followed exactly until an operation meets 0/0 or infinity/infinity,
     which raises Indeterminate (also where the map itself is defined).
     Returns the new (f, g) as ProjectiveCoords.
     """
-    c = ProjectiveCoord.finite
+    c = ProjectiveValue
+    f, g = c.of(f), c.of(g)
     b1, b2, b3, b4, b5, b6, b7, b8 = b
     d = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
     rhs1 = (
@@ -82,7 +117,7 @@ def phi_projective_chain(b: tuple[Fraction, ...], f, g):
         / ((f_new + c(n7)) * (f_new + c(n8)))
     )
     g_new = rhs2 / (f_new + g) - f_new
-    return f_new, g_new
+    return f_new.coord, g_new.coord
 
 
 def schlesinger_oracle(
@@ -237,6 +272,33 @@ def param_oracle(symbol: str, b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(
         sum((c * b[j - 1] for j, c in row.items()), Fraction(0)) for row in PARAM_TABLES[symbol]
     )
+
+
+def coord_oracle(symbol: str, b: Sequence, f, g) -> tuple:
+    """One generator's coordinate map on the affine chart, (f, g) -> (f~, g~).
+
+    The formulas as first transcribed, with nested quotients (the library
+    keeps them as bihomogeneous forms).  Generic field arithmetic: Fractions
+    raise ZeroDivisionError where a denominator vanishes, sympy symbols give
+    rational functions.
+    """
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    identity = lambda: (f, g)
+    formulas: dict[str, Callable[[], tuple]] = {
+        "w0": lambda: (f - b3 + b4, g + b3 - b4),
+        "w1": identity,
+        "w2": identity,
+        "w3": lambda: (f, (f + b7) * (g + b1) / (f - b1) + b7),
+        "w4": identity,
+        "w5": lambda: ((f - b1) * (g - b5) / (g + b1) - b5, g),
+        "w6": identity,
+        "m0": lambda: (-g, -f),
+        "m1": lambda: (-f + b4 - b8, (f * (g + b1) + b2 * (f - b1)) / (f + g) + b8 - b4),
+        "m2": lambda: ((g * (f - b1) - b2 * (g + b1)) / (f + g) + b4 - b6, -g - b4 + b6),
+        "r": lambda: (-((f * (g + b1) + b2 * (f - b1)) / (f + g)) + b4 - b8, f - b4 + b8),
+        "r2": lambda: (g + b4 - b6, -((g * (f - b1) - b2 * (g + b1)) / (f + g)) - b4 + b6),
+    }
+    return formulas[symbol]()
 
 
 def solve_linear_system(

@@ -1,4 +1,4 @@
-"""Projective arithmetic and the elementary birational maps."""
+"""Projective coordinates and the elementary birational maps."""
 
 import random
 from fractions import Fraction
@@ -22,7 +22,7 @@ from e6painleve.birational import (
 )
 from e6painleve.piclattice import E6_EDGES
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
-from oracles import PARAM_TABLES, param_oracle
+from oracles import PARAM_TABLES, ProjectiveValue, coord_oracle, param_oracle
 
 
 def test_projective_coord_canonicalization():
@@ -34,13 +34,11 @@ def test_projective_coord_canonicalization():
 
 
 def test_projective_arithmetic():
-    two = ProjectiveCoord.finite(2)
-    inf = ProjectiveCoord.infinity()
-    zero = ProjectiveCoord.finite(0)
-    assert (two + inf) == inf
-    assert (two / zero) == inf
-    assert (two / inf) == zero
-    assert (inf * two) == inf
+    two, inf, zero = ProjectiveValue(2), ProjectiveValue(1, 0), ProjectiveValue(0)
+    assert (two + inf).coord == inf.coord
+    assert (two / zero).coord == inf.coord
+    assert (two / inf).coord == zero.coord
+    assert (inf * two).coord == inf.coord
     with pytest.raises(Indeterminate):
         inf - inf
     with pytest.raises(Indeterminate):
@@ -49,6 +47,11 @@ def test_projective_arithmetic():
         zero / zero
     with pytest.raises(Indeterminate):
         inf / inf
+
+
+def test_projective_coord_has_no_arithmetic():
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__"):
+        assert not hasattr(ProjectiveCoord, name), name
 
 
 def test_expression_evaluation_is_projective():
@@ -175,97 +178,188 @@ def test_parameter_rows_match_oracle_tables():
             assert dict(row) == {j - 1: c for j, c in oracle_row.items()}, s
 
 
-def _tree_step(step, b, p):
-    """Reference step: the projective walk of the coordinate trees, oracle parameters."""
-    env = {"f": p.f, "g": p.g}
-    env.update((f"b{i + 1}", ProjectiveCoord.finite(x)) for i, x in enumerate(b.b))
-    new_p = SurfacePoint(step.coord_f.evaluate(env), step.coord_g.evaluate(env))
-    return ParamVector(param_oracle(step.name, b.b)), new_p
+def _oracle_step(symbol, b, p):
+    """Reference step: the affine oracle formulas and parameter tables."""
+    f, g = coord_oracle(symbol, b.b, p.f.as_fraction(), p.g.as_fraction())
+    return ParamVector(param_oracle(symbol, b.b)), SurfacePoint.affine(f, g)
 
 
-def _tree_word(word, b, p):
-    for pos, symbol in enumerate(reversed(word)):
-        try:
-            b, p = _tree_step(generator_step(symbol), b, p)
-        except Indeterminate as exc:
-            raise Indeterminate("reference", step_index=pos, symbol=symbol) from exc
+def _oracle_word(word, b, p):
+    for symbol in reversed(word):
+        b, p = _oracle_step(symbol, b, p)
     return b, p
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Indeterminate:
-        return "indeterminate"
 
 
 def _sample_params(rng):
     return ParamVector(tuple(sample_fraction(rng, 50) for _ in range(8)))
 
 
-def test_compiled_steps_match_tree_walk_at_finite_points():
+def _generic_params(rng):
+    """Parameters with eight distinct nonzero |b_k|.
+
+    Then no two base points of a step coincide.  Where they do (b1 = b2
+    merges (b1, -b1) and (b2, -b2) into an infinitely near base point), the
+    map stays indeterminate, but limits along straight lines no longer show
+    it, so the limit checks below need generic parameters.
+    """
+    while True:
+        b = _sample_params(rng)
+        if len({abs(x) for x in b.b} - {0}) == 8:
+            return b
+
+
+EPS = Fraction(1, 10**40)
+NEAR = Fraction(1, 10**20)
+
+
+def _approach(symbol, b, p, rng):
+    """The oracle at a point within EPS of p, from a generic rational direction.
+
+    A finite coordinate c is approached as c + u EPS, infinity as 1/(u EPS).
+    """
+    f, g = (
+        c.num + u * EPS if c.is_finite else 1 / (u * EPS)
+        for c, u in ((p.f, sample_fraction(rng, 10**9) or 1), (p.g, sample_fraction(rng, 10**9) or 1))
+    )
+    return coord_oracle(symbol, b.b, f, g)
+
+
+def _near(value, c):
+    return abs(value - c.num) < NEAR if c.is_finite else abs(value) > 1 / NEAR
+
+
+def _approaches_part(symbol, b, p, rng):
+    """Whether the oracle tends to different values along two generic approaches to p.
+
+    They part exactly when p is a base point of the map.
+    """
+    first, second = _approach(symbol, b, p, rng), _approach(symbol, b, p, rng)
+    return not all(abs(x - y) < NEAR or min(abs(x), abs(y)) > 1 / NEAR for x, y in zip(first, second))
+
+
+def _outcome(symbol, b, p, rng):
+    """eval_step's image of p, checked against the oracle's limit at p."""
+    try:
+        _, image = eval_step(generator_step(symbol), b, p)
+    except Indeterminate:
+        assert _approaches_part(symbol, b, p, rng), (symbol, p)
+        return "indeterminate"
+    for coord, x, y in zip((image.f, image.g), _approach(symbol, b, p, rng), _approach(symbol, b, p, rng)):
+        assert _near(x, coord) and _near(y, coord), (symbol, p)
+    return image
+
+
+def test_steps_match_oracle_at_finite_points():
     rng = random.Random(21)
     for s in SYMBOLS:
         step = generator_step(s)
         for _ in range(20):
             b = _sample_params(rng)
             p = SurfacePoint.affine(sample_fraction(rng, 50), sample_fraction(rng, 50))
-            assert eval_step(step, b, p) == _tree_step(step, b, p), s
+            assert eval_step(step, b, p) == _oracle_step(s, b, p), s
 
 
-def test_compiled_steps_match_tree_walk_at_infinity():
+INF = ProjectiveCoord.infinity()
+
+#: Images of (inf, 3), (3, inf) and (inf, inf) at b = (1, ..., 8).  w0 and
+#: m0 give the values the expression-tree evaluator gave; every other
+#: generator raised at some of these points before.
+IMAGES_AT_INFINITY = {
+    "w0": ((INF, 2), (4, INF), (INF, INF)),
+    "w1": ((INF, 3), (3, INF), (INF, INF)),
+    "w2": ((INF, 3), (3, INF), (INF, INF)),
+    "w3": ((INF, 11), (3, INF), (INF, INF)),
+    "w4": ((INF, 3), (3, INF), (INF, INF)),
+    "w5": ((INF, 3), (-3, INF), (INF, INF)),
+    "w6": ((INF, 3), (3, INF), (INF, INF)),
+    "m0": ((-3, INF), (INF, -3), (INF, INF)),
+    "m1": ((INF, 10), (-7, 7), (INF, INF)),
+    "m2": ((1, -1), (-2, INF), (INF, INF)),
+    "r": ((-10, INF), (-7, 7), (INF, INF)),
+    "r2": ((1, -1), (INF, 2), (INF, INF)),
+}
+
+
+def test_exact_images_on_the_lines_at_infinity():
     rng = random.Random(22)
-    inf = ProjectiveCoord.infinity()
-    outcomes = set()
-    for s in SYMBOLS:
-        step = generator_step(s)
-        for _ in range(5):
-            b = _sample_params(rng)
-            x = ProjectiveCoord.finite(sample_fraction(rng, 50))
-            for p in (SurfacePoint(inf, x), SurfacePoint(x, inf), SurfacePoint(inf, inf)):
-                expected = _outcome(_tree_step, step, b, p)
-                assert _outcome(eval_step, step, b, p) == expected, (s, p)
-                outcomes.add(expected == "indeterminate")
-    assert outcomes == {True, False}
+    b = ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8)
+    three = ProjectiveCoord.finite(3)
+    starts = (SurfacePoint(INF, three), SurfacePoint(three, INF), SurfacePoint(INF, INF))
+    assert set(IMAGES_AT_INFINITY) == set(SYMBOLS)
+    for s, images in IMAGES_AT_INFINITY.items():
+        for p, (f, g) in zip(starts, images):
+            expected = SurfacePoint(*(c if c is INF else ProjectiveCoord.finite(c) for c in (f, g)))
+            assert _outcome(s, b, p, rng) == expected, (s, p)
 
 
-def test_compiled_steps_match_tree_walk_where_a_denominator_vanishes():
-    # f = b1, g = -b1 and f + g = 0 zero the denominators of w3, w5 and the
-    # m1, m2, r, r2 formulas; some of these points are base points.
+def test_steps_at_infinity_are_limits_of_the_oracle():
+    # The finite coordinate is generic or one of +-b_k, so the base points
+    # on the lines at infinity come up too: (-b7, inf) for w3 and (inf, b5)
+    # for w5 are the only ones.
     rng = random.Random(23)
-    infinite = set()
+    raised = set()
     for s in SYMBOLS:
-        step = generator_step(s)
+        for _ in range(3):
+            b = _generic_params(rng)
+            labels = {"": sample_fraction(rng, 50)}
+            for k in range(8):
+                labels[f"b{k + 1}"], labels[f"-b{k + 1}"] = b.b[k], -b.b[k]
+            for label, x in labels.items():
+                x = ProjectiveCoord.finite(x)
+                for kind, p in enumerate((SurfacePoint(INF, x), SurfacePoint(x, INF), SurfacePoint(INF, INF))):
+                    if _outcome(s, b, p, rng) == "indeterminate":
+                        raised.add((s, kind, label if kind < 2 else ""))
+    assert raised == {("w3", 1, "-b7"), ("w5", 0, "b5")}
+
+def test_steps_where_an_oracle_denominator_vanishes():
+    # f = b1, g = -b1 and f + g = 0 zero the oracle's denominators of w3, w5
+    # and the m1, m2, r, r2 formulas.  The step returns the oracle's limit
+    # there, infinity included, and raises only at the base points (b1, -b1)
+    # and, for the four maps with denominator f + g, (b2, -b2).
+    rng = random.Random(24)
+    infinite, raised = set(), set()
+    for s in SYMBOLS:
         for _ in range(5):
-            b = _sample_params(rng)
+            b = _generic_params(rng)
             b1, b2, t = b.b[0], b.b[1], sample_fraction(rng, 50)
-            for f, g in ((b1, t), (t, -b1), (t, -t), (b1, -b1), (b2, -b2)):
+            for kind, (f, g) in enumerate(((b1, t), (t, -b1), (t, -t), (b1, -b1), (b2, -b2))):
                 p = SurfacePoint.affine(f, g)
-                expected = _outcome(_tree_step, step, b, p)
-                assert _outcome(eval_step, step, b, p) == expected, (s, f, g)
-                if expected != "indeterminate" and not expected[1].is_finite:
+                try:
+                    reference = _oracle_step(s, b, p)
+                except ZeroDivisionError:
+                    reference = None
+                got = _outcome(s, b, p, rng)
+                if reference is not None:
+                    assert got == reference[1], (s, f, g)
+                elif got == "indeterminate":
+                    raised.add((s, kind))
+                elif not got.is_finite:
                     infinite.add(s)
     assert infinite == {"w3", "w5", "m1", "m2", "r", "r2"}
+    assert raised == {(s, 3) for s in ("w3", "w5", "m1", "m2", "r", "r2")} | {
+        (s, 4) for s in ("m1", "m2", "r", "r2")
+    }
 
 
 def test_base_points_report_step_and_symbol():
-    rng = random.Random(24)
+    rng = random.Random(25)
     base_point_symbols = set()
     for s in SYMBOLS:
-        b = _sample_params(rng)
+        b = _generic_params(rng)
         p = SurfacePoint.affine(b.b[0], -b.b[0])  # (b1, -b1)
         word = (s, "w1")  # w1 moves b2, b3 only, so (b1, -b1) reaches s unchanged
-        reference = _outcome(_tree_word, word, b, p)
-        if reference != "indeterminate":
+        try:
+            reference = _oracle_word(word, b, p)
+        except ZeroDivisionError:
+            reference = None
+        if reference is not None:
             assert eval_word(word, b, p) == reference, s
             continue
         base_point_symbols.add(s)
-        with pytest.raises(Indeterminate) as compiled:
+        assert _approaches_part(s, generator_step("w1").apply_params(b), p, rng), s
+        with pytest.raises(Indeterminate) as info:
             eval_word(word, b, p)
-        with pytest.raises(Indeterminate) as tree:
-            _tree_word(word, b, p)
-        assert (compiled.value.step_index, compiled.value.symbol) == (1, s)
-        assert (tree.value.step_index, tree.value.symbol) == (1, s)
+        assert (info.value.step_index, info.value.symbol) == (1, s)
     assert base_point_symbols == {"w3", "w5", "m1", "m2", "r", "r2"}
 
 

@@ -1,13 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from e6painleve.birational import ParamVector, SurfacePoint
+from e6painleve.birational import ParamVector, SurfacePoint, eval_step, generator_step, sample_state
 from e6painleve.cli import main
 from e6painleve.models import phi_orbit
 from e6painleve.weylgroup import PicMap
@@ -334,6 +335,27 @@ def test_gens_lists_all_generators(capsys):
     assert len(data["generators"]) == 12
     w3 = next(g for g in data["generators"] if g["symbol"] == "w3")
     assert "b7" in w3["coord_g"]
+
+
+def test_gens_formulas_evaluate_like_eval_step(capsys):
+    # The printed formulas are Python text: bound to Fractions at seeded
+    # finite samples, they give eval_step's image.
+    _, out, _ = run_cli(capsys, "gens")
+    rng = random.Random(31)
+    checked = 0
+    for entry in json.loads(out)["generators"]:
+        step = generator_step(entry["symbol"])
+        for _ in range(10):
+            b, p = sample_state(rng, 100)
+            env = {"f": p.f.num, "g": p.g.num, **{f"b{k + 1}": x for k, x in enumerate(b.b)}}
+            try:
+                image = [eval(entry[key], {"__builtins__": {}}, env) for key in ("coord_f", "coord_g")]
+            except ZeroDivisionError:
+                continue
+            _, q = eval_step(step, b, p)
+            assert q == SurfacePoint.affine(*image), entry["symbol"]
+            checked += 1
+    assert checked == 120
 
 
 def test_unknown_subcommand_is_input_error(capsys):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from e6painleve import models
 from e6painleve.birational import (
     Indeterminate,
     ParamVector,
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
+    coord_from_pair,
     eval_word,
     maps_equal,
     sample_fraction,
@@ -177,16 +179,24 @@ def test_phi_kernel_is_exact_where_the_chain_raised():
 
 
 def test_phi_step_does_no_projective_arithmetic(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("ProjectiveCoord arithmetic in phi_step")
+    # ProjectiveCoord has no arithmetic operators (test_birational).  phi_step
+    # reads each coordinate as an integer pair and reduces each new one in
+    # exactly one coord_from_pair call, at finite points and at infinity.
+    calls = []
 
-    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
-        monkeypatch.setattr(ProjectiveCoord, name, forbidden)
+    def counting(*args):
+        calls.append(args)
+        return coord_from_pair(*args)
+
+    monkeypatch.setattr(models, "coord_from_pair", counting)
     b = ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8)
+    for p in (SurfacePoint.affine(2, 3), SurfacePoint(FIN(Fraction(2)), INF), SurfacePoint(INF, FIN(Fraction(3)))):
+        calls.clear()
+        phi_step(b, p)
+        assert len(calls) == 2, p
+    calls.clear()
     phi_orbit(b, SurfacePoint.affine(2, 3), 6)
-    phi_step(b, SurfacePoint(FIN(Fraction(2)), INF))
-    phi_step(b, SurfacePoint(INF, FIN(Fraction(3))))
-
+    assert len(calls) == 12
 
 def test_phi_autonomous_when_parameter_sum_vanishes():
     b = ParamVector.of(1, 2, 3, 4, -1, -2, -3, -4)
