@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act = sub.add_parser("act", parents=[common], help="apply a word to (b; f, g)")
     p_act.add_argument("--word", required=True, help="comma-separated generator symbols")
     p_act.add_argument("--b", required=True, help="eight comma-separated rationals")
-    p_act.add_argument("--point", required=True, help="f,g as rationals")
+    p_act.add_argument("--point", required=True, help="f,g as rationals or inf")
 
     p_per = sub.add_parser("period", parents=[common], help="root variables of a parameter vector")
     p_per.add_argument("--b", required=True, help="eight comma-separated rationals")
@@ -91,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--steps", required=True, type=int)
     p_orb.add_argument("--b", help="phi: eight comma-separated rationals")
     p_orb.add_argument("--theta", help="psi: theta01,theta02,theta11,theta12,kappa1,kappa2,kappa3")
-    p_orb.add_argument("--point", required=True, help="initial point (f,g or x,y)")
+    p_orb.add_argument(
+        "--point", required=True, help="initial point (phi: f,g as rationals or inf; psi: x,y as rationals)"
+    )
 
     p_ver = sub.add_parser("verify", parents=[common], help="run an invariant suite")
     p_ver.add_argument("suite", choices=SUITES)

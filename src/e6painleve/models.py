@@ -26,6 +26,12 @@ b-parameters: one straight from psi's own blowup-point positions, and one
 psi becomes phi exactly; the same conjugation produces the explicit change
 of variables (x, y) -> (f, g).  verify_equivalence checks both identities
 pointwise at seeded generic rational samples, exactly.
+
+psi_orbit uses that identity to run on phi's integer kernel: it changes
+chart once, steps phi, and maps each state back through w5, w3.  Each step
+is screened exactly, by psi's closed form modulo 2^61 - 1, with psi_step as
+the fallback, so the orbit is that of iterated psi_step.  psi_step stays
+the independent closed form the checks compare with the words and with phi.
 """
 
 from __future__ import annotations
@@ -202,16 +208,14 @@ def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint
     return new_b, SurfacePoint(f_new, g_new)
 
 
-def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, Fraction]:
-    """One elementary Schlesinger step on the indices and the point (x, y).
+def _psi_closed_form(values: Sequence, divide: Callable) -> tuple:
+    """psi's closed form (x, y) -> (x~, y~); values are theta01..kappa3, x, y.
 
-    Raises Indeterminate when any denominator of the closed-form map
-    vanishes at the sample.
+    Written once for any field: divide(num, den) is the field's division and
+    raises Indeterminate when den is zero, so every denominator of the map
+    passes through it.
     """
-    x, y = Fraction(x), Fraction(y)
-    t01, t02, t11, t12 = t.theta01, t.theta02, t.theta11, t.theta12
-    k1, k2, k3 = t.kappa1, t.kappa2, t.kappa3
-
+    t01, t02, t11, t12, k1, k2, k3, x, y = values
     dt, d12 = t01 - t02, t11 - t12
     y12, y02 = y - t12, y + t02
     P = y12 * (x - t02) + t01 * y02
@@ -221,18 +225,43 @@ def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, F
     r2 = k1 * k2 * k3 + t11 * P
 
     den_shared = (x + y) * d12
-    if den_shared == 0 or xs == 0:
-        raise Indeterminate("psi hit a base point", symbol="psi")
-    alpha = (y * r1 + x * (t01 * r1 + r2) / xs) / den_shared
-    beta = (y02 * r1 + r2) / den_shared
+    alpha = divide(y * r1 + divide(x * (t01 * r1 + r2), xs), den_shared)
+    beta = divide(y02 * r1 + r2, den_shared)
 
     dab = alpha - beta
-    den_x = dab * H - alpha * (t11 + 1) * dt
-    den_y = alpha * dt
-    if den_x == 0 or den_y == 0:
+    x_new = divide(dab * (alpha * x * d12 + (1 + t02) * H), dab * H - alpha * (t11 + 1) * dt)
+    y_new = divide(dab * (y * xs - t12 * x), alpha * dt)
+    return x_new, y_new
+
+
+def _divide(num: Fraction, den: Fraction) -> Fraction:
+    if den == 0:
         raise Indeterminate("psi hit a base point", symbol="psi")
-    x_new = dab * (alpha * x * d12 + (1 + t02) * H) / den_x
-    y_new = dab * (y * xs - t12 * x) / den_y
+    return num / den
+
+
+#: The prime 2^61 - 1 of the exact screen in psi_orbit.
+_P = 2 ** 61 - 1
+
+
+def _divide_mod_p(num: int, den: int) -> int:
+    den %= _P
+    if not den:
+        raise Indeterminate("psi hit a base point", symbol="psi")
+    return num * pow(den, -1, _P) % _P
+
+
+def _indices(t: SchlesingerParams) -> tuple[Fraction, ...]:
+    return (t.theta01, t.theta02, t.theta11, t.theta12, t.kappa1, t.kappa2, t.kappa3)
+
+
+def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, Fraction]:
+    """One elementary Schlesinger step on the indices and the point (x, y).
+
+    Raises Indeterminate when any denominator of the closed-form map
+    vanishes at the sample.
+    """
+    x_new, y_new = _psi_closed_form((*_indices(t), Fraction(x), Fraction(y)), _divide)
     return t.shifted(), x_new, y_new
 
 
@@ -458,17 +487,43 @@ def phi_orbit(b: ParamVector, p: SurfacePoint, steps: int) -> OrbitTrace:
 
 
 def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
-    """Iterate psi, recording every exact state (including the initial one)."""
+    """Iterate psi, recording every exact state (including the initial one).
+
+    Runs in phi's chart (see the module docstring): one phi_step per step,
+    each state mapped back through w5, w3 at the chart's own b.  A step runs
+    psi_step itself unless psi's closed form mod 2^61 - 1 proves it defined
+    (no denominator has a zero residue) and the conjugated path yields a
+    finite point; the next step then re-enters the chart.  The states, the
+    failing step and the partial trace carried by the raised error are
+    those of iterated psi_step.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x, y = Fraction(x), Fraction(y)
     entries = [OrbitEntry(0, t, (x, y))]
+    chart = None  # phi's (b, point) at the current state, once entered
     for k in range(1, steps + 1):
+        state = None
         try:
-            t, x, y = psi_step(t, x, y)
-        except Indeterminate as exc:
-            exc.partial_trace = OrbitTrace("psi", tuple(entries))
-            raise
+            _psi_closed_form(
+                [_divide_mod_p(v.numerator, v.denominator) for v in (*_indices(t), x, y)], _divide_mod_p
+            )
+            if chart is None:
+                chart = b_from_schlesinger_matched(t), SurfacePoint.affine(*change_of_variables(t, x, y))
+            chart = phi_step(*chart)
+            _, point = eval_word(CONJUGATOR_WORD, *chart)
+            if point.is_finite:
+                state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
+        except Indeterminate:
+            pass
+        if state is None:
+            chart = None  # re-entered from the exact state at the next step
+            try:
+                state = psi_step(t, x, y)
+            except Indeterminate as exc:
+                exc.partial_trace = OrbitTrace("psi", tuple(entries))
+                raise
+        t, x, y = state
         entries.append(OrbitEntry(k, t, (x, y)))
     return OrbitTrace("psi", tuple(entries))
 

@@ -16,8 +16,15 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def parse_fraction_list(text: str, expected: int | None = None) -> tuple[Fraction, ...]:
-    values = tuple(parse_fraction(part) for part in text.split(","))
+def parse_coord(text: str) -> ProjectiveCoord:
+    """A coordinate of P1: a rational, or the token inf for infinity."""
+    if text.strip() == "inf":
+        return ProjectiveCoord.infinity()
+    return ProjectiveCoord.finite(parse_fraction(text))
+
+
+def parse_fraction_list(text: str, expected: int | None = None, parse=parse_fraction) -> tuple:
+    values = tuple(parse(part) for part in text.split(","))
     if expected is not None and len(values) != expected:
         raise ValueError(f"expected {expected} comma-separated rationals, got {len(values)}")
     return values
@@ -28,8 +35,8 @@ def parse_params(text: str) -> ParamVector:
 
 
 def parse_point(text: str) -> SurfacePoint:
-    f, g = parse_fraction_list(text, 2)
-    return SurfacePoint.affine(f, g)
+    """f,g of P1 x P1; either coordinate may be inf."""
+    return SurfacePoint(*parse_fraction_list(text, 2, parse_coord))
 
 
 def parse_schlesinger(text: str) -> SchlesingerParams:

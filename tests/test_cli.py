@@ -140,6 +140,15 @@ def test_act_indeterminate_exit_code(capsys):
     assert payload["step_index"] == 0
 
 
+def test_act_at_infinity(capsys):
+    # On f = infinity, w3 maps g to g + b1 + b7.
+    code, out, err = run_cli(
+        capsys, "act", "--word", "w3", "--b", "1,2,3,4,5,6,7,8", "--point", "inf,3"
+    )
+    assert code == 0, err
+    assert json.loads(out)["point"] == {"f": {"n": "1", "d": "0"}, "g": {"n": "11", "d": "1"}}
+
+
 def test_act_rejects_malformed_input(capsys):
     code, _, err = run_cli(capsys, "act", "--word", "w3", "--b", "1,2", "--point", "2,3")
     assert code == 1
@@ -206,13 +215,32 @@ def test_orbit_json_past_int_digit_limit(capsys):
 
 def test_orbit_psi_rejects_malformed_point(capsys):
     theta = "1/2,1/3,1/5,1/7,2/3,3/5,-171/70"
-    for point in ("1/0,2", "1,2,3"):
+    for point in ("1/0,2", "1,2,3", "inf,2"):
         code, out, err = run_cli(
             capsys, "orbit", "--map", "psi", "--steps", "1", "--theta", theta, "--point", point
         )
         assert code == 1, point
         assert out == ""
         assert json.loads(err)["error"] == "input"
+
+
+def test_orbit_psi_partial_trace_at_base_point(capsys):
+    # x + y = 0: the first psi step is indeterminate, so only state 0 is printed.
+    theta = "1/2,1/3,1/5,1/7,2/3,3/5,-171/70"
+    expected = {
+        "json": '{"step": 0, "theta": {"theta01": "1/2", "theta02": "1/3", "theta11": "1/5", '
+        '"theta12": "1/7", "kappa1": "2/3", "kappa2": "3/5", "kappa3": "-171/70"}, "x": "2", "y": "-2"}\n',
+        "csv": "step,theta01,theta02,theta11,theta12,kappa1,kappa2,kappa3,x,y\n"
+        "0,0.5,0.33333333333333333333,0.2,0.14285714285714285714,"
+        "0.66666666666666666667,0.6,-2.4428571428571428571,2,-2\n",
+    }
+    for fmt, stdout in expected.items():
+        code, out, err = run_cli(
+            capsys, "orbit", "--map", "psi", "--steps", "3", f"--theta={theta}", "--point=2,-2", "--format", fmt
+        )
+        assert code == 3, fmt
+        assert out == stdout
+        assert err == '{"error": "indeterminate", "message": "psi hit a base point", "symbol": "psi"}\n'
 
 
 def test_orbit_requires_matching_initial_data(capsys):

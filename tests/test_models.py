@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e6painleve import models
 from e6painleve.birational import (
@@ -461,3 +462,139 @@ def test_phi_orbit_partial_trace_on_indeterminate():
         phi_orbit(b, SurfacePoint.affine(2, -2), 3)
     assert len(info.value.partial_trace) == 1
     assert info.value.symbol == "phi"
+
+
+README_THETA = SchlesingerParams(
+    Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+    Fraction(2, 3), Fraction(3, 5), Fraction(-171, 70),
+)
+
+
+def _iterated_psi_step(t, x, y, steps):
+    """States of psi_step applied steps times, and the error that stopped it."""
+    states = [(t, Fraction(x), Fraction(y))]
+    for _ in range(steps):
+        try:
+            states.append(psi_step(*states[-1]))
+        except Indeterminate as exc:
+            return states, exc
+    return states, None
+
+
+def _psi_orbit_states(t, x, y, steps):
+    """States of psi_orbit (the partial trace where it raises), and the error."""
+    try:
+        trace, error = psi_orbit(t, x, y, steps), None
+    except Indeterminate as exc:
+        trace, error = exc.partial_trace, exc
+    assert [e.step for e in trace.entries] == list(range(len(trace)))
+    return [(e.params, *e.point) for e in trace.entries], error
+
+
+def _assert_psi_orbit_is_iterated_psi_step(t, x, y, steps):
+    states, error = _psi_orbit_states(t, x, y, steps)
+    expected_states, expected_error = _iterated_psi_step(t, x, y, steps)
+    assert states == expected_states
+    if expected_error is None:
+        assert error is None
+    else:
+        assert (str(error), error.symbol, error.step_index) == (
+            str(expected_error), expected_error.symbol, expected_error.step_index
+        )
+    return states, error
+
+
+_small_fraction = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_small_fraction, min_size=6, max_size=6), _small_fraction, _small_fraction, st.integers(0, 5))
+def test_psi_orbit_equals_iterated_psi_step(indices, x, y, steps):
+    # Small heights land on psi's special curves (x + y = 0, theta11 =
+    # theta12, alpha = 0) and on the poles of the change of variables often.
+    t = SchlesingerParams(*indices, -sum(indices))
+    _assert_psi_orbit_is_iterated_psi_step(t, x, y, steps)
+
+
+def _conjugated_step(t, x, y):
+    f, g = change_of_variables(t, x, y)
+    b, p = phi_step(b_from_schlesinger_matched(t), SurfacePoint.affine(f, g))
+    return eval_word(CONJUGATOR_WORD, b, p)[1]
+
+
+def test_psi_orbit_raises_where_psi_step_does():
+    # On x + y = 0 and on theta11 = theta12 the closed form has a zero
+    # denominator, while the conjugated path is defined: the orbit stops
+    # after state 0, as iterated psi_step does.
+    second = SchlesingerParams(
+        Fraction(3, 2), Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(-5, 2)
+    )
+    cases = [
+        (README_THETA, Fraction(2), Fraction(-2), SurfacePoint(INF, FIN(Fraction(97, 42)))),
+        (second, Fraction(3, 2), Fraction(1), SurfacePoint.affine(4, Fraction(4, 3))),
+    ]
+    for t, x, y, conjugated in cases:
+        assert _conjugated_step(t, x, y) == conjugated
+        states, error = _assert_psi_orbit_is_iterated_psi_step(t, x, y, 3)
+        assert states == [(t, x, y)]
+        assert (str(error), error.symbol) == ("psi hit a base point", "psi")
+
+
+def test_psi_orbit_steps_where_the_change_of_variables_is_undefined():
+    t = SchlesingerParams(
+        Fraction(-3, 2), Fraction(2), Fraction(3, 2), Fraction(2), Fraction(1), Fraction(1), Fraction(-6)
+    )
+    with pytest.raises(Indeterminate):
+        change_of_variables(t, 3, 0)
+    states, error = _assert_psi_orbit_is_iterated_psi_step(t, Fraction(3), Fraction(0), 3)
+    assert error is None
+    assert states[1][1:] == (Fraction(3), Fraction(-20, 3))
+
+
+def _count_steps(monkeypatch):
+    """Record each phi_step ("phi") and psi_step ("psi") call psi_orbit makes."""
+    calls = []
+
+    def counted(name, step):
+        def wrapper(*args):
+            calls.append(name)
+            return step(*args)
+        return wrapper
+
+    monkeypatch.setattr(models, "phi_step", counted("phi", phi_step))
+    monkeypatch.setattr(models, "psi_step", counted("psi", psi_step))
+    return calls
+
+
+def test_psi_orbit_runs_on_phi_kernel(monkeypatch):
+    # From the README start the whole orbit stays in phi's chart: one
+    # phi_step per step and no psi_step.
+    expected, _ = _iterated_psi_step(README_THETA, Fraction(17, 5), Fraction(23, 9), 12)
+    calls = _count_steps(monkeypatch)
+    states, error = _psi_orbit_states(README_THETA, Fraction(17, 5), Fraction(23, 9), 12)
+    assert error is None and states == expected
+    assert calls == ["phi"] * 12
+
+
+def test_psi_orbit_falls_back_and_reenters_the_chart(monkeypatch):
+    # Step 1 maps phi's image to a base point of w5 o w3, and the change of
+    # variables is undefined at state 1: both steps run psi_step, and steps
+    # 3 to 5 run in phi's chart again.
+    indices = (Fraction(1), Fraction(4, 3), Fraction(-3, 2), Fraction(-3), Fraction(-1), Fraction(1, 2))
+    t = SchlesingerParams(*indices, -sum(indices))
+    expected, _ = _iterated_psi_step(t, Fraction(-1), Fraction(-3), 5)
+    calls = _count_steps(monkeypatch)
+    states, error = _psi_orbit_states(t, Fraction(-1), Fraction(-3), 5)
+    assert error is None and states == expected
+    assert calls == ["phi", "psi", "psi", "phi", "phi", "phi"]
+
+
+def test_psi_orbit_screen_is_conservative(monkeypatch):
+    # x + y = 2^61 - 1 is zero mod 2^61 - 1 but not over Q, so psi_step is
+    # defined; such a step runs psi_step itself.
+    x = Fraction(2 + 2 ** 61 - 1)
+    expected, expected_error = _iterated_psi_step(README_THETA, x, Fraction(-2), 2)
+    calls = _count_steps(monkeypatch)
+    states, error = _psi_orbit_states(README_THETA, x, Fraction(-2), 2)
+    assert error is None and expected_error is None and states == expected
+    assert calls == ["psi", "psi"]
