@@ -312,24 +312,27 @@ def eval_word(
     """Apply a word of generators (rightmost symbol first).
 
     Each step evaluates the coordinates with the incoming parameters, then
-    updates the parameters.  Raises Indeterminate, with the step index and
-    symbol, when the point is a base point of a step.
+    updates the parameters.  A coordinate the step leaves unchanged (formula
+    "f" or "g") passes through as it is.  Raises Indeterminate, with the
+    step index and symbol, when the point is a base point of a step.
     """
     scale, ints = _integer_params(b)
     for pos, symbol in enumerate(reversed(tuple(word))):
         step = generator_step(symbol)
-        f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
-        try:
-            p = SurfacePoint(
-                coord_from_pair(*step.coord_f(f, g, ints), scale),
-                coord_from_pair(*step.coord_g(f, g, ints), scale),
-            )
-        except Indeterminate as exc:
-            raise Indeterminate(
-                f"indeterminate at step {pos} ({symbol}) of word",
-                step_index=pos,
-                symbol=symbol,
-            ) from exc
+        keep_f, keep_g = step.coord_f.text == "f", step.coord_g.text == "g"
+        if not (keep_f and keep_g):
+            f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
+            try:
+                p = SurfacePoint(
+                    p.f if keep_f else coord_from_pair(*step.coord_f(f, g, ints), scale),
+                    p.g if keep_g else coord_from_pair(*step.coord_g(f, g, ints), scale),
+                )
+            except Indeterminate as exc:
+                raise Indeterminate(
+                    f"indeterminate at step {pos} ({symbol}) of word",
+                    step_index=pos,
+                    symbol=symbol,
+                ) from exc
         ints = _apply_rows(param_rows(symbol), ints)
     return ParamVector(tuple(Fraction(x, scale) for x in ints)), p
 

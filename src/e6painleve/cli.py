@@ -10,6 +10,7 @@ a failed verification), 3 indeterminate evaluation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -62,7 +63,9 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it unchanged)."""
     common = _common_options()
     parser = argparse.ArgumentParser(
         prog="e6painleve",

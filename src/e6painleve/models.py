@@ -9,10 +9,25 @@ parameters b1..b8.  Writing d for the parameter sum, one step solves
 in that order (each relation is explicit in its unknown), with parameters
 moving by b5, b6 -> +d and b7, b8 -> -d.  Substituting (f, g) -> (-g, -f~)
 and (b1..b6) -> (b1~..b4~, b7~, b8~) turns the first relation into the
-second, so one solver serves both.  It evaluates the unknown as a ratio of
-two bihomogeneous integer polynomials on P1 x P1 and reduces it with one
-gcd, which makes it exact on the lines at infinity and leaves 0/0 only at
-base points.
+second, so one solver serves both.  With u = (U : X), v = (V : W) and the
+parameters scaled to integers by their lcm L, it writes
+
+    u~ + v = X A_1 A_2 A_3 A_4 / (L W q_1 q_2 S),
+
+where A_i = L V + L r_i W, q_j = L V - L p_j W and S = L (U W + V X).  Most
+of that fraction cancels, in confined factors (singularity confinement,
+Grammaticos-Ramani-Papageorgiou 1991): X = x_1 x_2 with x_j dividing q_j,
+and S = s_1 s_2 s_3 s_4 with s_i dividing A_i.  The solver cancels them
+piece by piece, on numbers of a quarter of the size, before anything is
+multiplied out, and reduces what is left with one gcd.  The pieces recur
+as tau-function factors along an orbit: x_1 and x_2 are, up to a few bits,
+the cofactors q_2 / x_2 and q_1 / x_1 of the half-step before last, and
+s_i is the cofactor A_i / s_i of the previous half-step.  So phi_orbit and
+psi_orbit carry the cofactors from step to step and seed each piece's gcd
+with them; phi_step starts afresh.  Where X, W, S or some A_i or q_j is
+zero, the unknown is the ratio of two bihomogeneous integer polynomials on
+P1 x P1, which makes it exact on the lines at infinity and leaves 0/0 only
+at base points.
 
 psi is an elementary two-point Schlesinger transformation, realized as a
 closed-form birational map in isomonodromic coordinates (x, y) whose
@@ -29,9 +44,10 @@ pointwise at seeded generic rational samples, exactly.
 
 psi_orbit uses that identity to run on phi's integer kernel: it changes
 chart once, steps phi, and maps each state back through w5, w3.  Each step
-is screened exactly, by psi's closed form modulo 2^61 - 1, with psi_step as
-the fallback, so the orbit is that of iterated psi_step.  psi_step stays
-the independent closed form the checks compare with the words and with phi.
+is screened exactly, by psi's closed form modulo 2^61 - 1 and, where that
+meets a zero residue, modulo 2^89 - 1, with psi_step as the fallback, so the
+orbit is that of iterated psi_step.  psi_step stays the independent closed
+form the checks compare with the words and with phi.
 """
 
 from __future__ import annotations
@@ -150,37 +166,122 @@ class SchlesingerParams:
 
 
 def _solve_qrt_relation(
-    u: tuple[int, int], v: tuple[int, int], r: Sequence[Fraction], p: Sequence[Fraction]
-) -> tuple[int, int]:
+    u: tuple[int, int],
+    v: tuple[int, int],
+    r: Sequence[Fraction],
+    p: Sequence[Fraction],
+    x_seeds: Sequence[int] | None = None,
+    s_seeds: Sequence[int] | None = None,
+) -> tuple[int, int, list[int] | None, list[int] | None]:
     """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)) for u~.
 
     u = (U : X) and v = (V : W) are integer pairs, a zero second entry
-    meaning infinity; r holds four parameters and p two.  The parameters are
-    scaled to integers by the lcm L of their denominators, and the removable
-    factor W is cancelled symbolically: with Vs = L V,
-    Q = (Vs - L p_1 W)(Vs - L p_2 W), S = L U W + Vs X and the cubic form
-    R = (prod_i (Vs + L r_i W) - Vs^2 Q) / W,
+    meaning infinity; r holds four parameters and p two, scaled to integers
+    by the lcm L of their denominators.  With A_i = L V + L r_i W,
+    q_j = L V - L p_j W and S = L (U W + V X), u~ + v = X prod_i A_i /
+    (L W q_1 q_2 S).  The confined factors x_j of X in q_j and s_i of S in
+    A_i cancel first (_cancel_pieces).  With the cofactors c_j = q_j / x_j
+    and a_i = A_i / s_i, and X' and S' what is left of X and S,
 
-        u~ = (X R - L Vs Q U) : (L Q S),
+        u~ = ((X' prod_i a_i - L V c_1 c_2 S') / W) : (L c_1 c_2 S'),
 
-    a map of bidegree (1, 3) in (u, v), returned as that unreduced pair.
+    returned unreduced with (c_1, c_2) and (a_1..a_4).  W divides that
+    numerator when it is prime to L (v in lowest terms); otherwise it stays
+    in the denominator.  x_seeds is (c_1, c_2) of the half-step before last,
+    whose c_2 and c_1 are x_1 and x_2 here up to a few bits, and s_seeds is
+    (a_1..a_4) of the previous half-step, likewise s_1..s_4; without them
+    each piece is a direct gcd.  What the seeds miss stays in the pair, for
+    the one gcd of coord_from_pair.
+
+    Where X, W, S or some A_i or q_j is zero the cofactors are None and the
+    pair is the bihomogeneous form of bidegree (1, 3) in (u, v), with W
+    cancelled symbolically: with Q = q_1 q_2 and the cubic form
+    R = (prod_i A_i - (L V)^2 Q) / W, u~ = (X R - L^2 V Q U) : (L Q S).
+    This makes u~ exact on the lines at infinity, and 0/0 a base point.
     """
     U, X = u
     V, W = v
-    params = (*r, *p)
-    L = math.lcm(*(x.denominator for x in params))
-    r1, r2, r3, r4, p1, p2 = (x.numerator * (L // x.denominator) for x in params)
-    s12, s34, m12, m34 = r1 + r2, r3 + r4, r1 * r2, r3 * r4
+    ratios = [x.as_integer_ratio() for x in (*r, *p)]
+    L = math.lcm(*[d for _, d in ratios])
+    r1, r2, r3, r4, p1, p2 = [n * (L // d) for n, d in ratios]
     Vs = L * V
+    A = (Vs + r1 * W, Vs + r2 * W, Vs + r3 * W, Vs + r4 * W)
+    q = (Vs - p1 * W, Vs - p2 * W)
+    S = L * (U * W + V * X)
+    if X and W and S and all(A) and all(q):
+        c, X = _cancel_pieces(q, X, x_seeds and x_seeds[::-1])
+        a, S = _cancel_pieces(A, S, s_seeds)
+        c12S = c[0] * c[1] * S
+        num = (a[0] * a[1]) * (a[2] * a[3]) * X - Vs * c12S
+        quotient, rest = divmod(num, W)
+        return (num, L * W * c12S, c, a) if rest else (quotient, L * c12S, c, a)
+    s12, s34, m12, m34 = r1 + r2, r3 + r4, r1 * r2, r3 * r4
     W2 = W * W
-    Q = (Vs - p1 * W) * (Vs - p2 * W)
-    S = L * U * W + Vs * X
+    Q = q[0] * q[1]
     R = (
         (((s12 + s34 + p1 + p2) * Vs + (m12 + m34 + s12 * s34 - p1 * p2) * W) * Vs
          + (s12 * m34 + s34 * m12) * W2) * Vs
         + m12 * m34 * W2 * W
     )
-    return X * R - L * Vs * Q * U, L * Q * S
+    return X * R - L * Vs * Q * U, L * Q * S, None, None
+
+
+def _cancel_pieces(
+    factors: Sequence[int], n: int, seeds: Sequence[int] | None
+) -> tuple[list[int], int]:
+    """([factors[i] / g_i], n / prod g_i) for divisors g_i of factors[i] whose product divides n.
+
+    Without seeds g_i = gcd(factors[i], n / (g_1 .. g_(i-1))).  With seeds
+    g_i = gcd(factors[i], seeds[i]), less the few bits of their product that
+    n does not hold.  A seed shares nearly all its bits with the factor,
+    and a gcd that large ends after a few Euclidean steps.
+    """
+    if seeds is None:
+        cofactors = []
+        for m in factors:
+            g = math.gcd(m, n)
+            n //= g
+            cofactors.append(m // g)
+        return cofactors, n
+    gs = [math.gcd(m, s) for m, s in zip(factors, seeds)]
+    total = math.prod(gs)
+    excess = total // math.gcd(n, total)
+    if excess > 1:
+        total //= excess
+        for i, g in enumerate(gs):
+            shared = math.gcd(g, excess)
+            gs[i] = g // shared
+            excess //= shared
+    return [m // g for m, g in zip(factors, gs)], n // total
+
+
+def _phi_step_carried(
+    b: ParamVector, p: SurfacePoint, carry: tuple | None = None
+) -> tuple[ParamVector, SurfacePoint, tuple]:
+    """phi_step that takes the cofactors of the previous step and returns its own.
+
+    carry is (c_1, c_2) of each half-step and (a_1..a_4) of the second (see
+    _solve_qrt_relation), each None where its half-step was not generic.
+    """
+    b1, b2, b3, b4, b5, b6, b7, b8 = b.b
+    d = b.chi_delta()
+    new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
+    roots = (b1, b2, b3, b4)
+    c_first, c_second, a_second = carry or (None, None, None)
+    g_num, g_den = pair_from_coord(p.g)
+    try:
+        num, den, c_first, a_first = _solve_qrt_relation(
+            pair_from_coord(p.f), (g_num, g_den), roots, (b5, b6), c_first, a_second
+        )
+        f_new = coord_from_pair(num, den)
+        f_num, f_den = pair_from_coord(f_new)
+        num, den, c_second, a_second = _solve_qrt_relation(
+            (-g_num, g_den), (-f_num, f_den), roots, new_b.b[6:], c_second, a_first
+        )
+        g_new = coord_from_pair(-num, den)
+    except Indeterminate as exc:
+        raise Indeterminate("phi hit a base point", symbol="phi") from exc
+    return new_b, SurfacePoint(f_new, g_new), (c_first, c_second, a_second)
 
 
 def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
@@ -189,23 +290,13 @@ def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint
     Each defining relation is one call of _solve_qrt_relation on integer
     pairs: the first with (u, v) = (f, g), the second, at the
     already-updated parameters, with (u, v) = (-g, -f~), which turns it into
-    the same form with r = b~1..b~4 and p = (b~7, b~8).  Each result is
-    reduced with one gcd (coord_from_pair).  Exact on the lines at infinity;
-    raises Indeterminate only at base points.
+    the same form with r = b~1..b~4 and p = (b~7, b~8).  Each call cancels
+    the confined factors by direct gcds (no cofactors are carried into a
+    single step), and its result is reduced with one gcd (coord_from_pair).
+    Exact on the lines at infinity; raises Indeterminate only at base points.
     """
-    b1, b2, b3, b4, b5, b6, b7, b8 = b.b
-    d = b.chi_delta()
-    new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
-    roots = (b1, b2, b3, b4)
-    g_num, g_den = pair_from_coord(p.g)
-    try:
-        f_new = coord_from_pair(*_solve_qrt_relation(pair_from_coord(p.f), (g_num, g_den), roots, (b5, b6)))
-        f_num, f_den = pair_from_coord(f_new)
-        num, den = _solve_qrt_relation((-g_num, g_den), (-f_num, f_den), roots, new_b.b[6:])
-        g_new = coord_from_pair(-num, den)
-    except Indeterminate as exc:
-        raise Indeterminate("phi hit a base point", symbol="phi") from exc
-    return new_b, SurfacePoint(f_new, g_new)
+    new_b, point, _ = _phi_step_carried(b, p)
+    return new_b, point
 
 
 def _psi_closed_form(values: Sequence, divide: Callable) -> tuple:
@@ -240,15 +331,30 @@ def _divide(num: Fraction, den: Fraction) -> Fraction:
     return num / den
 
 
-#: The prime 2^61 - 1 of the exact screen in psi_orbit.
-_P = 2 ** 61 - 1
+#: The primes of the exact screen in psi_orbit, tried in turn.
+_SCREEN_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1)
 
 
-def _divide_mod_p(num: int, den: int) -> int:
-    den %= _P
-    if not den:
-        raise Indeterminate("psi hit a base point", symbol="psi")
-    return num * pow(den, -1, _P) % _P
+def _psi_defined(values: Sequence[Fraction]) -> bool:
+    """True if psi's closed form is defined at values (theta01..kappa3, x, y).
+
+    That holds when, modulo one of the screen primes, no denominator of the
+    inputs or of the map has a zero residue.  False means only that every
+    prime failed, not that the map is undefined over Q.
+    """
+    for prime in _SCREEN_PRIMES:
+        def divide(num: int, den: int) -> int:
+            den %= prime
+            if not den:
+                raise Indeterminate("psi hit a base point", symbol="psi")
+            return num * pow(den, -1, prime) % prime
+
+        try:
+            _psi_closed_form([divide(v.numerator, v.denominator) for v in values], divide)
+            return True
+        except Indeterminate:
+            pass
+    return False
 
 
 def _indices(t: SchlesingerParams) -> tuple[Fraction, ...]:
@@ -471,14 +577,17 @@ class OrbitTrace:
 def phi_orbit(b: ParamVector, p: SurfacePoint, steps: int) -> OrbitTrace:
     """Iterate phi, recording every exact state (including the initial one).
 
-    On an indeterminate point the raised error carries the partial trace.
+    Each step hands its cofactors to the next (see the module docstring);
+    the states are those of iterated phi_step.  On an indeterminate point
+    the raised error carries the partial trace.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     entries = [OrbitEntry(0, b, (p.f, p.g))]
+    carry = None
     for k in range(1, steps + 1):
         try:
-            b, p = phi_step(b, p)
+            b, p, carry = _phi_step_carried(b, p, carry)
         except Indeterminate as exc:
             exc.partial_trace = OrbitTrace("phi", tuple(entries))
             raise
@@ -489,33 +598,32 @@ def phi_orbit(b: ParamVector, p: SurfacePoint, steps: int) -> OrbitTrace:
 def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
     """Iterate psi, recording every exact state (including the initial one).
 
-    Runs in phi's chart (see the module docstring): one phi_step per step,
-    each state mapped back through w5, w3 at the chart's own b.  A step runs
-    psi_step itself unless psi's closed form mod 2^61 - 1 proves it defined
-    (no denominator has a zero residue) and the conjugated path yields a
-    finite point; the next step then re-enters the chart.  The states, the
-    failing step and the partial trace carried by the raised error are
-    those of iterated psi_step.
+    Runs in phi's chart (see the module docstring): one phi step per step,
+    with the cofactors carried as in phi_orbit, each state mapped back
+    through w5, w3 at the chart's own b.  A step runs psi_step itself unless
+    psi's closed form modulo one of the screen primes proves it defined (no
+    denominator has a zero residue) and the conjugated path yields a finite
+    point; the chart and its cofactors are then dropped, and the next step
+    re-enters the chart.  The states, the failing step and the partial trace
+    carried by the raised error are those of iterated psi_step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x, y = Fraction(x), Fraction(y)
     entries = [OrbitEntry(0, t, (x, y))]
-    chart = None  # phi's (b, point) at the current state, once entered
+    chart = None  # phi's (b, point, carried cofactors) at the current state, once entered
     for k in range(1, steps + 1):
         state = None
-        try:
-            _psi_closed_form(
-                [_divide_mod_p(v.numerator, v.denominator) for v in (*_indices(t), x, y)], _divide_mod_p
-            )
-            if chart is None:
-                chart = b_from_schlesinger_matched(t), SurfacePoint.affine(*change_of_variables(t, x, y))
-            chart = phi_step(*chart)
-            _, point = eval_word(CONJUGATOR_WORD, *chart)
-            if point.is_finite:
-                state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
-        except Indeterminate:
-            pass
+        if _psi_defined((*_indices(t), x, y)):
+            try:
+                if chart is None:
+                    chart = b_from_schlesinger_matched(t), SurfacePoint.affine(*change_of_variables(t, x, y)), None
+                chart = _phi_step_carried(*chart)
+                _, point = eval_word(CONJUGATOR_WORD, *chart[:2])
+                if point.is_finite:
+                    state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
+            except Indeterminate:
+                pass
         if state is None:
             chart = None  # re-entered from the exact state at the next step
             try:

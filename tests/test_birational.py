@@ -12,6 +12,7 @@ from e6painleve.birational import (
     SurfacePoint,
     TooManyDegenerateSamples,
     check_rejection_rate,
+    coord_from_pair,
     eval_step,
     eval_word,
     generator_step,
@@ -20,6 +21,8 @@ from e6painleve.birational import (
     sample_fraction,
     word_map,
 )
+from e6painleve import birational
+from e6painleve.models import CONJUGATOR_WORD
 from e6painleve.piclattice import E6_EDGES
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
 from oracles import PARAM_TABLES, ProjectiveValue, coord_oracle, param_oracle
@@ -103,6 +106,34 @@ def test_eval_word_involution_and_step_index():
         eval_word(("w1", "w3"), b, SurfacePoint.affine(1, -1))
     assert info.value.step_index == 0
     assert info.value.symbol == "w3"
+
+
+def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
+    # w3 changes only g, w5 only f, and w1, w2, w4, w6 neither: only the
+    # changed coordinates are reduced, the others pass through as they are.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coord_from_pair(*args)
+
+    monkeypatch.setattr(birational, "coord_from_pair", counting)
+    b = ParamVector.of(Fraction(1, 2), 2, 3, 4, 5, 6, 7, Fraction(8, 3))
+    for p in (
+        SurfacePoint.affine(Fraction(17, 5), Fraction(23, 9)),
+        SurfacePoint(ProjectiveCoord.infinity(), ProjectiveCoord.finite(Fraction(3))),
+    ):
+        calls.clear()
+        eval_word(CONJUGATOR_WORD, b, p)
+        assert len(calls) == 2
+        calls.clear()
+        assert eval_word(("w3",), b, p)[1].f is p.f and len(calls) == 1
+        calls.clear()
+        assert eval_word(("w5",), b, p)[1].g is p.g and len(calls) == 1
+        for symbol in ("w1", "w2", "w4", "w6"):
+            calls.clear()
+            assert eval_word((symbol,), b, p)[1] is p
+            assert calls == []
 
 
 def test_reflections_are_pointwise_involutions():

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from e6painleve.birational import ParamVector, SurfacePoint, eval_step, generator_step, sample_state
-from e6painleve.cli import main
+from e6painleve.cli import build_parser, main
 from e6painleve.models import phi_orbit
 from e6painleve.weylgroup import PicMap
 
@@ -402,13 +403,37 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("phi_20.csv", "phi", 20, README_PHI, "csv"),
         ("psi_8.jsonl", "psi", 8, README_PSI, "json"),
         ("psi_16.csv", "psi", 16, README_PSI, "csv"),
+        ("sha256:5b5b729e94b5a86f80a89390447e85991f1121506cb041990f0bdf5f7c26ba74", "phi", 28, README_PHI, "json"),
+        ("sha256:84014299be7e6814e924a32a3c70c1cee4bd62a8537d542b9396e76fc6fcd1d1", "psi", 24, README_PSI, "json"),
     ],
 )
 def test_orbit_golden_output(capsys, name, kind, steps, start, fmt):
     # Byte-for-byte the output of the projective-chain phi and the
-    # unshared psi expressions, from the README starts.
+    # unshared psi expressions, from the README starts.  The deep JSON
+    # orbits (states past 4300 digits) are compared by the sha256 of stdout.
     code, out, err = run_cli(
         capsys, "orbit", "--map", kind, "--steps", str(steps), *start, "--format", fmt
     )
     assert code == 0, err
-    assert out == (GOLDEN / name).read_text()
+    if name.startswith("sha256:"):
+        assert hashlib.sha256(out.encode()).hexdigest() == name.removeprefix("sha256:")
+    else:
+        assert out == (GOLDEN / name).read_text()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # build_parser is cached: consecutive main() calls in one process share
+    # one parser and print what fresh parsers print.
+    commands = (
+        ("orbit", "--map", "phi", "--steps", "4", *README_PHI, "--format", "csv"),
+        ("verify", "coxeter"),
+    )
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv)[:2] for argv in commands]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0]
+    assert build_parser() is build_parser()

@@ -1,5 +1,6 @@
 """The two dynamics, the parameter dictionaries, and the equivalence checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -516,6 +517,40 @@ def test_psi_orbit_equals_iterated_psi_step(indices, x, y, steps):
     _assert_psi_orbit_is_iterated_psi_step(t, x, y, steps)
 
 
+def _iterated_phi_step(b, p, steps):
+    """States of phi_step applied steps times, and the error that stopped it."""
+    states = [(b, p)]
+    for _ in range(steps):
+        try:
+            states.append(phi_step(*states[-1]))
+        except Indeterminate as exc:
+            return states, exc
+    return states, None
+
+
+_small_coord = st.one_of(st.none(), _small_fraction).map(lambda x: INF if x is None else FIN(x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_small_fraction, min_size=8, max_size=8), _small_coord, _small_coord, st.integers(0, 8))
+def test_phi_orbit_equals_iterated_phi_step(b, f, g, steps):
+    # phi_orbit carries each step's cofactors into the next, phi_step finds
+    # every piece afresh; small heights reach the lines at infinity and the
+    # base points, where the carry is dropped.
+    b, p = ParamVector(tuple(b)), SurfacePoint(f, g)
+    expected, expected_error = _iterated_phi_step(b, p, steps)
+    try:
+        trace, error = phi_orbit(b, p, steps), None
+    except Indeterminate as exc:
+        trace, error = exc.partial_trace, exc
+    assert [e.step for e in trace.entries] == list(range(len(trace)))
+    assert [(e.params, SurfacePoint(*e.point)) for e in trace.entries] == expected
+    if expected_error is None:
+        assert error is None
+    else:
+        assert (str(error), error.symbol) == (str(expected_error), expected_error.symbol)
+
+
 def _conjugated_step(t, x, y):
     f, g = change_of_variables(t, x, y)
     b, p = phi_step(b_from_schlesinger_matched(t), SurfacePoint.affine(f, g))
@@ -552,7 +587,8 @@ def test_psi_orbit_steps_where_the_change_of_variables_is_undefined():
 
 
 def _count_steps(monkeypatch):
-    """Record each phi_step ("phi") and psi_step ("psi") call psi_orbit makes."""
+    """Record each step of phi's cofactor-carrying kernel ("phi") and each
+    psi_step ("psi") call psi_orbit makes."""
     calls = []
 
     def counted(name, step):
@@ -561,7 +597,7 @@ def _count_steps(monkeypatch):
             return step(*args)
         return wrapper
 
-    monkeypatch.setattr(models, "phi_step", counted("phi", phi_step))
+    monkeypatch.setattr(models, "_phi_step_carried", counted("phi", models._phi_step_carried))
     monkeypatch.setattr(models, "psi_step", counted("psi", psi_step))
     return calls
 
@@ -590,11 +626,48 @@ def test_psi_orbit_falls_back_and_reenters_the_chart(monkeypatch):
 
 
 def test_psi_orbit_screen_is_conservative(monkeypatch):
-    # x + y = 2^61 - 1 is zero mod 2^61 - 1 but not over Q, so psi_step is
-    # defined; such a step runs psi_step itself.
-    x = Fraction(2 + 2 ** 61 - 1)
-    expected, expected_error = _iterated_psi_step(README_THETA, x, Fraction(-2), 2)
+    # x + y = 2^61 - 1 is zero mod 2^61 - 1 but not mod 2^89 - 1, so the
+    # second screen prime proves each step defined and the orbit stays in
+    # phi's chart.  With x + y = (2^61 - 1)(2^89 - 1), zero modulo both
+    # primes but not over Q, psi_step is defined and every step runs it.
     calls = _count_steps(monkeypatch)
-    states, error = _psi_orbit_states(README_THETA, x, Fraction(-2), 2)
-    assert error is None and expected_error is None and states == expected
-    assert calls == ["psi", "psi"]
+    for x, expected_calls in (
+        (Fraction(2 + 2 ** 61 - 1), ["phi"] * 3),
+        (Fraction(2 + (2 ** 61 - 1) * (2 ** 89 - 1)), ["psi"] * 3),
+    ):
+        expected, expected_error = _iterated_psi_step(README_THETA, x, Fraction(-2), 3)
+        calls.clear()
+        states, error = _psi_orbit_states(README_THETA, x, Fraction(-2), 3)
+        assert error is None and expected_error is None and states == expected
+        assert calls == expected_calls
+
+
+def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
+    # From the third half-step on, each half-step is seeded with the
+    # cofactors of the two before it, and the one gcd left to
+    # coord_from_pair cancels at most 64 bits (the pair of one final gcd
+    # shares about 46,000 bits at step 28 of the README phi orbit).
+    seeded, final_bits = [], []
+    solve = models._solve_qrt_relation
+
+    def spy_solve(u, v, r, p, x_seeds=None, s_seeds=None):
+        seeded.append(x_seeds is not None and s_seeds is not None)
+        return solve(u, v, r, p, x_seeds, s_seeds)
+
+    def spy_reduce(num, den, *scale):
+        final_bits.append(math.gcd(num, den).bit_length())
+        return coord_from_pair(num, den, *scale)
+
+    monkeypatch.setattr(models, "_solve_qrt_relation", spy_solve)
+    monkeypatch.setattr(models, "coord_from_pair", spy_reduce)
+    chart = (
+        b_from_schlesinger_matched(README_THETA),
+        SurfacePoint.affine(*change_of_variables(README_THETA, Fraction(17, 5), Fraction(23, 9))),
+    )
+    for b, p, steps in ((ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8), SurfacePoint.affine(2, 3), 28), (*chart, 24)):
+        seeded.clear()
+        final_bits.clear()
+        phi_orbit(b, p, steps)
+        assert len(seeded) == len(final_bits) == 2 * steps
+        assert seeded[:2] == [False, False] and all(seeded[2:])
+        assert max(final_bits[2:]) <= 64
