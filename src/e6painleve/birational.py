@@ -24,9 +24,11 @@ inputs, and 0/0 is a base point of the map and raises Indeterminate.
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
 (randomized polynomial identity testing), and every agreement check here is
-exact, never approximate.  Every sampling loop stops with
+exact, never approximate.  Every randomized check, here and in models and
+verify, runs through the one sampling loop sample_check: it draws, rejects
+degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
-rejected (check_rejection_rate).
+rejected.  maps_equal is that loop on pairs of maps.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .periodmap import ParamVector, params_from_root_variables, root_variable_evolution, root_variables
 from .weylgroup import PicMap, generator_picmap, SYMBOLS
@@ -359,15 +361,6 @@ def sample_state(rng: random.Random, bound: int = SAMPLE_BOUND) -> tuple[ParamVe
     return b, p
 
 
-def check_rejection_rate(accepted: int, rejected: int, what: str) -> None:
-    """Stop a sampling loop once more than 90 percent of its draws were rejected.
-
-    Called before each draw; the first 10 rejections are always allowed.
-    """
-    if rejected > 9 * (accepted + 1) and rejected >= 10:
-        raise TooManyDegenerateSamples(f"rejected {rejected} of {accepted + rejected} {what}")
-
-
 def _per_sample_rng(seed: int, index: int) -> random.Random:
     # Split the stream per sample index so results do not depend on scheduling.
     return random.Random(f"{seed}:{index}")
@@ -375,19 +368,46 @@ def _per_sample_rng(seed: int, index: int) -> random.Random:
 
 @dataclass(frozen=True)
 class MapComparison:
-    """Outcome of a randomized pointwise equality check."""
+    """Outcome of a randomized check: the first failing sample, if any."""
 
     equal: bool
     samples: int
     rejected: int
-    counterexample: tuple[ParamVector, SurfacePoint] | None = None
+    counterexample: Any = None
 
-    def to_json(self) -> dict:
-        out: dict = {"equal": self.equal, "samples": self.samples, "rejected": self.rejected}
-        if self.counterexample is not None:
-            b, p = self.counterexample
-            out["counterexample"] = {"b": b.to_json(), "point": p.to_json()}
-        return out
+
+def sample_check(
+    trials: int, draw: Callable[[int], Any], holds: Callable[[Any], bool | None], what: str
+) -> MapComparison:
+    """The sampling loop behind every randomized check.
+
+    Draws samples with draw(index), index counting every draw from 1, until
+    trials of them are accepted.  A draw is rejected when holds raises
+    Indeterminate or returns None (an output at infinity); the loop stops at
+    the first sample for which holds is False and returns it as the
+    counterexample.  Raises ValueError when trials is below 1, since no
+    sample would then be checked, and TooManyDegenerateSamples once more
+    than 90 percent of the draws were rejected (the first 10 rejections are
+    always allowed).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    accepted = rejected = 0
+    while accepted < trials:
+        if rejected > 9 * (accepted + 1):
+            raise TooManyDegenerateSamples(f"rejected {rejected} of {accepted + rejected} {what}")
+        sample = draw(accepted + rejected + 1)
+        try:
+            verdict = holds(sample)
+        except Indeterminate:
+            verdict = None
+        if verdict is None:
+            rejected += 1
+            continue
+        accepted += 1
+        if not verdict:
+            return MapComparison(False, accepted, rejected, counterexample=sample)
+    return MapComparison(True, accepted, rejected)
 
 
 MapLike = Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]]
@@ -402,29 +422,15 @@ def maps_equal(
 ) -> MapComparison:
     """Exact randomized equality test of two maps on (parameters; point).
 
-    Draws seeded generic rational samples, resampling any draw on which
-    either map runs into an indeterminate point.  Outputs are compared
-    exactly, coordinates projectively.  Raises TooManyDegenerateSamples when
-    more than 90 percent of draws get rejected, and ValueError when trials
-    is below 1, since no sample would then be compared.
+    Draws seeded generic rational samples (b, p), resampling any draw on
+    which either map runs into an indeterminate point.  Outputs are compared
+    exactly, coordinates projectively.  Raises as sample_check does.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    accepted = 0
-    rejected = 0
-    index = 0
-    while accepted < trials:
-        index += 1
-        check_rejection_rate(accepted, rejected, "sampled inputs")
-        rng = _per_sample_rng(seed, index)
-        b, p = sample_state(rng, bound)
-        try:
-            out_a = map_a(b, p)
-            out_b = map_b(b, p)
-        except Indeterminate:
-            rejected += 1
-            continue
-        accepted += 1
-        if out_a[0] != out_b[0] or out_a[1] != out_b[1]:
-            return MapComparison(False, accepted, rejected, counterexample=(b, p))
-    return MapComparison(True, accepted, rejected)
+
+    def draw(index: int) -> tuple[ParamVector, SurfacePoint]:
+        return sample_state(_per_sample_rng(seed, index), bound)
+
+    def holds(sample: tuple[ParamVector, SurfacePoint]) -> bool:
+        return map_a(*sample) == map_b(*sample)
+
+    return sample_check(trials, draw, holds, "sampled inputs")

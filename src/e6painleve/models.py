@@ -63,11 +63,11 @@ from .birational import (
     MapComparison,
     ParamVector,
     SurfacePoint,
-    check_rejection_rate,
     coord_from_pair,
     eval_word,
     maps_equal,
     pair_from_coord,
+    sample_check,
     sample_fraction,
     word_map,
 )
@@ -450,10 +450,28 @@ def sample_schlesinger(rng: random.Random, bound: int = 100) -> SchlesingerParam
 class CheckResult:
     name: str
     passed: bool
-    samples: int
+    samples: int = 0
     rejected: int = 0
     note: str = ""
     counterexample: dict | None = None
+
+    @classmethod
+    def sampled(
+        cls, name: str, comparison: MapComparison, fields: tuple[str, ...] = ("b", "point")
+    ) -> "CheckResult":
+        """The result of a randomized check.
+
+        fields name the parts of a sample, or the sample itself when there
+        is one field; the first failing sample becomes the counterexample.
+        """
+        counterexample = None
+        if comparison.counterexample is not None:
+            parts = comparison.counterexample if len(fields) > 1 else (comparison.counterexample,)
+            counterexample = {field: _sample_json(v) for field, v in zip(fields, parts)}
+        return cls(
+            name, comparison.equal, comparison.samples, comparison.rejected,
+            counterexample=counterexample,
+        )
 
     def to_json(self) -> dict:
         out: dict = {
@@ -469,6 +487,12 @@ class CheckResult:
         return out
 
 
+def _sample_json(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return list(value) if isinstance(value, tuple) else str(value)
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     checks: tuple[CheckResult, ...]
@@ -479,17 +503,6 @@ class EquivalenceReport:
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
-
-def _comparison_check(name: str, comparison: MapComparison) -> CheckResult:
-    counterexample = None
-    if comparison.counterexample is not None:
-        b, p = comparison.counterexample
-        counterexample = {"b": b.to_json(), "point": p.to_json()}
-    return CheckResult(
-        name, comparison.equal, comparison.samples, comparison.rejected,
-        counterexample=counterexample,
-    )
 
 
 def verify_equivalence(
@@ -510,52 +523,30 @@ def verify_equivalence(
     Raises ValueError when trials is below 1, since neither check would
     then compare a sample.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
     conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
-    conj_result = _comparison_check(
-        "conjugation", maps_equal(phi_step, word_map(conjugated), trials=trials, seed=seed)
-    )
+    conjugation = maps_equal(phi_step, word_map(conjugated), trials=trials, seed=seed)
 
-    accepted = 0
-    rejected = 0
-    index = 0
-    failure: dict | None = None
-    while accepted < trials and failure is None:
-        index += 1
-        check_rejection_rate(accepted, rejected, "Schlesinger samples")
+    def draw(index: int) -> tuple[SchlesingerParams, Fraction, Fraction]:
         rng = random.Random(f"equivalence:{seed}:{index}")
-        t = sample_schlesinger(rng)
-        x, y = sample_fraction(rng, 100), sample_fraction(rng, 100)
-        try:
-            t_new, x_new, y_new = psi_step(t, x, y)
-            f_new, g_new = change_of_variables(t_new, x_new, y_new)
-            f, g = change_of_variables(t, x, y)
-            b_new, p_new = phi_step(matched_dictionary(t), SurfacePoint.affine(f, g))
-        except Indeterminate:
-            rejected += 1
-            continue
+        return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
+
+    def transported(sample: tuple[SchlesingerParams, Fraction, Fraction]) -> bool | None:
+        t, x, y = sample
+        t_new, x_new, y_new = psi_step(t, x, y)
+        f_new, g_new = change_of_variables(t_new, x_new, y_new)
+        f, g = change_of_variables(t, x, y)
+        b_new, p_new = phi_step(matched_dictionary(t), SurfacePoint.affine(f, g))
         if not p_new.is_finite:
-            rejected += 1
-            continue
-        accepted += 1
-        coords_match = (
-            p_new.f.as_fraction() == f_new and p_new.g.as_fraction() == g_new
+            return None
+        return p_new == SurfacePoint.affine(f_new, g_new) and b_new == matched_dictionary(t_new)
+
+    transport = sample_check(trials, draw, transported, "Schlesinger samples")
+    return EquivalenceReport(
+        (
+            CheckResult.sampled("conjugation", conjugation),
+            CheckResult.sampled("transported_dynamics", transport, ("theta", "x", "y")),
         )
-        params_match = b_new == matched_dictionary(t_new)
-        if not (coords_match and params_match):
-            failure = {
-                "theta": t.to_json(),
-                "x": str(x),
-                "y": str(y),
-                "coords_match": coords_match,
-                "params_match": params_match,
-            }
-    transport_result = CheckResult(
-        "transported_dynamics", failure is None, accepted, rejected, counterexample=failure
     )
-    return EquivalenceReport((conj_result, transport_result))
 
 
 @dataclass(frozen=True)

@@ -210,10 +210,6 @@ class RationalRootVector:
         return [str(c) for c in self.coeffs]
 
 
-#: The null root delta in symmetry-root coordinates.
-DELTA_ROOT = RootVector(DELTA_WEIGHTS)
-
-
 class Sign(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"

@@ -7,18 +7,18 @@ seeded generic rational samples and exact arithmetic throughout.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .birational import (
-    Indeterminate,
-    MapComparison,
     ParamVector,
     SurfacePoint,
-    check_rejection_rate,
     eval_word,
     generator_step,
     maps_equal,
+    sample_check,
     sample_fraction,
     word_map,
 )
@@ -35,7 +35,7 @@ from .models import (
     verify_equivalence,
 )
 from .periodmap import RootVariables, root_variable_evolution, root_variables
-from .piclattice import E6_EDGES, surface_root
+from .piclattice import E6_EDGES, surface_root, symmetry_root, to_alpha_coords
 from .weylgroup import (
     ALPHA_PERMUTATIONS,
     AUTOMORPHISM_SYMBOLS,
@@ -55,12 +55,12 @@ from .weylgroup import (
 SUITES = ("coxeter", "birational", "period", "equivalence", "all")
 
 
-def _check(name: str, passed: bool, samples: int = 0, note: str = "") -> CheckResult:
-    return CheckResult(name, passed, samples, note=note)
+def _sample_params(rng: random.Random) -> ParamVector:
+    return ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
 
 
-def _compared(name: str, result: MapComparison) -> CheckResult:
-    return CheckResult(name, result.equal, result.samples, result.rejected)
+def _sample_roots(rng: random.Random) -> RootVariables:
+    return RootVariables(tuple(sample_fraction(rng) for _ in range(7)))
 
 
 def coxeter_suite() -> list[CheckResult]:
@@ -69,13 +69,13 @@ def coxeter_suite() -> list[CheckResult]:
     checks = []
 
     checks.append(
-        _check(
+        CheckResult(
             "generators_are_cremona_isometries",
             all(generator_picmap(s).is_cremona_isometry() for s in SYMBOLS),
         )
     )
     checks.append(
-        _check(
+        CheckResult(
             "reflections_are_involutions",
             all(word_to_picmap((s, s)) == identity for s in REFLECTION_SYMBOLS),
         )
@@ -86,7 +86,7 @@ def coxeter_suite() -> list[CheckResult]:
         for i in range(7)
         for j in range(i + 1, 7)
     )
-    checks.append(_check("coxeter_relations", coxeter_ok))
+    checks.append(CheckResult("coxeter_relations", coxeter_ok))
 
     dihedral_ok = (
         word_to_picmap(("r", "r", "r")) == identity
@@ -94,7 +94,7 @@ def coxeter_suite() -> list[CheckResult]:
         and all(word_to_picmap((s, s)) == identity for s in ("m0", "m1", "m2"))
         and word_to_picmap(("m0", "r")) == word_to_picmap(("r2", "m0"))
     )
-    checks.append(_check("dihedral_automorphism_relations", dihedral_ok))
+    checks.append(CheckResult("dihedral_automorphism_relations", dihedral_ok))
 
     # With r r r = 1, r r = r2 and m_i m_i = 1, SYMBOL_INVERSE names each inverse.
     semidirect_ok = all(
@@ -103,100 +103,110 @@ def coxeter_suite() -> list[CheckResult]:
         for sigma in AUTOMORPHISM_SYMBOLS
         for i in range(7)
     )
-    checks.append(_check("semidirect_relations", semidirect_ok))
+    checks.append(CheckResult("semidirect_relations", semidirect_ok))
 
     surface_ok = all(
         surface_root_permutation(generator_picmap(s)) == (0, 1, 2) for s in REFLECTION_SYMBOLS
     ) and all(
         surface_root_permutation(generator_picmap(s)) is not None for s in AUTOMORPHISM_SYMBOLS
     )
-    checks.append(_check("surface_root_action", surface_ok))
+    checks.append(CheckResult("surface_root_action", surface_ok))
     return checks
 
 
 def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> list[CheckResult]:
     """Pointwise identities of the elementary maps at generic samples."""
-    checks = []
-    identity_map = lambda b, p: (b, p)
-
-    for s in list(REFLECTION_SYMBOLS) + ["m0", "m1", "m2"]:
-        result = maps_equal(word_map((s, s)), identity_map, trials=trials, seed=seed, bound=bound)
-        checks.append(_compared(f"involution_{s}", result))
-    result = maps_equal(word_map(("r", "r", "r")), identity_map, trials=trials, seed=seed, bound=bound)
-    checks.append(_compared("r_cubed", result))
-    result = maps_equal(word_map(("r", "r")), word_map(("r2",)), trials=trials, seed=seed, bound=bound)
-    checks.append(_compared("r_squared", result))
-
-    for i, j in sorted(E6_EDGES):
-        braid = maps_equal(
-            word_map((f"w{i}", f"w{j}", f"w{i}")),
-            word_map((f"w{j}", f"w{i}", f"w{j}")),
-            trials=trials,
-            seed=seed,
-            bound=bound,
+    relations = [(f"involution_{s}", (s, s), ()) for s in REFLECTION_SYMBOLS + ("m0", "m1", "m2")]
+    relations += [("r_cubed", ("r", "r", "r"), ()), ("r_squared", ("r", "r"), ("r2",))]
+    relations += [
+        (f"braid_w{i}_w{j}", (f"w{i}", f"w{j}", f"w{i}"), (f"w{j}", f"w{i}", f"w{j}"))
+        for i, j in sorted(E6_EDGES)
+    ]
+    relations += [
+        ("w3_w5_commute", ("w3", "w5"), ("w5", "w3")),
+        ("m1_w0_m1_equals_w4", ("m1", "w0", "m1"), ("w4",)),
+    ]
+    checks = [
+        CheckResult.sampled(
+            name, maps_equal(word_map(lhs), word_map(rhs), trials=trials, seed=seed, bound=bound)
         )
-        checks.append(_compared(f"braid_w{i}_w{j}", braid))
-
-    commute = maps_equal(
-        word_map(("w3", "w5")), word_map(("w5", "w3")), trials=trials, seed=seed, bound=bound
-    )
-    checks.append(_compared("w3_w5_commute", commute))
-
-    semidirect = maps_equal(
-        word_map(("m1", "w0", "m1")), word_map(("w4",)), trials=trials, seed=seed, bound=bound
-    )
-    checks.append(_compared("m1_w0_m1_equals_w4", semidirect))
+        for name, lhs, rhs in relations
+    ]
 
     rng = random.Random(f"gauge:{seed}")
-    gauge_ok = True
-    for _ in range(trials):
-        b = ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
-        for s in SYMBOLS:
-            new_b = generator_step(s).apply_params(b)
-            gauge_ok = gauge_ok and new_b.b[3] == b.b[3] and new_b.chi_delta() == b.chi_delta()
-    checks.append(_check("gauge_fixes_b4_and_chi_delta", gauge_ok, trials))
+
+    def gauge_fixed(b: ParamVector) -> bool:
+        return all(
+            new_b.b[3] == b.b[3] and new_b.chi_delta() == b.chi_delta()
+            for new_b in (generator_step(s).apply_params(b) for s in SYMBOLS)
+        )
+
+    gauge = sample_check(trials, lambda _: _sample_params(rng), gauge_fixed, "parameter samples")
+    checks.append(CheckResult.sampled("gauge_fixes_b4_and_chi_delta", gauge, ("b",)))
     return checks
+
+
+@lru_cache(maxsize=None)
+def _lattice_root_evolution(symbol: str) -> tuple[tuple[int, ...], ...]:
+    """Row i: the simple-root coordinates of s^-1(a_i), read off the lattice matrix."""
+    inverse = generator_picmap(SYMBOL_INVERSE[symbol])
+    return tuple(to_alpha_coords(inverse(symmetry_root(i))).coeffs for i in range(7))
 
 
 def period_suite(seed: int = 0, samples: int = 10) -> list[CheckResult]:
-    """Consistency of the period map with the parameter actions."""
-    checks = []
+    """Consistency of the period map with the parameter actions.
+
+    generator_consistency compares each generator's parameter action with
+    the root variables predicted from its lattice matrix (the new a_i is the
+    period of s^-1(a_i)), independently of root_variable_evolution, from
+    which the parameter action is derived.
+    """
     rng = random.Random(f"period:{seed}")
 
-    consistency_ok = True
-    chi_ok = True
-    for _ in range(samples):
-        b = ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
-        a = root_variables(b)
+    def consistent(b: ParamVector) -> bool:
+        # The lattice's prediction, on integers over one denominator.
+        a = root_variables(b).a
+        den = math.lcm(*(x.denominator for x in a))
+        ints = [x.numerator * (den // x.denominator) for x in a]
         for s in SYMBOLS:
-            new_b = generator_step(s).apply_params(b)
-            predicted = root_variable_evolution((s,), a)
-            consistency_ok = consistency_ok and root_variables(new_b) == predicted
-            chi_ok = chi_ok and predicted.chi_delta() == a.chi_delta()
-    checks.append(_check("generator_consistency", consistency_ok, samples))
-    checks.append(_check("chi_delta_invariance", chi_ok, samples))
+            predicted = (sum(c * x for c, x in zip(row, ints)) for row in _lattice_root_evolution(s))
+            if root_variables(generator_step(s).apply_params(b)).a != tuple(
+                Fraction(n, den) for n in predicted
+            ):
+                return False
+        return True
 
-    linear_ok = True
-    for _ in range(samples):
+    def chi_delta_fixed(b: ParamVector) -> bool:
+        a = root_variables(b)
+        return all(root_variable_evolution((s,), a).chi_delta() == a.chi_delta() for s in SYMBOLS)
+
+    def linear_sample(_index: int) -> tuple:
         word = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 6)))
-        a1 = RootVariables(tuple(sample_fraction(rng) for _ in range(7)))
-        a2 = RootVariables(tuple(sample_fraction(rng) for _ in range(7)))
+        return word, _sample_roots(rng), _sample_roots(rng)
+
+    def linear(sample: tuple) -> bool:
+        word, a1, a2 = sample
         total = RootVariables(tuple(x + y for x, y in zip(a1.a, a2.a)))
-        lhs = root_variable_evolution(word, total)
         rhs1 = root_variable_evolution(word, a1)
         rhs2 = root_variable_evolution(word, a2)
-        linear_ok = linear_ok and lhs.a == tuple(x + y for x, y in zip(rhs1.a, rhs2.a))
-    checks.append(_check("evolution_linearity", linear_ok, samples))
+        return root_variable_evolution(word, total).a == tuple(x + y for x, y in zip(rhs1.a, rhs2.a))
 
-    evolution_ok = True
-    for _ in range(samples):
-        a = RootVariables(tuple(sample_fraction(rng) for _ in range(7)))
+    def phi_evolution(a: RootVariables) -> bool:
         d = a.chi_delta()
-        evolved = root_variable_evolution(PHI_WORD, a)
         expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
-        evolution_ok = evolution_ok and evolved.a == expected
-    checks.append(_check("phi_word_root_evolution", evolution_ok, samples))
-    return checks
+        return root_variable_evolution(PHI_WORD, a).a == expected
+
+    params, roots = (lambda _: _sample_params(rng)), (lambda _: _sample_roots(rng))
+    checks = [
+        ("generator_consistency", params, consistent, ("b",)),
+        ("chi_delta_invariance", params, chi_delta_fixed, ("b",)),
+        ("evolution_linearity", linear_sample, linear, ("word", "a1", "a2")),
+        ("phi_word_root_evolution", roots, phi_evolution, ("a",)),
+    ]
+    return [
+        CheckResult.sampled(name, sample_check(samples, draw, holds, "period samples"), fields)
+        for name, draw, holds, fields in checks
+    ]
 
 
 def equivalence_suite(
@@ -206,28 +216,28 @@ def equivalence_suite(
     checks = []
 
     checks.append(
-        _check(
+        CheckResult(
             "pic_actions_match_words",
             word_to_picmap(PHI_WORD) == PHI_PIC_ACTION
             and word_to_picmap(PSI_WORD) == PSI_PIC_ACTION,
         )
     )
     checks.append(
-        _check(
+        CheckResult(
             "translation_vectors",
             translation_delta_vector(PHI_PIC_ACTION) == (0, 0, 0, 1, 0, -1, 0)
             and translation_delta_vector(PSI_PIC_ACTION) == (0, 0, 0, -1, 1, 1, -1),
         )
     )
     checks.append(
-        _check(
+        CheckResult(
             "translation_norms",
             translation_norm(PHI_PIC_ACTION) == Fraction(4, 3)
             and translation_norm(PSI_PIC_ACTION) == Fraction(4, 3),
         )
     )
     checks.append(
-        _check(
+        CheckResult(
             "phi_cycles_surface_roots",
             all(
                 PHI_PIC_ACTION(surface_root(j)) == surface_root((j + 1) % 3)
@@ -240,7 +250,7 @@ def equivalence_suite(
     dst = kac_vector(PHI_PIC_ACTION)
     conjugator = find_conjugator(src, dst, max_len=max_word_length)
     checks.append(
-        _check(
+        CheckResult(
             "conjugator_found",
             conjugator is not None and set(conjugator) <= {"w3", "w5"},
             note="" if conjugator is None else " ".join(conjugator),
@@ -248,35 +258,23 @@ def equivalence_suite(
     )
 
     phi_vs_word = maps_equal(phi_step, word_map(PHI_WORD), trials=trials, seed=seed, bound=bound)
-    checks.append(_compared("phi_formula_equals_word", phi_vs_word))
+    checks.append(CheckResult.sampled("phi_formula_equals_word", phi_vs_word))
 
-    psi_ok = True
     rng = random.Random(f"psi-word:{seed}")
-    accepted = 0
-    rejected = 0
-    while accepted < trials:
-        check_rejection_rate(accepted, rejected, "psi/word samples")
-        t = sample_schlesinger(rng)
-        x, y = sample_fraction(rng, 100), sample_fraction(rng, 100)
-        try:
-            t_new, x_new, y_new = psi_step(t, x, y)
-            word_b, word_p = eval_word(
-                PSI_WORD, b_from_schlesinger_chart(t), SurfacePoint.affine(x, y)
-            )
-        except Indeterminate:
-            rejected += 1
-            continue
+
+    def schlesinger_sample(_index: int) -> tuple:
+        return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
+
+    def psi_matches_word(sample: tuple) -> bool | None:
+        t, x, y = sample
+        t_new, x_new, y_new = psi_step(t, x, y)
+        word_b, word_p = eval_word(PSI_WORD, b_from_schlesinger_chart(t), SurfacePoint.affine(x, y))
         if not word_p.is_finite:
-            rejected += 1
-            continue
-        accepted += 1
-        psi_ok = (
-            psi_ok
-            and word_p.f.as_fraction() == x_new
-            and word_p.g.as_fraction() == y_new
-            and word_b == b_from_schlesinger_chart(t_new)
-        )
-    checks.append(CheckResult("psi_formula_equals_word", psi_ok, accepted, rejected))
+            return None
+        return word_p == SurfacePoint.affine(x_new, y_new) and word_b == b_from_schlesinger_chart(t_new)
+
+    psi_vs_word = sample_check(trials, schlesinger_sample, psi_matches_word, "psi/word samples")
+    checks.append(CheckResult.sampled("psi_formula_equals_word", psi_vs_word, ("theta", "x", "y")))
 
     report = verify_equivalence(trials=trials, seed=seed)
     checks.extend(report.checks)

@@ -306,12 +306,6 @@ def bullet(x: RationalRootVector, y: RationalRootVector) -> Fraction:
     )
 
 
-def canonicalize_mod_delta(x: RationalRootVector) -> RationalRootVector:
-    """Normalize the delta-ambiguity by zeroing the a0-coordinate."""
-    t = x.coeffs[0]
-    return RationalRootVector(tuple(c - t * w for c, w in zip(x.coeffs, DELTA_WEIGHTS)))
-
-
 def _det(m: list[list[int]]) -> int:
     # Laplace expansion along the first row, skipping zero entries: cheap
     # for the sparse Cartan blocks it is used on.
@@ -365,73 +359,41 @@ def translation_norm(m: PicMap) -> Fraction:
     return -bullet(alpha, alpha)
 
 
-def reflect_coords(i: int, x: RationalRootVector) -> RationalRootVector:
-    """Simple reflection w_i on Q tensor QQ in root coordinates."""
-    pairing = sum(c * x.coeffs[j] for j, c in CARTAN_TERMS[i])
-    coeffs = list(x.coeffs)
-    coeffs[i] += pairing
-    return RationalRootVector(tuple(coeffs))
+def find_conjugator(src: RationalRootVector, dst: RationalRootVector, max_len: int) -> Word | None:
+    """Breadth-first search for a reflection word w with w(src) = dst modulo delta.
 
-
-def permute_coords(symbol: str, x: RationalRootVector) -> RationalRootVector:
-    """Diagram automorphism on Q tensor QQ in root coordinates."""
-    perm = ALPHA_PERMUTATIONS[symbol]
-    coeffs = [Fraction(0)] * 7
-    for i in range(7):
-        coeffs[perm[i]] = x.coeffs[i]
-    return RationalRootVector(tuple(coeffs))
-
-
-def apply_word_coords(word: Iterable[str], x: RationalRootVector) -> RationalRootVector:
-    """Apply a word to a symmetry-lattice vector (rightmost symbol first)."""
-    for symbol in reversed(tuple(word)):
-        if symbol in REFLECTION_SYMBOLS:
-            x = reflect_coords(int(symbol[1]), x)
-        else:
-            x = permute_coords(symbol, x)
-    return x
-
-
-def find_conjugator(
-    src: RationalRootVector,
-    dst: RationalRootVector,
-    max_len: int,
-    include_automorphisms: bool = False,
-) -> Word | None:
-    """Breadth-first search for a word w with w(src) = dst modulo delta.
-
-    The search runs over reflection words only (set include_automorphisms to
-    widen the generator set); levels are explored in increasing length and,
-    within a level, in lexicographic symbol order, so the result is
-    deterministic.  Returns None when no word of length <= max_len works.
-    Raises NormMismatch immediately when the invariant norms differ.
+    A vector x is tracked by its pairings n_i = (x . a_i), which fix it
+    modulo delta.  A word moves them as it moves root variables, w_i adding
+    c_ij n_i to each n_j, so the search runs on root_variable_evolution.
+    Levels are explored in increasing length and, within a level, in
+    lexicographic symbol order, so the result is deterministic.  Returns
+    None when no word of length <= max_len works.  Raises NormMismatch
+    immediately when the invariant norms differ.
     """
+    from .periodmap import RootVariables, root_variable_evolution  # periodmap imports this module
+
     if -bullet(src, src) != -bullet(dst, dst):
         raise NormMismatch("translation norms differ; vectors cannot be conjugate")
-    generators = list(REFLECTION_SYMBOLS)
-    if include_automorphisms:
-        generators += list(AUTOMORPHISM_SYMBOLS)
 
-    def key(x: RationalRootVector) -> tuple[Fraction, ...]:
-        return canonicalize_mod_delta(x).coeffs
+    def pairings(x: RationalRootVector) -> RootVariables:
+        return RootVariables(tuple(sum(c * x.coeffs[j] for j, c in terms) for terms in CARTAN_TERMS))
 
-    target = key(dst)
-    start = canonicalize_mod_delta(src)
-    if key(start) == target:
+    target = pairings(dst)
+    start = pairings(src)
+    if start == target:
         return ()
-    seen = {key(start)}
-    frontier: list[tuple[RationalRootVector, Word]] = [(start, ())]
+    seen = {start}
+    frontier: list[tuple[RootVariables, Word]] = [(start, ())]
     for _ in range(max_len):
-        next_frontier: list[tuple[RationalRootVector, Word]] = []
+        next_frontier: list[tuple[RootVariables, Word]] = []
         # Prepending the new symbol keeps lexicographic enumeration per level.
-        for symbol in generators:
-            for vec, word in frontier:
-                new_vec = apply_word_coords((symbol,), vec)
-                k = key(new_vec)
-                if k == target:
+        for symbol in REFLECTION_SYMBOLS:
+            for n, word in frontier:
+                moved = root_variable_evolution((symbol,), n)
+                if moved == target:
                     return (symbol,) + word
-                if k not in seen:
-                    seen.add(k)
-                    next_frontier.append((new_vec, (symbol,) + word))
+                if moved not in seen:
+                    seen.add(moved)
+                    next_frontier.append((moved, (symbol,) + word))
         frontier = next_frontier
     return None

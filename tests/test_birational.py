@@ -11,13 +11,13 @@ from e6painleve.birational import (
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
-    check_rejection_rate,
     coord_from_pair,
     eval_step,
     eval_word,
     generator_step,
     maps_equal,
     param_rows,
+    sample_check,
     sample_fraction,
     word_map,
 )
@@ -394,12 +394,48 @@ def test_base_points_report_step_and_symbol():
     assert base_point_symbols == {"w3", "w5", "m1", "m2", "r", "r2"}
 
 
+def _accept_then_reject(accepted: int, rejected: int):
+    # A check whose first draws are accepted, the next ones rejected, and
+    # every draw after those accepted again.
+    return sample_check(
+        accepted + 1,
+        lambda index: index,
+        lambda index: None if accepted < index <= accepted + rejected else True,
+        "draws",
+    )
+
+
 def test_rejection_rate_cap():
-    check_rejection_rate(0, 9, "draws")
-    check_rejection_rate(5, 54, "draws")
+    # The cap is checked before each draw: 9 rejections with none accepted,
+    # or 54 with 5 accepted, may go on; one more rejection stops the loop.
+    assert _accept_then_reject(0, 9) == birational.MapComparison(True, 1, 9)
+    assert _accept_then_reject(5, 54) == birational.MapComparison(True, 6, 54)
     for accepted, rejected in ((0, 10), (5, 55)):
-        with pytest.raises(TooManyDegenerateSamples, match=f"rejected {rejected} of"):
-            check_rejection_rate(accepted, rejected, "draws")
+        with pytest.raises(
+            TooManyDegenerateSamples, match=f"rejected {rejected} of {accepted + rejected} draws"
+        ):
+            _accept_then_reject(accepted, rejected)
+
+
+def test_sample_check_draws_rejects_and_stops_at_the_first_failure():
+    draws = []
+
+    def draw(index):
+        draws.append(index)
+        return index
+
+    def holds(index):
+        if index == 2:
+            raise Indeterminate("forced")
+        return None if index == 3 else index != 5
+
+    result = sample_check(10, draw, holds, "draws")
+    assert result == birational.MapComparison(False, 3, 2, counterexample=5)
+    assert draws == [1, 2, 3, 4, 5]
+    assert sample_check(3, draw, lambda index: True, "draws") == birational.MapComparison(True, 3, 0)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            sample_check(trials, draw, holds, "draws")
 
 
 def test_too_many_degenerate_samples():

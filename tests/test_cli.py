@@ -15,6 +15,9 @@ from e6painleve.models import phi_orbit
 from e6painleve.weylgroup import PicMap
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -302,59 +305,14 @@ def test_same_seed_gives_identical_output(capsys):
     assert out1 == out2
 
 
-#: Reference standard output of `verify all --seed 1 --trials 10`.  A change
-#: to the birational evaluation or the sampling loops must reproduce it byte
-#: for byte: the same checks, samples and rejections.
-GOLDEN_VERIFY_ALL_SEED_1 = (
-    '{"suite": "all", "passed": true, "checks": ['
-    '{"name": "generators_are_cremona_isometries", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "reflections_are_involutions", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "coxeter_relations", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "dihedral_automorphism_relations", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "semidirect_relations", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "surface_root_action", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "involution_w0", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_w1", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_w2", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_w3", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_w4", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_w5", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_w6", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_m0", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_m1", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "involution_m2", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "r_cubed", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "r_squared", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "braid_w0_w1", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "braid_w1_w2", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "braid_w2_w3", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "braid_w2_w5", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "braid_w3_w4", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "braid_w5_w6", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "w3_w5_commute", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "m1_w0_m1_equals_w4", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "gauge_fixes_b4_and_chi_delta", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "generator_consistency", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "chi_delta_invariance", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "evolution_linearity", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "phi_word_root_evolution", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "pic_actions_match_words", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "translation_vectors", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "translation_norms", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "phi_cycles_surface_roots", "passed": true, "samples": 0, "rejected": 0}, '
-    '{"name": "conjugator_found", "passed": true, "samples": 0, "rejected": 0, "note": "w3 w5"}, '
-    '{"name": "phi_formula_equals_word", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "psi_formula_equals_word", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "conjugation", "passed": true, "samples": 10, "rejected": 0}, '
-    '{"name": "transported_dynamics", "passed": true, "samples": 10, "rejected": 0}]}'
-    "\n"
-)
-
-
 def test_verify_all_output_is_unchanged(capsys):
-    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "1", "--trials", "10")
-    assert code == 0
-    assert out == GOLDEN_VERIFY_ALL_SEED_1
+    # Byte for byte the reference stdout in tests/golden: a change to the
+    # birational evaluation or the sampling loop must reproduce the same
+    # checks, samples and rejections.
+    for seed, trials in ((1, 10), (7, 25)):
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(seed), "--trials", str(trials))
+        assert code == 0
+        assert out == (GOLDEN / f"verify_all_seed{seed}_trials{trials}.json").read_text()
 
 
 def test_gens_lists_all_generators(capsys):
@@ -393,9 +351,6 @@ def test_unknown_subcommand_is_input_error(capsys):
 
 README_PHI = ("--b", "1,2,3,4,5,6,7,8", "--point", "2,3")
 README_PSI = ("--theta", "1/2,1/3,1/5,1/7,2/3,3/5,-171/70", "--point", "17/5,23/9")
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
 @pytest.mark.parametrize(
     "name, kind, steps, start, fmt",
     [
