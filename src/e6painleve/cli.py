@@ -56,7 +56,8 @@ def _common_options() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--bound", type=int, default=10_000,
-        help="numerator/denominator bound for random samples",
+        help="numerator/denominator bound for random samples (the Schlesinger samples of "
+        "the psi-word and transport checks keep bound 100)",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--trace", action="store_true", help="include per-step traces")
@@ -272,6 +273,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag in ("trials", "bound"):
         if getattr(args, flag) <= 0:
             raise InputError(f"--{flag} must be positive")
+    if args.max_word_length < 0:
+        raise InputError("--max-word-length must be nonnegative")
     checks = run_suite(
         args.suite,
         trials=args.trials,

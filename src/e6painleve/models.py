@@ -43,11 +43,26 @@ of variables (x, y) -> (f, g).  verify_equivalence checks both identities
 pointwise at seeded generic rational samples, exactly.
 
 psi_orbit uses that identity to run on phi's integer kernel: it changes
-chart once, steps phi, and maps each state back through w5, w3.  Each step
-is screened exactly, by psi's closed form modulo 2^61 - 1 and, where that
-meets a zero residue, modulo 2^89 - 1, with psi_step as the fallback, so the
-orbit is that of iterated psi_step.  psi_step stays the independent closed
-form the checks compare with the words and with phi.
+chart once, steps phi, and maps each state back through w5, w3, built from
+the pieces phi's second half-step already holds.  There v = -f~ and u = -g,
+so with f~ = -V/W the second relation turns w3's y into
+
+    y = (f~ - b2)(f~ - b3)(f~ - b4) / ((f~ + b~8)(f~ + g)) - f~
+      = b~7 - x_1 K' / (L c_2 s_1 S'),  K' = (X' a_2 a_3 a_4 - c_1 c_2 s_1 S') / W,
+
+and w5, at w3's parameters, gives
+
+    x = (f~ (y - b~1 - b~5 - b~7) - (b~1 + b~5) y) / (y - b~7)
+      = f~ - (b~1 + b~5) X' a_2 a_3 a_4 / (W K'),
+
+whose numerator shares with W what W holds of the first half-step's c_2.
+Each pair is then reduced with one gcd of a few bits.  Where a piece does
+not divide, it stays in the denominator; where the second half-step is
+not generic, or y = b~7, eval_word maps the state back.  Each step is
+screened exactly, by psi's closed form modulo 2^61 - 1 and, where that
+meets a zero residue, modulo 2^89 - 1, with psi_step as the fallback, so
+the orbit is that of iterated psi_step.  psi_step stays the independent
+closed form the checks compare with the words and with phi.
 """
 
 from __future__ import annotations
@@ -56,9 +71,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .birational import (
+    SAMPLE_BOUND,
     Indeterminate,
     MapComparison,
     ParamVector,
@@ -165,6 +181,18 @@ class SchlesingerParams:
         }
 
 
+class _Pieces(NamedTuple):
+    """The pieces of one generic half-step (see _solve_qrt_relation)."""
+
+    L: int
+    x: list[int]  # x_j, the confined factors of X in q_j
+    c: list[int]  # c_j = q_j / x_j
+    X: int  # X', what is left of X
+    s: list[int]  # s_i, the confined factors of S in A_i
+    a: list[int]  # a_i = A_i / s_i
+    S: int  # S', what is left of S
+
+
 def _solve_qrt_relation(
     u: tuple[int, int],
     v: tuple[int, int],
@@ -172,7 +200,7 @@ def _solve_qrt_relation(
     p: Sequence[Fraction],
     x_seeds: Sequence[int] | None = None,
     s_seeds: Sequence[int] | None = None,
-) -> tuple[int, int, list[int] | None, list[int] | None]:
+) -> tuple[int, int, _Pieces | None]:
     """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)) for u~.
 
     u = (U : X) and v = (V : W) are integer pairs, a zero second entry
@@ -185,15 +213,15 @@ def _solve_qrt_relation(
 
         u~ = ((X' prod_i a_i - L V c_1 c_2 S') / W) : (L c_1 c_2 S'),
 
-    returned unreduced with (c_1, c_2) and (a_1..a_4).  W divides that
-    numerator when it is prime to L (v in lowest terms); otherwise it stays
-    in the denominator.  x_seeds is (c_1, c_2) of the half-step before last,
-    whose c_2 and c_1 are x_1 and x_2 here up to a few bits, and s_seeds is
+    returned unreduced with its pieces.  W divides that numerator when it
+    is prime to L (v in lowest terms); otherwise it stays in the
+    denominator.  x_seeds is (c_1, c_2) of the half-step before last, whose
+    c_2 and c_1 are x_1 and x_2 here up to a few bits, and s_seeds is
     (a_1..a_4) of the previous half-step, likewise s_1..s_4; without them
     each piece is a direct gcd.  What the seeds miss stays in the pair, for
     the one gcd of coord_from_pair.
 
-    Where X, W, S or some A_i or q_j is zero the cofactors are None and the
+    Where X, W, S or some A_i or q_j is zero the pieces are None and the
     pair is the bihomogeneous form of bidegree (1, 3) in (u, v), with W
     cancelled symbolically: with Q = q_1 q_2 and the cubic form
     R = (prod_i A_i - (L V)^2 Q) / W, u~ = (X R - L^2 V Q U) : (L Q S).
@@ -209,12 +237,13 @@ def _solve_qrt_relation(
     q = (Vs - p1 * W, Vs - p2 * W)
     S = L * (U * W + V * X)
     if X and W and S and all(A) and all(q):
-        c, X = _cancel_pieces(q, X, x_seeds and x_seeds[::-1])
-        a, S = _cancel_pieces(A, S, s_seeds)
+        x, c, X = _cancel_pieces(q, X, x_seeds and x_seeds[::-1])
+        s, a, S = _cancel_pieces(A, S, s_seeds)
+        pieces = _Pieces(L, x, c, X, s, a, S)
         c12S = c[0] * c[1] * S
         num = (a[0] * a[1]) * (a[2] * a[3]) * X - Vs * c12S
         quotient, rest = divmod(num, W)
-        return (num, L * W * c12S, c, a) if rest else (quotient, L * c12S, c, a)
+        return (num, L * W * c12S, pieces) if rest else (quotient, L * c12S, pieces)
     s12, s34, m12, m34 = r1 + r2, r3 + r4, r1 * r2, r3 * r4
     W2 = W * W
     Q = q[0] * q[1]
@@ -223,27 +252,31 @@ def _solve_qrt_relation(
          + (s12 * m34 + s34 * m12) * W2) * Vs
         + m12 * m34 * W2 * W
     )
-    return X * R - L * Vs * Q * U, L * Q * S, None, None
+    return X * R - L * Vs * Q * U, L * Q * S, None
 
 
 def _cancel_pieces(
     factors: Sequence[int], n: int, seeds: Sequence[int] | None
-) -> tuple[list[int], int]:
-    """([factors[i] / g_i], n / prod g_i) for divisors g_i of factors[i] whose product divides n.
+) -> tuple[list[int], list[int], int]:
+    """([g_i], [factors[i] / g_i], n / prod g_i) for divisors g_i of factors[i] whose product divides n.
 
     Without seeds g_i = gcd(factors[i], n / (g_1 .. g_(i-1))).  With seeds
     g_i = gcd(factors[i], seeds[i]), less the few bits of their product that
-    n does not hold.  A seed shares nearly all its bits with the factor,
-    and a gcd that large ends after a few Euclidean steps.
+    n does not hold.  A seed shares nearly all its bits with the factor, so
+    one long division finds both g_i and the cofactor (_divide_out).
     """
+    gs, cofactors = [], []
     if seeds is None:
-        cofactors = []
         for m in factors:
             g = math.gcd(m, n)
             n //= g
+            gs.append(g)
             cofactors.append(m // g)
-        return cofactors, n
-    gs = [math.gcd(m, s) for m, s in zip(factors, seeds)]
+        return gs, cofactors, n
+    for m, seed in zip(factors, seeds):
+        g, cofactor = _divide_out(m, seed)
+        gs.append(g)
+        cofactors.append(cofactor)
     total = math.prod(gs)
     excess = total // math.gcd(n, total)
     if excess > 1:
@@ -251,37 +284,54 @@ def _cancel_pieces(
         for i, g in enumerate(gs):
             shared = math.gcd(g, excess)
             gs[i] = g // shared
+            cofactors[i] *= shared
             excess //= shared
-    return [m // g for m, g in zip(factors, gs)], n // total
+    return gs, cofactors, n // total
+
+
+def _divide_out(m: int, seed: int) -> tuple[int, int]:
+    """(g, m / g) for g = gcd(m, seed), seed nonzero, with one long division.
+
+    With m = k |seed| + rest, g = gcd(|seed|, rest) and m / g =
+    k |seed| / g + rest / g: when rest is 0 they are |seed| and k.
+    """
+    seed = abs(seed)
+    k, rest = divmod(m, seed)
+    if not rest:
+        return seed, k
+    g = math.gcd(seed, rest)
+    return g, k * (seed // g) + rest // g
 
 
 def _phi_step_carried(
     b: ParamVector, p: SurfacePoint, carry: tuple | None = None
 ) -> tuple[ParamVector, SurfacePoint, tuple]:
-    """phi_step that takes the cofactors of the previous step and returns its own.
+    """phi_step that takes the pieces of the previous step and returns its own.
 
-    carry is (c_1, c_2) of each half-step and (a_1..a_4) of the second (see
-    _solve_qrt_relation), each None where its half-step was not generic.
+    carry holds the _Pieces of the two half-steps, each None where its
+    half-step was not generic.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = b.b
     d = b.chi_delta()
     new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
     roots = (b1, b2, b3, b4)
-    c_first, c_second, a_second = carry or (None, None, None)
+    first, second = carry or (None, None)
     g_num, g_den = pair_from_coord(p.g)
     try:
-        num, den, c_first, a_first = _solve_qrt_relation(
-            pair_from_coord(p.f), (g_num, g_den), roots, (b5, b6), c_first, a_second
+        num, den, first = _solve_qrt_relation(
+            pair_from_coord(p.f), (g_num, g_den), roots, (b5, b6),
+            first and first.c, second and second.a,
         )
         f_new = coord_from_pair(num, den)
         f_num, f_den = pair_from_coord(f_new)
-        num, den, c_second, a_second = _solve_qrt_relation(
-            (-g_num, g_den), (-f_num, f_den), roots, new_b.b[6:], c_second, a_first
+        num, den, second = _solve_qrt_relation(
+            (-g_num, g_den), (-f_num, f_den), roots, new_b.b[6:],
+            second and second.c, first and first.a,
         )
         g_new = coord_from_pair(-num, den)
     except Indeterminate as exc:
         raise Indeterminate("phi hit a base point", symbol="phi") from exc
-    return new_b, SurfacePoint(f_new, g_new), (c_first, c_second, a_second)
+    return new_b, SurfacePoint(f_new, g_new), (first, second)
 
 
 def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
@@ -509,6 +559,7 @@ def verify_equivalence(
     trials: int = 25,
     seed: int = 0,
     matched_dictionary: Callable[[SchlesingerParams], ParamVector] = b_from_schlesinger_matched,
+    bound: int = SAMPLE_BOUND,
 ) -> EquivalenceReport:
     """Pointwise verification that the two dynamics are the same map.
 
@@ -520,11 +571,13 @@ def verify_equivalence(
        step (in (x, y)) with one phi step (in (f, g)) under the matched
        dictionary, including the parameter evolution.
 
-    Raises ValueError when trials is below 1, since neither check would
-    then compare a sample.
+    The conjugation samples have numerators and denominators up to bound,
+    the Schlesinger samples of the transport check up to 100.  Raises
+    ValueError when trials is below 1, since neither check would then
+    compare a sample.
     """
     conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
-    conjugation = maps_equal(phi_step, word_map(conjugated), trials=trials, seed=seed)
+    conjugation = maps_equal(phi_step, word_map(conjugated), trials=trials, seed=seed, bound=bound)
 
     def draw(index: int) -> tuple[SchlesingerParams, Fraction, Fraction]:
         rng = random.Random(f"equivalence:{seed}:{index}")
@@ -586,15 +639,45 @@ def phi_orbit(b: ParamVector, p: SurfacePoint, steps: int) -> OrbitTrace:
     return OrbitTrace("phi", tuple(entries))
 
 
+def _psi_from_pieces(b: ParamVector, p: SurfacePoint, carry: tuple) -> tuple | None:
+    """psi's (x, y) at phi's chart state (b; p) as two unreduced integer pairs.
+
+    carry holds the pieces of the step that reached the state, and the
+    pairs are the module docstring's formulas for w5 o w3 at b.  Where W
+    does not divide K = X' a_2 a_3 a_4 - c_1 c_2 s_1 S', K stays whole and W
+    moves into y's denominator.  None where the second half-step was not
+    generic or y = b~7 (K = 0): there the generic forms of the word decide.
+    """
+    first, second = carry
+    if second is None:
+        return None
+    L, (x1, _), (c1, c2), X, (s1, *_), (_, a2, a3, a4), S = second
+    f_num, W = pair_from_coord(p.f)
+    P = X * a2 * a3 * a4
+    c2s1S = c2 * s1 * S
+    K, W_y = P - c1 * c2s1S, W
+    quotient, rest = divmod(K, W)
+    if not rest:
+        K, W_y = quotient, 1
+    if not K:
+        return None
+    b1, _, _, _, b5, _, b7, _ = b.b
+    y = int(L * b7) * W_y * c2s1S - x1 * K, L * W_y * c2s1S
+    m, n = (b1 + b5).as_integer_ratio()
+    g, x_num = _divide_out(f_num * n * K - m * W_y * P, math.gcd(first.c[1], W) if first else 1)
+    return (x_num, n * (W // g) * K), y
+
+
 def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
     """Iterate psi, recording every exact state (including the initial one).
 
     Runs in phi's chart (see the module docstring): one phi step per step,
-    with the cofactors carried as in phi_orbit, each state mapped back
-    through w5, w3 at the chart's own b.  A step runs psi_step itself unless
-    psi's closed form modulo one of the screen primes proves it defined (no
+    with the pieces carried as in phi_orbit, each state mapped back through
+    w5, w3 at the chart's own b, from the step's pieces (_psi_from_pieces)
+    or, off them, by eval_word.  A step runs psi_step itself unless psi's
+    closed form modulo one of the screen primes proves it defined (no
     denominator has a zero residue) and the conjugated path yields a finite
-    point; the chart and its cofactors are then dropped, and the next step
+    point; the chart and its pieces are then dropped, and the next step
     re-enters the chart.  The states, the failing step and the partial trace
     carried by the raised error are those of iterated psi_step.
     """
@@ -602,7 +685,7 @@ def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
         raise ValueError("steps must be nonnegative")
     x, y = Fraction(x), Fraction(y)
     entries = [OrbitEntry(0, t, (x, y))]
-    chart = None  # phi's (b, point, carried cofactors) at the current state, once entered
+    chart = None  # phi's (b, point, carried pieces) at the current state, once entered
     for k in range(1, steps + 1):
         state = None
         if _psi_defined((*_indices(t), x, y)):
@@ -610,9 +693,13 @@ def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
                 if chart is None:
                     chart = b_from_schlesinger_matched(t), SurfacePoint.affine(*change_of_variables(t, x, y)), None
                 chart = _phi_step_carried(*chart)
-                _, point = eval_word(CONJUGATOR_WORD, *chart[:2])
-                if point.is_finite:
-                    state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
+                pairs = _psi_from_pieces(*chart)
+                if pairs is not None:
+                    state = t.shifted(), Fraction(*pairs[0]), Fraction(*pairs[1])
+                else:
+                    _, point = eval_word(CONJUGATOR_WORD, *chart[:2])
+                    if point.is_finite:
+                        state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
             except Indeterminate:
                 pass
         if state is None:

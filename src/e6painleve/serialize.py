@@ -1,4 +1,10 @@
-"""Parsing and encoding helpers: exact rationals as strings, CSV decimals."""
+"""Parsing and encoding helpers: exact rationals as strings, CSV decimals.
+
+A CSV decimal is the 20-digit Decimal quotient of numerator and
+denominator, computed on integers: one division with a short quotient,
+however many digits the state has, and no string conversion of a big
+integer (so states past 4300 digits need no raised limit).
+"""
 
 from __future__ import annotations
 
@@ -45,10 +51,25 @@ def parse_schlesinger(text: str) -> SchlesingerParams:
 
 
 def decimal_str(x: Fraction, digits: int = 20) -> str:
-    """Decimal approximation with the stated number of significant digits."""
+    """Decimal approximation with the stated number of significant digits.
+
+    Decimal(numerator) / Decimal(denominator) at precision digits, done on
+    integers: a quotient with a few guard digits, the shift read off the
+    bit lengths (1292913986 / 2^32 is log10 2), a sticky digit 1 if it is
+    inexact or its trailing zeros stripped toward exponent 0 if not, and
+    one rounding by the context.
+    """
+    n, d = abs(x.numerator), x.denominator
+    shift = digits + 2 - ((n.bit_length() - d.bit_length() - 1) * 1292913986 >> 32)
+    coeff, rest = divmod(n * 10 ** shift, d) if shift >= 0 else divmod(n, d * 10 ** -shift)
+    exp = -shift
+    if rest:
+        coeff, exp = coeff * 10 + 1, exp - 1
+    while not rest and exp < 0 and coeff % 10 == 0:
+        coeff, exp = coeff // 10, exp + 1
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+        return str(ctx.plus(Decimal((x < 0, tuple(map(int, str(coeff))), exp))))
 
 
 def coord_decimal(c: ProjectiveCoord, digits: int = 20) -> str:

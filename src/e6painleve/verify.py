@@ -55,12 +55,12 @@ from .weylgroup import (
 SUITES = ("coxeter", "birational", "period", "equivalence", "all")
 
 
-def _sample_params(rng: random.Random) -> ParamVector:
-    return ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
+def _sample_params(rng: random.Random, bound: int) -> ParamVector:
+    return ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
 
 
-def _sample_roots(rng: random.Random) -> RootVariables:
-    return RootVariables(tuple(sample_fraction(rng) for _ in range(7)))
+def _sample_roots(rng: random.Random, bound: int) -> RootVariables:
+    return RootVariables(tuple(sample_fraction(rng, bound) for _ in range(7)))
 
 
 def coxeter_suite() -> list[CheckResult]:
@@ -141,7 +141,7 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> li
             for new_b in (generator_step(s).apply_params(b) for s in SYMBOLS)
         )
 
-    gauge = sample_check(trials, lambda _: _sample_params(rng), gauge_fixed, "parameter samples")
+    gauge = sample_check(trials, lambda _: _sample_params(rng, bound), gauge_fixed, "parameter samples")
     checks.append(CheckResult.sampled("gauge_fixes_b4_and_chi_delta", gauge, ("b",)))
     return checks
 
@@ -153,7 +153,7 @@ def _lattice_root_evolution(symbol: str) -> tuple[tuple[int, ...], ...]:
     return tuple(to_alpha_coords(inverse(symmetry_root(i))).coeffs for i in range(7))
 
 
-def period_suite(seed: int = 0, samples: int = 10) -> list[CheckResult]:
+def period_suite(seed: int = 0, samples: int = 10, bound: int = 10_000) -> list[CheckResult]:
     """Consistency of the period map with the parameter actions.
 
     generator_consistency compares each generator's parameter action with
@@ -182,7 +182,7 @@ def period_suite(seed: int = 0, samples: int = 10) -> list[CheckResult]:
 
     def linear_sample(_index: int) -> tuple:
         word = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 6)))
-        return word, _sample_roots(rng), _sample_roots(rng)
+        return word, _sample_roots(rng, bound), _sample_roots(rng, bound)
 
     def linear(sample: tuple) -> bool:
         word, a1, a2 = sample
@@ -196,7 +196,7 @@ def period_suite(seed: int = 0, samples: int = 10) -> list[CheckResult]:
         expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
         return root_variable_evolution(PHI_WORD, a).a == expected
 
-    params, roots = (lambda _: _sample_params(rng)), (lambda _: _sample_roots(rng))
+    params, roots = (lambda _: _sample_params(rng, bound)), (lambda _: _sample_roots(rng, bound))
     checks = [
         ("generator_consistency", params, consistent, ("b",)),
         ("chi_delta_invariance", params, chi_delta_fixed, ("b",)),
@@ -276,7 +276,7 @@ def equivalence_suite(
     psi_vs_word = sample_check(trials, schlesinger_sample, psi_matches_word, "psi/word samples")
     checks.append(CheckResult.sampled("psi_formula_equals_word", psi_vs_word, ("theta", "x", "y")))
 
-    report = verify_equivalence(trials=trials, seed=seed)
+    report = verify_equivalence(trials=trials, seed=seed, bound=bound)
     checks.extend(report.checks)
     return checks
 
@@ -293,7 +293,7 @@ def run_suite(
     if suite == "birational":
         return birational_suite(trials=trials, seed=seed, bound=bound)
     if suite == "period":
-        return period_suite(seed=seed, samples=trials)
+        return period_suite(seed=seed, samples=trials, bound=bound)
     if suite == "equivalence":
         return equivalence_suite(
             trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
@@ -302,7 +302,7 @@ def run_suite(
         return (
             coxeter_suite()
             + birational_suite(trials=trials, seed=seed, bound=bound)
-            + period_suite(seed=seed, samples=trials)
+            + period_suite(seed=seed, samples=trials, bound=bound)
             + equivalence_suite(
                 trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
             )

@@ -15,10 +15,17 @@ automorphism from the lattice matrices, and keeps its coordinate maps as
 bihomogeneous forms; the hand-written tables below are the second source
 those are checked against.  The defining vector of a translation is
 cross-checked against a general exact linear solve (solve_linear_system).
+
+Two former library routines stay here as references for their faster
+replacements: cancel_pieces_oracle, the two-division seeded cancellation of
+phi's confined factors, and decimal_str_oracle, Decimal division of the
+numerator by the denominator.
 """
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -346,3 +353,38 @@ def kac_vector_oracle(
     if solution is None:
         return None
     return tuple(x - solution[0] * w for x, w in zip(solution, delta))
+
+
+def cancel_pieces_oracle(
+    factors: Sequence[int], n: int, seeds: Sequence[int] | None
+) -> tuple[list[int], int]:
+    """([factors[i] / g_i], n / prod g_i), each g_i a gcd and a second division.
+
+    Without seeds g_i = gcd(factors[i], n / (g_1 .. g_(i-1))); with seeds
+    g_i = gcd(factors[i], seeds[i]), less the bits of their product that n
+    does not hold, taken from the g_i in order.
+    """
+    if seeds is None:
+        cofactors = []
+        for m in factors:
+            g = math.gcd(m, n)
+            n //= g
+            cofactors.append(m // g)
+        return cofactors, n
+    gs = [math.gcd(m, s) for m, s in zip(factors, seeds)]
+    total = math.prod(gs)
+    excess = total // math.gcd(n, total)
+    if excess > 1:
+        total //= excess
+        for i, g in enumerate(gs):
+            shared = math.gcd(g, excess)
+            gs[i] = g // shared
+            excess //= shared
+    return [m // g for m, g in zip(factors, gs)], n // total
+
+
+def decimal_str_oracle(x: Fraction, digits: int = 20) -> str:
+    """Decimal(numerator) / Decimal(denominator) at precision digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(x.numerator) / Decimal(x.denominator))

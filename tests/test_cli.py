@@ -292,6 +292,30 @@ def test_verify_rejects_nonpositive_bound(capsys):
         assert json.loads(err)["error"] == "input"
 
 
+def test_verify_rejects_negative_max_word_length(capsys):
+    code, out, err = run_cli(capsys, "verify", "equivalence", "--max-word-length", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "input", "message": "--max-word-length must be nonnegative"}
+
+
+def test_verify_draws_with_bound_except_schlesinger_samples(capsys, monkeypatch):
+    # --bound reaches every draw of parameters, points and root variables;
+    # the Schlesinger samples (psi-word and transport checks) keep bound 100.
+    from e6painleve import birational, models, verify
+
+    bounds, draw = set(), birational.sample_fraction
+    for module in (birational, models, verify):
+        def spy(rng, bound=birational.SAMPLE_BOUND, _name=module.__name__.rsplit(".", 1)[1]):
+            bounds.add((_name, bound))
+            return draw(rng, bound)
+
+        monkeypatch.setattr(module, "sample_fraction", spy)
+    code, out, _ = run_cli(capsys, "verify", "all", "--trials", "2", "--bound", "77")
+    assert code == 0, out
+    assert bounds == {("birational", 77), ("verify", 77), ("verify", 100), ("models", 100)}
+
+
 def test_verify_period_reports_trials(capsys):
     code, out, _ = run_cli(capsys, "verify", "period", "--trials", "3", "--seed", "2")
     assert code == 0
@@ -360,12 +384,14 @@ README_PSI = ("--theta", "1/2,1/3,1/5,1/7,2/3,3/5,-171/70", "--point", "17/5,23/
         ("psi_16.csv", "psi", 16, README_PSI, "csv"),
         ("sha256:5b5b729e94b5a86f80a89390447e85991f1121506cb041990f0bdf5f7c26ba74", "phi", 28, README_PHI, "json"),
         ("sha256:84014299be7e6814e924a32a3c70c1cee4bd62a8537d542b9396e76fc6fcd1d1", "psi", 24, README_PSI, "json"),
+        ("sha256:82bc180688b8a837efbfe1494ac6ee1e33f5db505505074214c7745e1fa5f90c", "phi", 28, README_PHI, "csv"),
+        ("sha256:a87307f6f9ec1b75a565e5ae0205aa7563410da5178ad70cc1510968e3c2f698", "psi", 22, README_PSI, "csv"),
     ],
 )
 def test_orbit_golden_output(capsys, name, kind, steps, start, fmt):
     # Byte-for-byte the output of the projective-chain phi and the
-    # unshared psi expressions, from the README starts.  The deep JSON
-    # orbits (states past 4300 digits) are compared by the sha256 of stdout.
+    # unshared psi expressions, from the README starts.  The deep orbits
+    # (states past 4300 digits) are compared by the sha256 of stdout.
     code, out, err = run_cli(
         capsys, "orbit", "--map", kind, "--steps", str(steps), *start, "--format", fmt
     )

@@ -42,7 +42,13 @@ from e6painleve.models import (
 from e6painleve.periodmap import root_variable_evolution, root_variables
 from e6painleve.weylgroup import word_to_picmap
 
-from oracles import phi_projective_chain, qrt_oracle, qrt_relations_hold, schlesinger_oracle
+from oracles import (
+    cancel_pieces_oracle,
+    phi_projective_chain,
+    qrt_oracle,
+    qrt_relations_hold,
+    schlesinger_oracle,
+)
 
 
 def _random_params(rng, bound=60):
@@ -671,3 +677,110 @@ def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
         assert len(seeded) == len(final_bits) == 2 * steps
         assert seeded[:2] == [False, False] and all(seeded[2:])
         assert max(final_bits[2:]) <= 64
+
+
+#: Pieces of _cancel_pieces: (core, missing, dropped, extra, cofactor, factor
+#: sign, seed sign).  The factor's piece is core * missing * dropped; its seed
+#: lacks missing and holds extra bits besides; n lacks dropped.
+_piece = st.tuples(
+    st.integers(1, 2 ** 70), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+    st.integers(1, 2 ** 70), st.booleans(), st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_piece, min_size=1, max_size=4), st.integers(1, 2 ** 40), st.booleans())
+def test_cancel_pieces_equals_the_two_division_reference(pieces, k, seeded):
+    # One long division per seeded piece finds what gcd(factor, seed) and
+    # factor // gcd did, for negative seeds, seeds with excess bits, seeds
+    # that miss bits, exact seeds (missing = extra = 1) and pieces n does
+    # not hold (dropped > 1).
+    factors, seeds, n = [], [], k
+    for core, missing, dropped, extra, cofactor, negative_factor, negative_seed in pieces:
+        factors.append((-1) ** negative_factor * core * missing * dropped * cofactor)
+        seeds.append((-1) ** negative_seed * core * dropped * extra)
+        n *= core * missing
+    seeds = seeds if seeded else None
+    gs, cofactors, rest = models._cancel_pieces(factors, n, seeds)
+    assert (cofactors, rest) == cancel_pieces_oracle(factors, n, seeds)
+    assert [g * c for g, c in zip(gs, cofactors)] == factors
+    assert min(gs) >= 1 and math.prod(gs) * rest == n
+
+
+#: Four README-height psi starts, with README_THETA: the README point and
+#: three more of the same height.
+README_PSI_STARTS = [
+    (Fraction(17, 5), Fraction(23, 9)), (Fraction(17, 5), Fraction(11, 7)),
+    (Fraction(17, 5), Fraction(19, 4)), (Fraction(17, 5), Fraction(13, 6)),
+]
+
+
+def test_psi_orbit_maps_states_back_from_the_pieces(monkeypatch):
+    # Each state is w5 o w3 of phi's chart state, built from the pieces of
+    # the half-step that reached it: the orbit runs no eval_word, equals
+    # eval_word of the chart states, and from step 3 on the one gcd of each
+    # coordinate cancels at most 128 bits (the generic w3 and w5 pairs share
+    # 15,000 to 16,000 bits at step 22 of the README orbit).
+    words, final_bits = [], []
+    pieces = models._psi_from_pieces
+
+    def spy_pieces(*args):
+        pairs = pieces(*args)
+        final_bits.append(max(math.gcd(*pair).bit_length() for pair in pairs))
+        return pairs
+
+    monkeypatch.setattr(models, "eval_word", lambda *args: words.append(args) or eval_word(*args))
+    monkeypatch.setattr(models, "_psi_from_pieces", spy_pieces)
+    for x, y in README_PSI_STARTS:
+        final_bits.clear()
+        states, error = _psi_orbit_states(README_THETA, x, y, 24)
+        assert error is None and words == []
+        assert len(final_bits) == 24 and max(final_bits[2:]) <= 128
+        chart = phi_orbit(
+            b_from_schlesinger_matched(README_THETA),
+            SurfacePoint.affine(*change_of_variables(README_THETA, x, y)),
+            24,
+        )
+        for (_, x_k, y_k), entry in zip(states[1:], chart.entries[1:]):
+            _, point = eval_word(CONJUGATOR_WORD, entry.params, SurfacePoint(*entry.point))
+            assert (x_k, y_k) == (point.f.as_fraction(), point.g.as_fraction())
+
+
+def test_psi_orbit_maps_back_through_the_word_off_the_generic_pieces(monkeypatch):
+    # The second half-step of step 1 is not generic: the state maps back
+    # through eval_word, and the orbit is that of iterated psi_step.
+    images, calls = [], []
+    pieces = models._psi_from_pieces
+
+    def spy_pieces(b, p, carry):
+        pairs = pieces(b, p, carry)
+        calls.append((carry[1] is not None, pairs is not None))
+        return pairs
+
+    def spy_word(*args):
+        images.append(eval_word(*args)[1])
+        return eval_word(*args)
+
+    monkeypatch.setattr(models, "eval_word", spy_word)
+    monkeypatch.setattr(models, "_psi_from_pieces", spy_pieces)
+    t = SchlesingerParams(
+        Fraction(1), Fraction(-1), Fraction(0), Fraction(4, 3), Fraction(0), Fraction(1, 2), Fraction(-11, 6)
+    )
+    states, _ = _assert_psi_orbit_is_iterated_psi_step(t, Fraction(2), Fraction(1), 2)
+    assert len(states) == 3
+    assert calls[0] == (False, False) and images[0].is_finite
+
+
+def test_map_back_leaves_y_equal_to_b7_to_the_word():
+    # A generic step to g~ = -b1 (built backwards from f~ = 7/3) gives
+    # y = b~7, where w5 sends x to infinity: the pieces give no state.
+    # psi is undefined there, so psi_orbit's screen sends this start to
+    # psi_step, which raises.
+    x, y = Fraction(2472883, 2100675), Fraction(-347229092, 299237523)
+    b = b_from_schlesinger_matched(README_THETA)
+    chart = models._phi_step_carried(b, SurfacePoint.affine(*change_of_variables(README_THETA, x, y)))
+    assert chart[1] == SurfacePoint.affine(Fraction(7, 3), -b.b[0]) and None not in chart[2]
+    assert models._psi_from_pieces(*chart) is None
+    assert not eval_word(CONJUGATOR_WORD, *chart[:2])[1].f.is_finite
+    states, error = _assert_psi_orbit_is_iterated_psi_step(README_THETA, x, y, 2)
+    assert states == [(README_THETA, x, y)] and str(error) == "psi hit a base point"
