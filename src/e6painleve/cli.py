@@ -10,6 +10,7 @@ a failed verification), 3 indeterminate evaluation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -109,6 +110,19 @@ def _print(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+@contextlib.contextmanager
+def _exact_output():
+    """Lift CPython's 4300-digit int-to-str limit (3.11+) while a handler writes its output."""
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
+
+
 def cmd_gens(args: argparse.Namespace) -> int:
     units = [ParamVector(tuple(int(i == j) for i in range(8))) for j in range(8)]
     generators = []
@@ -174,7 +188,8 @@ def cmd_act(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     new_b, new_p = eval_word(word, b, point)
-    _print({"b": new_b.to_json(), "point": new_p.to_json()})
+    with _exact_output():
+        _print({"b": new_b.to_json(), "point": new_p.to_json()})
     return EXIT_OK
 
 
@@ -184,17 +199,13 @@ def cmd_period(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     a = root_variables(b)
-    _print({"a": a.to_json(), "chi_delta": str(a.chi_delta())})
+    with _exact_output():
+        _print({"a": a.to_json(), "chi_delta": str(a.chi_delta())})
     return EXIT_OK
 
 
 def _orbit_json_lines(trace: OrbitTrace) -> None:
-    # Orbit heights grow past CPython's 4300-digit limit on int-to-str
-    # conversion (3.11+); lift it while writing exact values, then restore it.
-    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if old_limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+    with _exact_output():
         for entry in trace.entries:
             if trace.kind == "phi":
                 f, g = entry.point
@@ -202,9 +213,6 @@ def _orbit_json_lines(trace: OrbitTrace) -> None:
             else:
                 x, y = entry.point
                 _print({"step": entry.step, "theta": entry.params.to_json(), "x": str(x), "y": str(y)})
-    finally:
-        if old_limit is not None:
-            sys.set_int_max_str_digits(old_limit)
 
 
 def _orbit_csv(trace: OrbitTrace) -> None:

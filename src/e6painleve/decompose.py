@@ -5,12 +5,12 @@ running element.  While some image is a negative root, right-multiplying by
 the corresponding simple reflection shortens the element (length drops
 exactly when the image of the reflecting root is negative), and the image
 vector updates cheaply: multiplying on the right by w_i replaces each image
-v_j by v_j + c_ij * v_i, where c_ij are the Cartan pairings, and only the
-images with c_ij != 0 change.  The loop runs on plain 7-int tuples; a
-negative root is one with no positive and some negative entry.  Once every
-image is a positive root, an element of the extended group must send simple
-roots to simple roots, and the residual permutation is matched against the
-diagram automorphisms.  Undoing the accumulated cancellation gives the word.
+v_j by v_j + c_ij * v_i: with c_ii = -2 and c_ij = +1 on the diagram's edges,
+v_i is negated and added to its neighbours.  The loop runs on 7-int tuples; a
+negative root has no positive and some negative entry.  Once every image is
+positive, an element of the extended group sends simple roots to simple roots,
+the residual permutation is matched against the diagram automorphisms, and
+undoing the accumulated cancellation gives the word.
 
 The returned word is verified against the input by exact matrix equality;
 anything that fails to reduce or to match an automorphism is rejected as
@@ -20,6 +20,7 @@ outside the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg
 
 from .piclattice import CARTAN_TERMS, NotInSymmetryLattice, RootVector, symmetry_root, to_alpha_coords
 from .weylgroup import ALPHA_PERMUTATIONS, PicMap, Word, word_to_picmap
@@ -103,7 +104,7 @@ def decompose(m: PicMap, trace: bool = False):
             break
         p = images[pivot]
         for j, c in CARTAN_TERMS[pivot]:
-            images[j] = tuple(x + c * y for x, y in zip(images[j], p))
+            images[j] = tuple(map(add, images[j], p)) if c == 1 else tuple(map(neg, p))
         cancellation.append(pivot)
         if trace:
             steps.append(ReductionStep(pivot, tuple(map(RootVector, images))))

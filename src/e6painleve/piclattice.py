@@ -17,8 +17,8 @@ spanned by seven simple roots a0, ..., a6 forming an affine E6 diagram:
                   |
                   a6
 
-All computations are exact: integer vectors and root coordinates by a
-triangular closed form, with no linear solve.  Every value is immutable.
+All computations are exact: integer vectors, and root coordinates and
+membership in Q by closed forms, with no linear solve.  Every value is immutable.
 """
 
 from __future__ import annotations
@@ -235,17 +235,17 @@ def to_alpha_coords(c: DivisorClass) -> RootVector:
 
     Q is a primitive sublattice, so the coordinates are a triangular closed
     form: x3 and x5 are the Hf and Hg coefficients, x4 and x6 minus those of
-    E8 and E6, and x0, x1, x2 follow from E4, E3, E2 in turn.  Raises
-    NotInSymmetryLattice when the class is outside Q, decided by
-    reconstructing the class from the coordinates.
+    E8 and E6, and x0, x1, x2 follow from E4, E3, E2 in turn.  The class is in
+    Q exactly when its other entries match sum_i x_i a_i, E1 = x2 - Hf - Hg,
+    E5 = -E6 - Hg and E7 = -E8 - Hf; otherwise NotInSymmetryLattice is raised.
     """
-    hf, hg, _, e2, e3, e4, _, e6, _, e8 = c.coeffs
+    hf, hg, e1, e2, e3, e4, e5, e6, e7, e8 = c.coeffs
     x0 = -e4
     x1 = x0 - e3
-    v = RootVector((x0, x1, x1 - e2, hf, -e8, hg, -e6))
-    if from_alpha_coords(v) != c:
+    x2 = x1 - e2
+    if e1 != x2 - hf - hg or e5 != -e6 - hg or e7 != -e8 - hf:
         raise NotInSymmetryLattice(f"{c} is not in the span of the symmetry roots")
-    return v
+    return RootVector((x0, x1, x2, hf, -e8, hg, -e6))
 
 
 def from_alpha_coords(v: RootVector) -> DivisorClass:

@@ -12,10 +12,9 @@ class.  Words are finite sequences of generator symbols; the sequence
 first, so that word_to_picmap is the left-to-right matrix product.  That
 product is kept as the 10 integer columns of the running matrix M: a letter
 G acts on the right as a column operation, column j of M G being
-sum_k G[k][j] col_k(M), read off G's sparse columns.  A reflection moves two
-or three columns, an automorphism mostly permutes them; every moved column
-is a sum of at most four old ones with coefficients +-1, and the columns G
-leaves alone pass through unchanged.
+sum_k G[k][j] col_k(M).  A reflection moves two or three columns, an
+automorphism mostly permutes them; every moved column adds or subtracts at
+most four old ones, and the columns G leaves alone pass through unchanged.
 
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
 for all i.  The defining vector alpha of the translation (with
@@ -29,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import add, neg, sub
+from typing import Callable, Iterable, Sequence
 
 from .piclattice import (
     CARTAN,
@@ -249,15 +249,17 @@ def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
 
 
 @lru_cache(maxsize=None)
-def _moved_columns(symbol: str) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The columns j a generator G moves, each with its nonzero entries (k, G[k][j]).
+def _moved_columns(symbol: str) -> tuple[tuple[int, int, Callable, tuple[tuple[int, Callable], ...]], ...]:
+    """The columns j a generator G moves, each as (j, k, op, rest).
 
-    Column j of M G is sum_k G[k][j] col_k(M); a column of G equal to the
-    basis vector e_j is left out, since M G keeps col_j(M) there.
+    Column j of M G is sum_k G[k][j] col_k(M), every G[k][j] being +-1, kept as
+    op = add or sub: (k, op) is the column's first nonzero entry and rest the
+    others.  A column of G equal to e_j is left out: M G keeps col_j(M).
     """
     rows = generator_picmap(symbol).rows
-    columns = ((j, tuple((k, rows[k][j]) for k in range(RANK) if rows[k][j])) for j in range(RANK))
-    return tuple((j, terms) for j, terms in columns if terms != ((j, 1),))
+    sign_op = {1: add, -1: sub}  # any other entry raises KeyError here, as the table is built
+    columns = ((j, tuple((k, sign_op[rows[k][j]]) for k in range(RANK) if rows[k][j])) for j in range(RANK))
+    return tuple((j, *terms[0], terms[1:]) for j, terms in columns if terms != ((j, add),))
 
 
 def word_to_picmap(word: Iterable[str]) -> PicMap:
@@ -265,11 +267,10 @@ def word_to_picmap(word: Iterable[str]) -> PicMap:
     cols = list(PicMap.identity().rows)  # the identity's rows are its columns
     for symbol in word:
         old = cols[:]
-        for j, terms in _moved_columns(symbol):
-            (k, c), *rest = terms
-            col = old[k] if c == 1 else [c * x for x in old[k]]
-            for k, c in rest:
-                col = [a + c * x for a, x in zip(col, old[k])]
+        for j, k, op, rest in _moved_columns(symbol):
+            col = old[k] if op is add else list(map(neg, old[k]))
+            for k, op in rest:
+                col = list(map(op, col, old[k]))
             cols[j] = col
     return PicMap(tuple(zip(*cols)))
 

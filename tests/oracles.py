@@ -16,10 +16,11 @@ bihomogeneous forms; the hand-written tables below are the second source
 those are checked against.  The defining vector of a translation is
 cross-checked against a general exact linear solve (solve_linear_system).
 
-Two former library routines stay here as references for their faster
+Three former library routines stay here as references for their faster
 replacements: cancel_pieces_oracle, the two-division seeded cancellation of
-phi's confined factors, and decimal_str_oracle, Decimal division of the
-numerator by the denominator.
+phi's confined factors, decimal_str_oracle, Decimal division of the
+numerator by the denominator, and to_alpha_coords_oracle, membership in Q
+decided by rebuilding the class from its root coordinates.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from e6painleve.birational import ProjectiveCoord
+from e6painleve.piclattice import DivisorClass, NotInSymmetryLattice, RootVector, from_alpha_coords
 
 
 def qrt_oracle(
@@ -388,3 +390,14 @@ def decimal_str_oracle(x: Fraction, digits: int = 20) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+def to_alpha_coords_oracle(c: DivisorClass) -> RootVector:
+    """Triangular root coordinates, kept only if sum_i x_i a_i rebuilds c."""
+    hf, hg, _, e2, e3, e4, _, e6, _, e8 = c.coeffs
+    x0 = -e4
+    x1 = x0 - e3
+    v = RootVector((x0, x1, x1 - e2, hf, -e8, hg, -e6))
+    if from_alpha_coords(v) != c:
+        raise NotInSymmetryLattice(f"{c} is not in the span of the symmetry roots")
+    return v

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -215,6 +216,46 @@ def test_orbit_json_past_int_digit_limit(capsys):
     finally:
         if old_limit is not None:
             sys.set_int_max_str_digits(old_limit)
+
+
+BIG = "1e5000"  # 10**5000: 5,001 digits, past the 4300-digit limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("act", "--word", "w3", "--b", "1,2,3,4,5,6,7,8", "--point", f"{BIG},3"),
+        ("act", "--word", "w3", "--b", "1,2,3,4,5,6,7,8", "--point", "1e-5000,3"),
+        ("act", "--word", "w3", "--b", f"{BIG},2,3,4,5,6,7,8", "--point", f"{BIG},3"),
+        ("period", "--b", f"{BIG},2,3,4,5,6,7,8"),
+    ],
+)
+def test_big_exact_output_is_written(capsys, argv):
+    # The exact output passes the int-to-str limit; the command lifts it
+    # while it writes and restores it afterwards.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old_limit = limit() if limit else None
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert (limit() if limit else None) == old_limit
+    lines = out.splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
+    assert 5001 in map(len, re.findall(r"\d+", lines[0]))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("period", "--b", "1" * 5000 + ",2,3,4,5,6,7,8"),
+        ("act", "--word", "w3", "--b", "1,2,3,4,5,6,7,8", "--point", "1" * 5000 + ",3"),
+    ],
+)
+def test_over_long_input_literal_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 def test_orbit_psi_rejects_malformed_point(capsys):

@@ -1,5 +1,7 @@
 """Word decomposition by the negative-image reduction procedure."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -71,6 +73,28 @@ def test_decompose_output_not_longer_than_reduced_greedy_input():
             word.append(s)
         m = word_to_picmap(word)
         assert len(decompose(m)) <= len(word)
+
+
+def test_decompose_output_is_unchanged_on_the_words_mix():
+    # 120 seeded elements in the proportions of the benchmark's words
+    # workload: random words of length 4-128, and phi^n or psi^n for
+    # n <= 16, bare or conjugated by a random word of length 1-6.  The
+    # sha256 of every word and trace was taken from the tuple-update
+    # reduction with lattice membership decided by reconstruction.
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for i in range(120):
+        if i % 5 < 3:
+            word = tuple(rng.choices(SYMBOLS, k=rng.randint(4, 128)))
+        else:
+            word = rng.choice((PHI_WORD, PSI_WORD)) * rng.randint(1, 16)
+            if rng.random() < 0.5:
+                conj = tuple(rng.choices(SYMBOLS, k=rng.randint(1, 6)))
+                word = conj + word + invert_word(conj)
+        out, steps = decompose(word_to_picmap(word), trace=True)
+        trace = [[s.index, [list(v.coeffs) for v in s.images]] for s in steps]
+        digest.update(json.dumps([list(out), trace]).encode())
+    assert digest.hexdigest() == "ec7b406c053b46ae221c50af097db44c9520cbac6bb899d2d34d5df90944693d"
 
 
 def test_decompose_trace():

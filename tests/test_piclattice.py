@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e6painleve.piclattice import (
     CARTAN,
@@ -23,6 +24,7 @@ from e6painleve.piclattice import (
     symmetry_root,
     to_alpha_coords,
 )
+from oracles import to_alpha_coords_oracle
 
 
 def test_intersection_on_basis():
@@ -98,6 +100,34 @@ def test_to_alpha_coords():
     assert to_alpha_coords(anticanonical()) == RootVector(DELTA_WEIGHTS)
     with pytest.raises(NotInSymmetryLattice):
         to_alpha_coords(H_F)
+
+
+#: Indices of Hf, Hg, E1, E5 and E7: the coefficients to_alpha_coords checks
+#: for membership in Q rather than reads coordinates from.
+CHECKED = (0, 1, 2, 6, 8)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    x=st.tuples(*[st.integers(-20, 20)] * 7),
+    shift=st.one_of(st.just((0,) * 5), st.tuples(*[st.integers(-2, 2)] * 5)),
+)
+def test_to_alpha_coords_matches_reconstruction_oracle(x, shift):
+    # sum_i x_i a_i, moved on the checked coefficients only.  A zero shift
+    # stays in Q, and so does any integer combination of a3 = Hf - E1 - E7
+    # and a5 = Hg - E1 - E5; every other shift leaves it.
+    coeffs = list(from_alpha_coords(RootVector(x)).coeffs)
+    for k, s in zip(CHECKED, shift):
+        coeffs[k] += s
+    c = DivisorClass(tuple(coeffs))
+    try:
+        expected = to_alpha_coords_oracle(c)
+    except NotInSymmetryLattice as exc:
+        with pytest.raises(NotInSymmetryLattice) as raised:
+            to_alpha_coords(c)
+        assert str(raised.value) == str(exc)
+    else:
+        assert to_alpha_coords(c) == expected
 
 
 def test_alpha_roundtrip_on_integers():

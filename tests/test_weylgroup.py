@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from operator import add, sub
 
 import pytest
 
@@ -38,6 +39,7 @@ from e6painleve.weylgroup import (
     translation_norm,
     word_to_picmap,
 )
+import e6painleve.weylgroup as weylgroup
 
 IDENTITY = PicMap.identity()
 
@@ -206,8 +208,6 @@ def test_kac_vector_matches_elimination_oracle():
 
 
 def test_kac_vector_rejects_inconsistent_translation(monkeypatch):
-    import e6painleve.weylgroup as weylgroup
-
     ns = (1, 0, 0, 0, 0, 0, 0)  # sum delta_i n_i = 1: no solution
     assert oracles.kac_vector_oracle(CARTAN, ns, DELTA_WEIGHTS) is None
     monkeypatch.setattr(weylgroup, "translation_delta_vector", lambda m: ns)
@@ -270,6 +270,28 @@ def test_word_to_picmap_matches_dense_product():
     words += [PHI_WORD * 16, conj + PSI_WORD * 8 + invert_word(conj)]
     for word in words:
         assert word_to_picmap(word) == dense(word)
+
+
+def test_moved_columns_are_plus_minus_one_operators():
+    # Every nonzero entry of the 12 generators is +-1, kept as add or sub;
+    # the columns left out are the basis columns.
+    sign = {add: 1, sub: -1}
+    for symbol in SYMBOLS:
+        rows = generator_picmap(symbol).rows
+        moved = {j: ((k, op),) + rest for j, k, op, rest in weylgroup._moved_columns(symbol)}
+        for j in range(10):
+            entries = tuple((k, rows[k][j]) for k in range(10) if rows[k][j])
+            if j in moved:
+                assert tuple((k, sign[op]) for k, op in moved[j]) == entries != ((j, 1),)
+            else:
+                assert entries == ((j, 1),)
+
+
+def test_moved_columns_rejects_other_entries(monkeypatch):
+    doubled = PicMap(tuple(tuple(2 * x for x in row) for row in IDENTITY.rows))
+    monkeypatch.setattr(weylgroup, "generator_picmap", lambda symbol: doubled)
+    with pytest.raises(KeyError):
+        weylgroup._moved_columns.__wrapped__("w0")
 
 
 def test_picmap_application_matches_dense_matvec():
