@@ -14,12 +14,13 @@ formula in f, g, b1..b8 in Python syntax (gens prints it), expanded once into
 a Form, a numerator and a denominator bihomogeneous of the map's bidegree (at
 most (1, 1)) in ((f0 : f1), (g0 : g1)) with integer polynomial coefficients
 in b1..b8.  Every formula is weighted homogeneous of degree 1 when f, g and
-the b_k all have weight 1, so a word runs on integers: b is scaled once to
-integers over the lcm L of its denominators (the rows are integers, so L
-never changes along the word), the point enters each step as integer pairs
-of L f and L g, and each coordinate leaves as (num : L den) reduced with one
-gcd.  A zero denominator is infinity, so the lines at infinity are ordinary
-inputs, and 0/0 is a base point of the map and raises Indeterminate.
+the b_k all have weight 1, so a word runs on integers (eval_integers): b is
+scaled once to integers over the lcm L of its denominators (the rows are
+integers, so L never changes along the word), the point is a pair of
+integer pairs for L f and L g, and each step reduces each coordinate it
+changes with one gcd.  A zero denominator is infinity, so the lines at
+infinity are ordinary inputs, and 0/0 is a base point of the map and raises
+Indeterminate.  eval_word scales in once and makes Fractions once at exit.
 
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
@@ -28,7 +29,8 @@ exact, never approximate.  Every randomized check, here and in models and
 verify, runs through the one sampling loop sample_check: it draws, rejects
 degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
-rejected.  maps_equal is that loop on pairs of maps.
+rejected.  maps_equal is that loop on pairs of maps, and words_equal, with
+the same draws, on pairs of words compared on integers at one scale.
 """
 
 from __future__ import annotations
@@ -41,7 +43,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterable
 
-from .periodmap import ParamVector, params_from_root_variables, root_variable_evolution, root_variables
+from .periodmap import (
+    ParamVector,
+    params_from_root_variables,
+    root_variable_evolution,
+    root_variables,
+    scale_to_integers,
+)
 from .weylgroup import PicMap, generator_picmap, SYMBOLS
 
 
@@ -253,8 +261,8 @@ class BirationalStep:
 
         Applies the generator's integer rows (param_rows) to b.
         """
-        scale, ints = _integer_params(b)
-        return ParamVector(tuple(Fraction(x, scale) for x in _apply_rows(param_rows(self.name), ints)))
+        scale, ints = scale_to_integers(b.b)
+        return ParamVector(tuple(Fraction(x, scale) for x in apply_rows(param_rows(self.name), ints)))
 
 
 @lru_cache(maxsize=None)
@@ -276,13 +284,8 @@ def param_rows(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _integer_params(b: ParamVector) -> tuple[int, tuple[int, ...]]:
-    """(L, L b): b scaled to integers by the lcm L of its denominators."""
-    scale = math.lcm(*(x.denominator for x in b.b))
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in b.b)
-
-
-def _apply_rows(rows: tuple[tuple[tuple[int, int], ...], ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def apply_rows(rows: tuple[tuple[tuple[int, int], ...], ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Integer parameters after one generator's param_rows."""
     out = []
     for row in rows:
         value = 0
@@ -308,26 +311,26 @@ def eval_step(
     return eval_word((step.name,), b, p)
 
 
-def eval_word(
-    word: Iterable[str], b: ParamVector, p: SurfacePoint
-) -> tuple[ParamVector, SurfacePoint]:
-    """Apply a word of generators (rightmost symbol first).
+def eval_integers(
+    word: tuple[str, ...], b: tuple[int, ...], f: tuple[int, int], g: tuple[int, int]
+) -> tuple[tuple[int, ...], tuple[int, int], tuple[int, int]]:
+    """A word (rightmost symbol first) on L b and the pairs (num : den) of L f and L g.
 
     Each step evaluates the coordinates with the incoming parameters, then
-    updates the parameters.  A coordinate the step leaves unchanged (formula
-    "f" or "g") passes through as it is.  Raises Indeterminate, with the
-    step index and symbol, when the point is a base point of a step.
+    updates the parameters.  A coordinate the step changes is put in lowest
+    terms with one gcd; one it leaves unchanged (formula "f" or "g") passes
+    through as the same object, so a coordinate the word never changes comes
+    back as given, unreduced.  Raises Indeterminate, with the step index and
+    symbol, when the point is a base point of a step.
     """
-    scale, ints = _integer_params(b)
-    for pos, symbol in enumerate(reversed(tuple(word))):
+    for pos, symbol in enumerate(reversed(word)):
         step = generator_step(symbol)
         keep_f, keep_g = step.coord_f.text == "f", step.coord_g.text == "g"
         if not (keep_f and keep_g):
-            f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
             try:
-                p = SurfacePoint(
-                    p.f if keep_f else coord_from_pair(*step.coord_f(f, g, ints), scale),
-                    p.g if keep_g else coord_from_pair(*step.coord_g(f, g, ints), scale),
+                f, g = (
+                    f if keep_f else _lowest_terms(*step.coord_f(f, g, b)),
+                    g if keep_g else _lowest_terms(*step.coord_g(f, g, b)),
                 )
             except Indeterminate as exc:
                 raise Indeterminate(
@@ -335,7 +338,36 @@ def eval_word(
                     step_index=pos,
                     symbol=symbol,
                 ) from exc
-        ints = _apply_rows(param_rows(symbol), ints)
+        b = apply_rows(param_rows(symbol), b)
+    return b, f, g
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """(num : den) in lowest terms with den > 0, or (1 : 0); 0/0 raises Indeterminate."""
+    if not den:
+        if not num:
+            raise Indeterminate("0/0 is not a point of P1")
+        return 1, den  # a new tuple: eval_word tells changed pairs from unchanged ones by identity
+    common = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // common, den // common
+
+
+def eval_word(
+    word: Iterable[str], b: ParamVector, p: SurfacePoint
+) -> tuple[ParamVector, SurfacePoint]:
+    """Apply a word of generators (rightmost symbol first): eval_integers on L b.
+
+    A coordinate that no letter of the word changes passes through as the
+    same object, and so does a point that no letter moves.
+    """
+    scale, ints = scale_to_integers(b.b)
+    f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
+    ints, new_f, new_g = eval_integers(tuple(word), ints, f, g)
+    if new_f is not f or new_g is not g:
+        p = SurfacePoint(
+            p.f if new_f is f else coord_from_pair(*new_f, scale),
+            p.g if new_g is g else coord_from_pair(*new_g, scale),
+        )
     return ParamVector(tuple(Fraction(x, scale) for x in ints)), p
 
 
@@ -413,6 +445,10 @@ def sample_check(
 MapLike = Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]]
 
 
+def _state_draw(seed: int, bound: int) -> Callable[[int], tuple[ParamVector, SurfacePoint]]:
+    return lambda index: sample_state(_per_sample_rng(seed, index), bound)
+
+
 def maps_equal(
     map_a: MapLike,
     map_b: MapLike,
@@ -427,10 +463,33 @@ def maps_equal(
     exactly, coordinates projectively.  Raises as sample_check does.
     """
 
-    def draw(index: int) -> tuple[ParamVector, SurfacePoint]:
-        return sample_state(_per_sample_rng(seed, index), bound)
-
     def holds(sample: tuple[ParamVector, SurfacePoint]) -> bool:
         return map_a(*sample) == map_b(*sample)
 
-    return sample_check(trials, draw, holds, "sampled inputs")
+    return sample_check(trials, _state_draw(seed, bound), holds, "sampled inputs")
+
+
+def words_equal(
+    lhs: Iterable[str],
+    rhs: Iterable[str],
+    trials: int = 25,
+    seed: int = 0,
+    bound: int = SAMPLE_BOUND,
+) -> MapComparison:
+    """maps_equal of two words, on integers: the same draws, rejections and result.
+
+    Both words run through eval_integers from one scaling (L b; L f, L g)
+    of each draw, so their integer parameters are compared directly and
+    their coordinates as pairs in lowest terms with a positive denominator.
+    """
+    lhs, rhs = tuple(lhs), tuple(rhs)
+
+    def holds(sample: tuple[ParamVector, SurfacePoint]) -> bool:
+        b, p = sample
+        scale, ints = scale_to_integers(b.b)
+        f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
+        b1, f1, g1 = eval_integers(lhs, ints, f, g)
+        b2, f2, g2 = eval_integers(rhs, ints, f, g)
+        return b1 == b2 and _lowest_terms(*f1) == _lowest_terms(*f2) and _lowest_terms(*g1) == _lowest_terms(*g2)
+
+    return sample_check(trials, _state_draw(seed, bound), holds, "sampled inputs")

@@ -3,8 +3,11 @@
 Subcommands: gens, decompose, act, period, orbit, verify.  All output is
 JSON (or CSV for orbits) with exact rationals encoded as strings; given the
 same seed and flags the output is byte-identical.  Exit codes: 0 success,
-1 input error, 2 domain error (element outside the group, norm mismatch, or
-a failed verification), 3 indeterminate evaluation.
+1 input error (malformed arguments, or a verification whose samples were
+almost all degenerate at the given --bound), 2 domain error (element
+outside the group, norm mismatch, or a failed verification), 3
+indeterminate evaluation.  Every nonzero exit but a failed verification
+writes one JSON error line to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .birational import Indeterminate, eval_word, generator_step
+from .birational import Indeterminate, TooManyDegenerateSamples, eval_word, generator_step
 from .decompose import NotInGroup, decompose
 from .models import (
     CONJUGATOR_WORD,
@@ -47,8 +50,15 @@ class InputError(ValueError):
     """Malformed command-line input or input file."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError instead of exiting."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized behavior")
     common.add_argument("--trials", type=int, default=25, help="samples per pointwise check")
     common.add_argument(
@@ -69,7 +79,7 @@ def _common_options() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parse_args leaves it unchanged)."""
     common = _common_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="e6painleve",
         description="Exact Weyl-group machinery for the additive discrete "
         "Painleve family with E6 affine symmetry.",
@@ -295,14 +305,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_DOMAIN
 
 
+def _error(code: int, kind: str, message: str, **details) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "message": message, **details}) + "\n")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage; report as input error instead
-        code = exc.code if isinstance(exc.code, int) else 0
-        return EXIT_INPUT if code != 0 else EXIT_OK
     handlers = {
         "gens": cmd_gens,
         "decompose": cmd_decompose,
@@ -312,21 +320,22 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit:  # --help and --version print and exit 0
+        return EXIT_OK
     except InputError as exc:
-        sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")
-        return EXIT_INPUT
+        return _error(EXIT_INPUT, "input", str(exc))
+    except TooManyDegenerateSamples as exc:
+        return _error(EXIT_INPUT, "input", f"{exc}; raise --bound to draw from more values")
     except (NotInGroup, NormMismatch) as exc:
-        sys.stderr.write(json.dumps({"error": "domain", "message": str(exc)}) + "\n")
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, "domain", str(exc))
     except Indeterminate as exc:
-        payload = {"error": "indeterminate", "message": str(exc)}
-        if exc.step_index is not None:
-            payload["step_index"] = exc.step_index
-        if exc.symbol is not None:
-            payload["symbol"] = exc.symbol
-        sys.stderr.write(json.dumps(payload) + "\n")
-        return EXIT_INDETERMINATE
+        details = {"step_index": exc.step_index, "symbol": exc.symbol}
+        return _error(
+            EXIT_INDETERMINATE, "indeterminate", str(exc),
+            **{key: value for key, value in details.items() if value is not None},
+        )
 
 
 if __name__ == "__main__":

@@ -19,10 +19,12 @@ the period map: evolve the root variables, then invert the bijection with
 the same b4 (birational.BirationalStep.apply_params).
 
 root_variable_evolution scales the seven values to integers over their
-common denominator and folds the word on those integers: a reflection adds
-integer multiples of one value to its neighbours, an automorphism permutes
-indices.  Every letter acts by an integer matrix, so one division at the
-end gives the exact result.
+common denominator (scale_to_integers) and folds the word on those integers
+(fold_root_values): a reflection adds integer multiples of one value to its
+neighbours, an automorphism permutes indices.  Every letter acts by an
+integer matrix, so one division at the end gives the exact result.  The
+fold, root_values and delta_period take integers as well as rationals, so
+the sampled checks of verify run on one integer scaling per draw.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .piclattice import CARTAN_TERMS, DELTA_WEIGHTS
 from .weylgroup import ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, parse_word
@@ -77,18 +79,32 @@ class RootVariables:
 
     def chi_delta(self) -> Fraction:
         """Period of the null root: a0 + 2a1 + 3a2 + 2a3 + a4 + 2a5 + a6."""
-        return sum((w * x for w, x in zip(DELTA_WEIGHTS, self.a)), Fraction(0))
+        return delta_period(self.a)
 
     def to_json(self) -> list[str]:
         return [str(x) for x in self.a]
 
 
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(L, L x): rationals scaled to integers by the lcm L of their denominators."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, tuple([x.numerator * (scale // x.denominator) for x in values])
+
+
+def delta_period(a: Sequence) -> Fraction | int:
+    """a0 + 2a1 + 3a2 + 2a3 + a4 + 2a5 + a6 of seven root values."""
+    return sum(w * x for w, x in zip(DELTA_WEIGHTS, a))
+
+
+def root_values(b: Sequence) -> tuple:
+    """The seven root values of eight parameter values (integers or rationals)."""
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (b4 - b3, b3 - b2, b2 - b1, b1 + b7, b8 - b7, b1 + b5, b6 - b5)
+
+
 def root_variables(b: ParamVector) -> RootVariables:
     """Root variables of a parameter vector."""
-    b1, b2, b3, b4, b5, b6, b7, b8 = b.b
-    return RootVariables(
-        (b4 - b3, b3 - b2, b2 - b1, b1 + b7, b8 - b7, b1 + b5, b6 - b5)
-    )
+    return RootVariables(root_values(b.b))
 
 
 def params_from_root_variables(a: RootVariables, b4) -> ParamVector:
@@ -109,16 +125,15 @@ def params_from_root_variables(a: RootVariables, b4) -> ParamVector:
     )
 
 
-def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariables:
-    """Root variables after applying a word of generators.
+def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
+    """Seven integer root values after applying a word of generators.
 
-    The new a_i is the period of the image of a_i under the inverse word.
-    Letters act right to left on the seven values: w_i sends a_j to
-    a_j + c_ij a_i (c the Cartan pairings), and an automorphism sigma moves
-    the value of a_i to a_sigma(i).
+    Letters act right to left: w_i sends a_j to a_j + c_ij a_i (c the
+    Cartan pairings), and an automorphism sigma moves the value of a_i to
+    a_sigma(i).  Each letter is an integer matrix, so the fold is exact on
+    any common scaling of the values.
     """
-    den = math.lcm(*(x.denominator for x in a.a))
-    values = [x.numerator * (den // x.denominator) for x in a.a]
+    values = list(values)
     for symbol in reversed(parse_word(word)):
         if symbol in REFLECTION_SYMBOLS:
             i = int(symbol[1])
@@ -130,4 +145,14 @@ def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariab
             for i, j in ALPHA_PERMUTATIONS[symbol].items():
                 moved[j] = values[i]
             values = moved
-    return RootVariables(tuple(Fraction(x, den) for x in values))
+    return values
+
+
+def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariables:
+    """Root variables after applying a word of generators.
+
+    The new a_i is the period of the image of a_i under the inverse word:
+    fold_root_values on the values scaled to integers, divided back once.
+    """
+    den, values = scale_to_integers(a.a)
+    return RootVariables(tuple(Fraction(x, den) for x in fold_root_values(word, values)))

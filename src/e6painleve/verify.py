@@ -1,13 +1,15 @@
 """Invariant suites behind the `verify` command.
 
 Each suite returns a list of named check results; a suite passes when every
-check does.  Matrix-level checks are exact identities; pointwise checks use
-seeded generic rational samples and exact arithmetic throughout.
+check does.  Matrix-level checks are exact identities.  Pointwise checks
+draw seeded generic rational samples and compare exactly; the relation,
+gauge and period checks scale each draw once to integers (by the lcm of its
+denominators) and compare integers, which is exact because every map they
+compare is homogeneous in that scaling.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -15,12 +17,14 @@ from functools import lru_cache
 from .birational import (
     ParamVector,
     SurfacePoint,
+    apply_rows,
     eval_word,
-    generator_step,
     maps_equal,
+    param_rows,
     sample_check,
     sample_fraction,
     word_map,
+    words_equal,
 )
 from .models import (
     CheckResult,
@@ -34,7 +38,14 @@ from .models import (
     sample_schlesinger,
     verify_equivalence,
 )
-from .periodmap import RootVariables, root_variable_evolution, root_variables
+from .periodmap import (
+    RootVariables,
+    delta_period,
+    fold_root_values,
+    root_values,
+    root_variable_evolution,
+    scale_to_integers,
+)
 from .piclattice import E6_EDGES, surface_root, symmetry_root, to_alpha_coords
 from .weylgroup import (
     ALPHA_PERMUTATIONS,
@@ -114,31 +125,34 @@ def coxeter_suite() -> list[CheckResult]:
     return checks
 
 
-def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> list[CheckResult]:
-    """Pointwise identities of the elementary maps at generic samples."""
-    relations = [(f"involution_{s}", (s, s), ()) for s in REFLECTION_SYMBOLS + ("m0", "m1", "m2")]
-    relations += [("r_cubed", ("r", "r", "r"), ()), ("r_squared", ("r", "r"), ("r2",))]
-    relations += [
+#: The generator relations of birational_suite: (name, lhs word, rhs word).
+RELATIONS = (
+    tuple((f"involution_{s}", (s, s), ()) for s in REFLECTION_SYMBOLS + ("m0", "m1", "m2"))
+    + (("r_cubed", ("r", "r", "r"), ()), ("r_squared", ("r", "r"), ("r2",)))
+    + tuple(
         (f"braid_w{i}_w{j}", (f"w{i}", f"w{j}", f"w{i}"), (f"w{j}", f"w{i}", f"w{j}"))
         for i, j in sorted(E6_EDGES)
-    ]
-    relations += [
-        ("w3_w5_commute", ("w3", "w5"), ("w5", "w3")),
-        ("m1_w0_m1_equals_w4", ("m1", "w0", "m1"), ("w4",)),
-    ]
+    )
+    + (("w3_w5_commute", ("w3", "w5"), ("w5", "w3")), ("m1_w0_m1_equals_w4", ("m1", "w0", "m1"), ("w4",)))
+)
+
+
+def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> list[CheckResult]:
+    """Pointwise identities of the elementary maps at generic samples."""
     checks = [
-        CheckResult.sampled(
-            name, maps_equal(word_map(lhs), word_map(rhs), trials=trials, seed=seed, bound=bound)
-        )
-        for name, lhs, rhs in relations
+        CheckResult.sampled(name, words_equal(lhs, rhs, trials=trials, seed=seed, bound=bound))
+        for name, lhs, rhs in RELATIONS
     ]
 
     rng = random.Random(f"gauge:{seed}")
 
     def gauge_fixed(b: ParamVector) -> bool:
+        # On L b: every generator fixes the fourth integer and the sum.
+        _, ints = scale_to_integers(b.b)
+        total = sum(ints)
         return all(
-            new_b.b[3] == b.b[3] and new_b.chi_delta() == b.chi_delta()
-            for new_b in (generator_step(s).apply_params(b) for s in SYMBOLS)
+            new[3] == ints[3] and sum(new) == total
+            for new in (apply_rows(param_rows(s), ints) for s in SYMBOLS)
         )
 
     gauge = sample_check(trials, lambda _: _sample_params(rng, bound), gauge_fixed, "parameter samples")
@@ -164,21 +178,19 @@ def period_suite(seed: int = 0, samples: int = 10, bound: int = 10_000) -> list[
     rng = random.Random(f"period:{seed}")
 
     def consistent(b: ParamVector) -> bool:
-        # The lattice's prediction, on integers over one denominator.
-        a = root_variables(b).a
-        den = math.lcm(*(x.denominator for x in a))
-        ints = [x.numerator * (den // x.denominator) for x in a]
+        # The root variables of L b are integers, and so is the lattice's prediction.
+        _, ints = scale_to_integers(b.b)
+        a = root_values(ints)
         for s in SYMBOLS:
-            predicted = (sum(c * x for c, x in zip(row, ints)) for row in _lattice_root_evolution(s))
-            if root_variables(generator_step(s).apply_params(b)).a != tuple(
-                Fraction(n, den) for n in predicted
-            ):
+            predicted = [sum(c * x for c, x in zip(row, a)) for row in _lattice_root_evolution(s)]
+            if list(root_values(apply_rows(param_rows(s), ints))) != predicted:
                 return False
         return True
 
     def chi_delta_fixed(b: ParamVector) -> bool:
-        a = root_variables(b)
-        return all(root_variable_evolution((s,), a).chi_delta() == a.chi_delta() for s in SYMBOLS)
+        a = root_values(scale_to_integers(b.b)[1])
+        chi = delta_period(a)
+        return all(delta_period(fold_root_values((s,), a)) == chi for s in SYMBOLS)
 
     def linear_sample(_index: int) -> tuple:
         word = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 6)))
@@ -186,12 +198,14 @@ def period_suite(seed: int = 0, samples: int = 10, bound: int = 10_000) -> list[
 
     def linear(sample: tuple) -> bool:
         word, a1, a2 = sample
-        total = RootVariables(tuple(x + y for x, y in zip(a1.a, a2.a)))
-        rhs1 = root_variable_evolution(word, a1)
-        rhs2 = root_variable_evolution(word, a2)
-        return root_variable_evolution(word, total).a == tuple(x + y for x, y in zip(rhs1.a, rhs2.a))
+        _, ints = scale_to_integers(a1.a + a2.a)
+        x1, x2 = ints[:7], ints[7:]
+        total = fold_root_values(word, [x + y for x, y in zip(x1, x2)])
+        rhs1, rhs2 = fold_root_values(word, x1), fold_root_values(word, x2)
+        return total == [x + y for x, y in zip(rhs1, rhs2)]
 
     def phi_evolution(a: RootVariables) -> bool:
+        # Through the public evolution: phi translates the root variables by chi(delta).
         d = a.chi_delta()
         expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
         return root_variable_evolution(PHI_WORD, a).a == expected

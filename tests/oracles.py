@@ -16,22 +16,37 @@ bihomogeneous forms; the hand-written tables below are the second source
 those are checked against.  The defining vector of a translation is
 cross-checked against a general exact linear solve (solve_linear_system).
 
-Three former library routines stay here as references for their faster
+Former library routines stay here as references for their faster
 replacements: cancel_pieces_oracle, the two-division seeded cancellation of
 phi's confined factors, decimal_str_oracle, Decimal division of the
-numerator by the denominator, and to_alpha_coords_oracle, membership in Q
-decided by rebuilding the class from its root coordinates.
+numerator by the denominator, to_alpha_coords_oracle, membership in Q
+decided by rebuilding the class from its root coordinates, and
+birational_checks_oracle and period_checks_oracle, the sampled relation,
+gauge and period checks of verify compared on Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from e6painleve.birational import ProjectiveCoord
+from e6painleve.birational import (
+    MapComparison,
+    ParamVector,
+    ProjectiveCoord,
+    generator_step,
+    maps_equal,
+    sample_check,
+    sample_fraction,
+    word_map,
+)
+from e6painleve.models import PHI_WORD
+from e6painleve.periodmap import RootVariables, root_variable_evolution, root_variables
 from e6painleve.piclattice import DivisorClass, NotInSymmetryLattice, RootVector, from_alpha_coords
+from e6painleve.weylgroup import SYMBOLS
 
 
 def qrt_oracle(
@@ -401,3 +416,81 @@ def to_alpha_coords_oracle(c: DivisorClass) -> RootVector:
     if from_alpha_coords(v) != c:
         raise NotInSymmetryLattice(f"{c} is not in the span of the symmetry roots")
     return v
+
+
+def birational_checks_oracle(
+    relations, trials: int, seed: int, bound: int
+) -> list[tuple[str, MapComparison, tuple[str, ...]]]:
+    """birational_suite's sampled checks on Fractions: (name, comparison, fields).
+
+    Each relation compares the two words' eval_word outputs; the gauge check
+    applies each generator's parameter action and compares b4 and the sum.
+    """
+    checks = [
+        (name, maps_equal(word_map(lhs), word_map(rhs), trials=trials, seed=seed, bound=bound), ("b", "point"))
+        for name, lhs, rhs in relations
+    ]
+    rng = random.Random(f"gauge:{seed}")
+
+    def gauge_fixed(b: ParamVector) -> bool:
+        return all(
+            new_b.b[3] == b.b[3] and new_b.chi_delta() == b.chi_delta()
+            for new_b in (generator_step(s).apply_params(b) for s in SYMBOLS)
+        )
+
+    params = lambda _: ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
+    gauge = sample_check(trials, params, gauge_fixed, "parameter samples")
+    return checks + [("gauge_fixes_b4_and_chi_delta", gauge, ("b",))]
+
+
+def period_checks_oracle(
+    lattice_rows: Callable[[str], Sequence[Sequence[int]]], samples: int, seed: int, bound: int
+) -> list[tuple[str, MapComparison, tuple[str, ...]]]:
+    """period_suite's checks on Fractions, in its order and from its one stream.
+
+    lattice_rows(s) gives row i, the simple-root coordinates of s^-1(a_i).
+    """
+    rng = random.Random(f"period:{seed}")
+
+    def consistent(b: ParamVector) -> bool:
+        a = root_variables(b).a
+        for s in SYMBOLS:
+            predicted = tuple(sum((c * x for c, x in zip(row, a)), Fraction(0)) for row in lattice_rows(s))
+            if root_variables(generator_step(s).apply_params(b)).a != predicted:
+                return False
+        return True
+
+    def chi_delta_fixed(b: ParamVector) -> bool:
+        a = root_variables(b)
+        return all(root_variable_evolution((s,), a).chi_delta() == a.chi_delta() for s in SYMBOLS)
+
+    def roots(_index: int) -> RootVariables:
+        return RootVariables(tuple(sample_fraction(rng, bound) for _ in range(7)))
+
+    def linear_sample(_index: int) -> tuple:
+        word = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 6)))
+        return word, roots(0), roots(0)
+
+    def linear(sample: tuple) -> bool:
+        word, a1, a2 = sample
+        total = RootVariables(tuple(x + y for x, y in zip(a1.a, a2.a)))
+        rhs1 = root_variable_evolution(word, a1)
+        rhs2 = root_variable_evolution(word, a2)
+        return root_variable_evolution(word, total).a == tuple(x + y for x, y in zip(rhs1.a, rhs2.a))
+
+    def phi_evolution(a: RootVariables) -> bool:
+        d = a.chi_delta()
+        expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
+        return root_variable_evolution(PHI_WORD, a).a == expected
+
+    params = lambda _: ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
+    checks = [
+        ("generator_consistency", params, consistent, ("b",)),
+        ("chi_delta_invariance", params, chi_delta_fixed, ("b",)),
+        ("evolution_linearity", linear_sample, linear, ("word", "a1", "a2")),
+        ("phi_word_root_evolution", roots, phi_evolution, ("a",)),
+    ]
+    return [
+        (name, sample_check(samples, draw, holds, "period samples"), fields)
+        for name, draw, holds, fields in checks
+    ]

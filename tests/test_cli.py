@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import re
@@ -9,11 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e6painleve.birational import ParamVector, SurfacePoint, eval_step, generator_step, sample_state
 from e6painleve.cli import build_parser, main
 from e6painleve.models import phi_orbit
-from e6painleve.weylgroup import PicMap
+from e6painleve.weylgroup import SYMBOLS, PicMap
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -357,6 +361,22 @@ def test_verify_draws_with_bound_except_schlesinger_samples(capsys, monkeypatch)
     assert bounds == {("birational", 77), ("verify", 77), ("verify", 100), ("models", 100)}
 
 
+def test_verify_with_almost_all_draws_degenerate_is_input_error(capsys):
+    # At --bound 1 nearly every draw is a base point; the sampling loop's
+    # rejection cap ends the run with a JSON input error, not a traceback.
+    code, out, err = run_cli(capsys, "verify", "equivalence", "--bound", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "rejected 55 of 60 sampled inputs; raise --bound to draw from more values",
+    }
+    code, out, err = run_cli(capsys, "verify", "all", "--trials", "1", "--bound", "1")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert re.fullmatch(r"rejected \d+ of \d+ [a-z/ ]+; raise --bound to draw from more values", error["message"])
+
+
 def test_verify_period_reports_trials(capsys):
     code, out, _ = run_cli(capsys, "verify", "period", "--trials", "3", "--seed", "2")
     assert code == 0
@@ -459,3 +479,80 @@ def test_parser_is_built_once_and_reused(capsys):
     assert reused == fresh
     assert [code for code, _ in reused] == [0, 0]
     assert build_parser() is build_parser()
+
+
+#: The fuzz fills each option with values of the arity and type its parser
+#: expects (small ones where they set the run time: --steps at most 3,
+#: --trials at most 2), taking the README start for psi half the time, since
+#: random indices miss the Fuchs relation.  Then it may break the command
+#: line once: drop an option, put an odd number shape in one value, or give
+#: a value one item more or less.
+ARITY = {"--b": 8, "--theta": 7, "--point": 2, "--word": 3}
+NUMBERS = ("1", "2", "-3", "5/7", "0", "11/4")
+SHAPES = ("1e5000", "inf", "1/0", "-1", "x", "", "w7")
+README_VALUES = {"--theta": README_PSI[1], "--point": README_PSI[3]}
+INT_VALUES = {
+    "--steps": ("0", "1", "3"),
+    "--trials": ("1", "2"),
+    "--bound": ("1", "2", "10000"),
+    "--seed": ("0", "1", "7"),
+    "--max-word-length": ("0", "2", "12"),
+}
+
+
+def _fuzz_values(data, action) -> list[str]:
+    option = action.option_strings[0] if action.option_strings else None
+    if action.choices:
+        return [data.draw(st.sampled_from(sorted(action.choices)))]
+    if option in INT_VALUES:
+        return [data.draw(st.sampled_from(INT_VALUES[option]))]
+    if option in README_VALUES and data.draw(st.booleans()):
+        return README_VALUES[option].split(",")
+    n = ARITY.get(option, 1)
+    return data.draw(st.lists(st.sampled_from(SYMBOLS if option == "--word" else NUMBERS), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_command_lines_exit_with_a_code_and_one_json_error(data):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    command = data.draw(st.sampled_from(sorted(commands)))
+    options = []  # (flag or None for a positional, values)
+    for action in commands[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and not action.required and not data.draw(st.booleans()):
+            continue
+        flag = action.option_strings[0] if action.option_strings else None
+        options.append((flag, [] if action.nargs == 0 else _fuzz_values(data, action)))
+    mutation = data.draw(st.sampled_from(("none", "drop", "shape", "arity")))
+    with_values = [values for _, values in options if values]
+    if mutation == "drop" and options:
+        del options[data.draw(st.integers(0, len(options) - 1))]
+    elif mutation != "none" and with_values:
+        values = data.draw(st.sampled_from(with_values))
+        if mutation == "shape":
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.sampled_from(SHAPES))
+        elif data.draw(st.booleans()) or len(values) == 1:
+            values.append("1")
+        else:
+            values.pop()
+    argv = [command]
+    for flag, values in options:
+        value = ",".join(values)
+        argv.append(value if flag is None else flag if not values else f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert err == "", argv
+    elif code == 2 and command == "verify" and not err:
+        # A failed verification (here a conjugator search cut short) is a report.
+        assert json.loads(out.getvalue())["passed"] is False, argv
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0]), (argv, err)

@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from e6painleve import birational, models, periodmap, verify
-from e6painleve.birational import BirationalStep, ParamVector, sample_check, sample_fraction
-from e6painleve.models import psi_step, sample_schlesinger
+from e6painleve.birational import ParamVector, TooManyDegenerateSamples, sample_check, sample_fraction
+from e6painleve.models import CheckResult, psi_step, sample_schlesinger
+from oracles import birational_checks_oracle, period_checks_oracle
 
 
 def test_every_sampled_check_runs_one_sample_check(monkeypatch):
@@ -38,21 +41,57 @@ def test_a_perturbed_psi_word_check_reports_its_first_failing_sample(monkeypatch
 
 
 def test_a_perturbed_gauge_check_reports_its_first_failing_sample(monkeypatch):
-    original = BirationalStep.apply_params
+    original = birational.param_rows
 
-    def moves_b4(self, b):
-        new_b = original(self, b)
-        if self.name != "r":
-            return new_b
-        return ParamVector(new_b.b[:3] + (new_b.b[3] + 1,) + new_b.b[4:])
+    def moves_b4(symbol):
+        rows = original(symbol)
+        if symbol != "r":
+            return rows
+        return rows[:3] + (rows[3] + ((0, 1),),) + rows[4:]  # r's b4 gains b1
 
-    monkeypatch.setattr(BirationalStep, "apply_params", moves_b4)
+    monkeypatch.setattr(verify, "param_rows", moves_b4)
     gauge = verify.birational_suite(trials=3, seed=2)[-1]
     assert gauge.name == "gauge_fixes_b4_and_chi_delta"
     assert (gauge.passed, gauge.samples, gauge.rejected) == (False, 1, 0)
     rng = random.Random("gauge:2")
     first = ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
     assert gauge.counterexample == {"b": first.to_json()}
+
+
+def test_a_perturbed_coordinate_formula_fails_its_involution(monkeypatch):
+    # b7 -> b8 in w3's g: the relation checks evaluate the mutated form.
+    f, g = birational._FORMULAS["w3"]
+    monkeypatch.setitem(birational._FORMULAS, "w3", (f, g.replace("b7*g", "b8*g")))
+    birational.generator_step.cache_clear()
+    try:
+        checks = {c.name: c for c in verify.birational_suite(trials=5, seed=1)}
+    finally:
+        birational.generator_step.cache_clear()
+    assert not checks["involution_w3"].passed
+    assert checks["involution_w5"].passed and checks["gauge_fixes_b4_and_chi_delta"].passed
+
+
+def test_a_fold_that_moves_chi_delta_fails_the_period_checks(monkeypatch):
+    original = periodmap.fold_root_values
+
+    def mutant(word, values):
+        moved = original(word, values)
+        if "w0" in word:
+            moved[0] += values[2]  # a0 gains a2: chi(delta) moves by a2
+        return moved
+
+    for module in (periodmap, verify):
+        monkeypatch.setattr(module, "fold_root_values", mutant)
+    # The parameter rows are derived from the fold, so they take the mutant too.
+    birational.param_rows.cache_clear()
+    try:
+        checks = {c.name: c for c in verify.period_suite(seed=1, samples=10)}
+    finally:
+        birational.param_rows.cache_clear()
+    assert not checks["chi_delta_invariance"].passed
+    assert not checks["phi_word_root_evolution"].passed
+    assert not checks["generator_consistency"].passed
+    assert checks["evolution_linearity"].passed  # the mutant is still linear
 
 
 def test_relation_checks_report_the_counterexample():
@@ -82,3 +121,32 @@ def test_generator_consistency_catches_a_wrong_root_fold(monkeypatch):
         birational.param_rows.cache_clear()
     assert not checks["generator_consistency"].passed
     assert checks["chi_delta_invariance"].passed
+
+
+def _reports(run):
+    """The checks' JSON, or the message of a rejection cap that stopped the suite."""
+    try:
+        return [c.to_json() for c in run()]
+    except TooManyDegenerateSamples as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bound", (2, 10_000))
+def test_integer_checks_match_their_fraction_forms(bound):
+    # Bound 2 forces rejections (base points) and outputs at infinity.
+    rejected = 0
+    for seed in range(1, 6):
+        library = _reports(
+            lambda: verify.birational_suite(trials=10, seed=seed, bound=bound)
+            + verify.period_suite(seed=seed, samples=10, bound=bound)
+        )
+        oracle = _reports(
+            lambda: [
+                CheckResult.sampled(name, comparison, fields)
+                for name, comparison, fields in birational_checks_oracle(verify.RELATIONS, 10, seed, bound)
+                + period_checks_oracle(verify._lattice_root_evolution, 10, seed, bound)
+            ]
+        )
+        assert library == oracle, seed
+        rejected += sum(c["rejected"] for c in library)
+    assert (rejected > 0) == (bound == 2)
