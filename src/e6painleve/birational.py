@@ -29,8 +29,9 @@ exact, never approximate.  Every randomized check, here and in models and
 verify, runs through the one sampling loop sample_check: it draws, rejects
 degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
-rejected.  maps_equal is that loop on pairs of maps, and words_equal, with
-the same draws, on pairs of words compared on integers at one scale.
+rejected.  maps_equal is that loop on pairs of maps, and words_equal, on
+draws its caller passes (maps_equal's, cached and shared), on pairs of words
+compared on integers at one scale.
 """
 
 from __future__ import annotations
@@ -472,15 +473,16 @@ def maps_equal(
 def words_equal(
     lhs: Iterable[str],
     rhs: Iterable[str],
-    trials: int = 25,
-    seed: int = 0,
-    bound: int = SAMPLE_BOUND,
+    trials: int,
+    draw: Callable[[int], tuple[ParamVector, SurfacePoint]],
 ) -> MapComparison:
-    """maps_equal of two words, on integers: the same draws, rejections and result.
+    """maps_equal of two words on draw's samples, on integers: the same rejections and result.
 
     Both words run through eval_integers from one scaling (L b; L f, L g)
     of each draw, so their integer parameters are compared directly and
     their coordinates as pairs in lowest terms with a positive denominator.
+    The caller passes the draw, so several comparisons can share one cached
+    stream (of _state_draw(seed, bound), maps_equal's draws).
     """
     lhs, rhs = tuple(lhs), tuple(rhs)
 
@@ -492,4 +494,4 @@ def words_equal(
         b2, f2, g2 = eval_integers(rhs, ints, f, g)
         return b1 == b2 and _lowest_terms(*f1) == _lowest_terms(*f2) and _lowest_terms(*g1) == _lowest_terms(*g2)
 
-    return sample_check(trials, _state_draw(seed, bound), holds, "sampled inputs")
+    return sample_check(trials, draw, holds, "sampled inputs")

@@ -60,15 +60,15 @@ class _Parser(argparse.ArgumentParser):
 def _common_options() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized behavior")
-    common.add_argument("--trials", type=int, default=25, help="samples per pointwise check")
+    common.add_argument("--trials", type=int, default=25, help="draws per randomized check")
     common.add_argument(
         "--max-word-length", type=int, default=12, dest="max_word_length",
         help="search depth bound for conjugator search",
     )
     common.add_argument(
         "--bound", type=int, default=10_000,
-        help="numerator/denominator bound for random samples (the Schlesinger samples of "
-        "the psi-word and transport checks keep bound 100)",
+        help="numerator/denominator bound for random samples (the period suite draws nothing; "
+        "the Schlesinger samples of the psi-word and transport checks keep bound 100)",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--trace", action="store_true", help="include per-step traces")
@@ -258,19 +258,18 @@ def _emit_orbit(trace: OrbitTrace, fmt: str) -> None:
 def cmd_orbit(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
+    own, other = ("b", "theta") if args.map == "phi" else ("theta", "b")
+    if getattr(args, own) is None:
+        raise InputError(f"--map {args.map} requires --{own}")
+    if getattr(args, other) is not None:
+        raise InputError(f"--map {args.map} does not take --{other}")
     try:
         if args.map == "phi":
-            if args.b is None:
-                raise InputError("--map phi requires --b")
             b = parse_params(args.b)
             point = parse_point(args.point)
         else:
-            if args.theta is None:
-                raise InputError("--map psi requires --theta")
             t = parse_schlesinger(args.theta)
             x, y = parse_fraction_list(args.point, 2)
-    except InputError:
-        raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     try:

@@ -1,22 +1,26 @@
 """Invariant suites behind the `verify` command.
 
 Each suite returns a list of named check results; a suite passes when every
-check does.  Matrix-level checks are exact identities.  Pointwise checks
-draw seeded generic rational samples and compare exactly; the relation,
-gauge and period checks scale each draw once to integers (by the lcm of its
-denominators) and compare integers, which is exact because every map they
-compare is homogeneous in that scaling.
+check does.  Matrix-level checks are exact identities.  The period checks
+are linear identities, proved on fixed bases: they draw nothing, so
+--trials, --seed and --bound do not change them.  The other pointwise
+checks draw seeded generic rational samples and compare exactly; the
+relation and gauge checks scale each draw once to integers (by the lcm of
+its denominators) and compare integers, which is exact because every map
+they compare is homogeneous in that scaling.  The 20 relation checks share
+one cached draw, so each of their samples is drawn once per suite.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .birational import (
     ParamVector,
     SurfacePoint,
+    _state_draw,
     apply_rows,
     eval_word,
     maps_equal,
@@ -56,6 +60,7 @@ from .weylgroup import (
     SYMBOLS,
     find_conjugator,
     generator_picmap,
+    invert_word,
     kac_vector,
     surface_root_permutation,
     translation_delta_vector,
@@ -64,14 +69,6 @@ from .weylgroup import (
 )
 
 SUITES = ("coxeter", "birational", "period", "equivalence", "all")
-
-
-def _sample_params(rng: random.Random, bound: int) -> ParamVector:
-    return ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
-
-
-def _sample_roots(rng: random.Random, bound: int) -> RootVariables:
-    return RootVariables(tuple(sample_fraction(rng, bound) for _ in range(7)))
 
 
 def coxeter_suite() -> list[CheckResult]:
@@ -139,10 +136,8 @@ RELATIONS = (
 
 def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> list[CheckResult]:
     """Pointwise identities of the elementary maps at generic samples."""
-    checks = [
-        CheckResult.sampled(name, words_equal(lhs, rhs, trials=trials, seed=seed, bound=bound))
-        for name, lhs, rhs in RELATIONS
-    ]
+    draw = cache(_state_draw(seed, bound))  # the relations share their draws
+    checks = [CheckResult.sampled(name, words_equal(lhs, rhs, trials, draw)) for name, lhs, rhs in RELATIONS]
 
     rng = random.Random(f"gauge:{seed}")
 
@@ -155,34 +150,41 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> li
             for new in (apply_rows(param_rows(s), ints) for s in SYMBOLS)
         )
 
-    gauge = sample_check(trials, lambda _: _sample_params(rng, bound), gauge_fixed, "parameter samples")
+    params = lambda _: ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
+    gauge = sample_check(trials, params, gauge_fixed, "parameter samples")
     checks.append(CheckResult.sampled("gauge_fixes_b4_and_chi_delta", gauge, ("b",)))
     return checks
 
 
 @lru_cache(maxsize=None)
-def _lattice_root_evolution(symbol: str) -> tuple[tuple[int, ...], ...]:
-    """Row i: the simple-root coordinates of s^-1(a_i), read off the lattice matrix."""
-    inverse = generator_picmap(SYMBOL_INVERSE[symbol])
+def _lattice_root_evolution(word: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row i: the simple-root coordinates of w^-1(a_i), read off the lattice matrix."""
+    inverse = word_to_picmap(invert_word(word))
     return tuple(to_alpha_coords(inverse(symmetry_root(i))).coeffs for i in range(7))
 
 
-def period_suite(seed: int = 0, samples: int = 10, bound: int = 10_000) -> list[CheckResult]:
-    """Consistency of the period map with the parameter actions.
+def period_suite() -> list[CheckResult]:
+    """Consistency of the period map with the parameter actions, proved on bases.
+
+    Each check is linear (in b, in the root variables, or in the fold's
+    matrix), so it holds if and only if it holds on a basis: it runs through
+    sample_check on the vectors of a fixed basis in order and draws nothing.
 
     generator_consistency compares each generator's parameter action with
     the root variables predicted from its lattice matrix (the new a_i is the
     period of s^-1(a_i)), independently of root_variable_evolution, from
-    which the parameter action is derived.
+    which the parameter action is derived.  evolution_linearity makes the
+    same prediction for PHI_WORD and PSI_WORD and compares it with the
+    fold's matrix.  The root basis e_j/(j+2) has denominators, so
+    phi_word_root_evolution exercises root_variable_evolution's scaling.
     """
-    rng = random.Random(f"period:{seed}")
 
     def consistent(b: ParamVector) -> bool:
         # The root variables of L b are integers, and so is the lattice's prediction.
         _, ints = scale_to_integers(b.b)
         a = root_values(ints)
         for s in SYMBOLS:
-            predicted = [sum(c * x for c, x in zip(row, a)) for row in _lattice_root_evolution(s)]
+            predicted = [sum(c * x for c, x in zip(row, a)) for row in _lattice_root_evolution((s,))]
             if list(root_values(apply_rows(param_rows(s), ints))) != predicted:
                 return False
         return True
@@ -192,17 +194,10 @@ def period_suite(seed: int = 0, samples: int = 10, bound: int = 10_000) -> list[
         chi = delta_period(a)
         return all(delta_period(fold_root_values((s,), a)) == chi for s in SYMBOLS)
 
-    def linear_sample(_index: int) -> tuple:
-        word = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 6)))
-        return word, _sample_roots(rng, bound), _sample_roots(rng, bound)
-
-    def linear(sample: tuple) -> bool:
-        word, a1, a2 = sample
-        _, ints = scale_to_integers(a1.a + a2.a)
-        x1, x2 = ints[:7], ints[7:]
-        total = fold_root_values(word, [x + y for x, y in zip(x1, x2)])
-        rhs1, rhs2 = fold_root_values(word, x1), fold_root_values(word, x2)
-        return total == [x + y for x, y in zip(rhs1, rhs2)]
+    def fold_matches_lattice(word: tuple[str, ...]) -> bool:
+        # Column j of the fold's matrix is its image of the j-th unit vector.
+        columns = [fold_root_values(word, [int(i == j) for i in range(7)]) for j in range(7)]
+        return tuple(zip(*columns)) == _lattice_root_evolution(word)
 
     def phi_evolution(a: RootVariables) -> bool:
         # Through the public evolution: phi translates the root variables by chi(delta).
@@ -210,16 +205,17 @@ def period_suite(seed: int = 0, samples: int = 10, bound: int = 10_000) -> list[
         expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
         return root_variable_evolution(PHI_WORD, a).a == expected
 
-    params, roots = (lambda _: _sample_params(rng, bound)), (lambda _: _sample_roots(rng, bound))
+    params = [ParamVector(tuple(int(i == j) for i in range(8))) for j in range(8)]
+    roots = [RootVariables(tuple(Fraction(int(i == j), j + 2) for i in range(7))) for j in range(7)]
     checks = [
         ("generator_consistency", params, consistent, ("b",)),
         ("chi_delta_invariance", params, chi_delta_fixed, ("b",)),
-        ("evolution_linearity", linear_sample, linear, ("word", "a1", "a2")),
+        ("evolution_linearity", (PHI_WORD, PSI_WORD), fold_matches_lattice, ("word",)),
         ("phi_word_root_evolution", roots, phi_evolution, ("a",)),
     ]
     return [
-        CheckResult.sampled(name, sample_check(samples, draw, holds, "period samples"), fields)
-        for name, draw, holds, fields in checks
+        CheckResult.sampled(name, sample_check(len(basis), lambda i: basis[i - 1], holds, "basis vectors"), fields)
+        for name, basis, holds, fields in checks
     ]
 
 
@@ -307,7 +303,7 @@ def run_suite(
     if suite == "birational":
         return birational_suite(trials=trials, seed=seed, bound=bound)
     if suite == "period":
-        return period_suite(seed=seed, samples=trials, bound=bound)
+        return period_suite()
     if suite == "equivalence":
         return equivalence_suite(
             trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
@@ -316,7 +312,7 @@ def run_suite(
         return (
             coxeter_suite()
             + birational_suite(trials=trials, seed=seed, bound=bound)
-            + period_suite(seed=seed, samples=trials, bound=bound)
+            + period_suite()
             + equivalence_suite(
                 trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
             )

@@ -21,8 +21,9 @@ replacements: cancel_pieces_oracle, the two-division seeded cancellation of
 phi's confined factors, decimal_str_oracle, Decimal division of the
 numerator by the denominator, to_alpha_coords_oracle, membership in Q
 decided by rebuilding the class from its root coordinates, and
-birational_checks_oracle and period_checks_oracle, the sampled relation,
-gauge and period checks of verify compared on Fractions.
+birational_checks_oracle and period_checks_oracle, verify's sampled
+relation and gauge checks and its period checks on their bases, compared on
+Fractions.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from e6painleve.birational import (
     sample_fraction,
     word_map,
 )
-from e6painleve.models import PHI_WORD
+from e6painleve.models import PHI_WORD, PSI_WORD
 from e6painleve.periodmap import RootVariables, root_variable_evolution, root_variables
 from e6painleve.piclattice import DivisorClass, NotInSymmetryLattice, RootVector, from_alpha_coords
 from e6painleve.weylgroup import SYMBOLS
@@ -444,18 +445,17 @@ def birational_checks_oracle(
 
 
 def period_checks_oracle(
-    lattice_rows: Callable[[str], Sequence[Sequence[int]]], samples: int, seed: int, bound: int
+    lattice_rows: Callable[[tuple[str, ...]], Sequence[Sequence[int]]],
 ) -> list[tuple[str, MapComparison, tuple[str, ...]]]:
-    """period_suite's checks on Fractions, in its order and from its one stream.
+    """period_suite's checks on Fractions, in its order and on its bases.
 
-    lattice_rows(s) gives row i, the simple-root coordinates of s^-1(a_i).
+    lattice_rows(w) gives row i, the simple-root coordinates of w^-1(a_i).
     """
-    rng = random.Random(f"period:{seed}")
 
     def consistent(b: ParamVector) -> bool:
         a = root_variables(b).a
         for s in SYMBOLS:
-            predicted = tuple(sum((c * x for c, x in zip(row, a)), Fraction(0)) for row in lattice_rows(s))
+            predicted = tuple(sum((c * x for c, x in zip(row, a)), Fraction(0)) for row in lattice_rows((s,)))
             if root_variables(generator_step(s).apply_params(b)).a != predicted:
                 return False
         return True
@@ -464,33 +464,28 @@ def period_checks_oracle(
         a = root_variables(b)
         return all(root_variable_evolution((s,), a).chi_delta() == a.chi_delta() for s in SYMBOLS)
 
-    def roots(_index: int) -> RootVariables:
-        return RootVariables(tuple(sample_fraction(rng, bound) for _ in range(7)))
-
-    def linear_sample(_index: int) -> tuple:
-        word = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(0, 6)))
-        return word, roots(0), roots(0)
-
-    def linear(sample: tuple) -> bool:
-        word, a1, a2 = sample
-        total = RootVariables(tuple(x + y for x, y in zip(a1.a, a2.a)))
-        rhs1 = root_variable_evolution(word, a1)
-        rhs2 = root_variable_evolution(word, a2)
-        return root_variable_evolution(word, total).a == tuple(x + y for x, y in zip(rhs1.a, rhs2.a))
+    def evolution_matches_lattice(word: tuple[str, ...]) -> bool:
+        # New a_i on the unit vector e_j is entry (i, j) of the lattice's matrix.
+        return all(
+            root_variable_evolution(word, RootVariables(tuple(Fraction(i == j) for i in range(7)))).a
+            == tuple(Fraction(row[j]) for row in lattice_rows(word))
+            for j in range(7)
+        )
 
     def phi_evolution(a: RootVariables) -> bool:
         d = a.chi_delta()
         expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
         return root_variable_evolution(PHI_WORD, a).a == expected
 
-    params = lambda _: ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
+    params = [ParamVector(tuple(Fraction(i == j) for i in range(8))) for j in range(8)]
+    roots = [RootVariables(tuple(Fraction(i == j) / (j + 2) for i in range(7))) for j in range(7)]
     checks = [
         ("generator_consistency", params, consistent, ("b",)),
         ("chi_delta_invariance", params, chi_delta_fixed, ("b",)),
-        ("evolution_linearity", linear_sample, linear, ("word", "a1", "a2")),
+        ("evolution_linearity", (PHI_WORD, PSI_WORD), evolution_matches_lattice, ("word",)),
         ("phi_word_root_evolution", roots, phi_evolution, ("a",)),
     ]
     return [
-        (name, sample_check(samples, draw, holds, "period samples"), fields)
-        for name, draw, holds, fields in checks
+        (name, sample_check(len(basis), lambda i: basis[i - 1], holds, "basis vectors"), fields)
+        for name, basis, holds, fields in checks
     ]

@@ -293,11 +293,15 @@ def test_orbit_psi_partial_trace_at_base_point(capsys):
 
 
 def test_orbit_requires_matching_initial_data(capsys):
-    code, _, err = run_cli(
-        capsys, "orbit", "--map", "phi", "--steps", "1", "--point", "2,3"
-    )
-    assert code == 1
-    assert json.loads(err)["error"] == "input"
+    # Each map needs its own initial data and rejects the other map's.
+    for argv in (
+        ("--map", "phi", "--point", "2,3"),
+        ("--map", "psi", *README_PSI, "--b", "1,2,3"),
+        ("--map", "phi", *README_PHI, "--theta", "x"),
+    ):
+        code, out, err = run_cli(capsys, "orbit", "--steps", "1", *argv)
+        assert (code, out) == (1, ""), argv
+        assert json.loads(err)["error"] == "input"
 
 
 def test_verify_coxeter_is_fast(capsys):
@@ -345,7 +349,7 @@ def test_verify_rejects_negative_max_word_length(capsys):
 
 
 def test_verify_draws_with_bound_except_schlesinger_samples(capsys, monkeypatch):
-    # --bound reaches every draw of parameters, points and root variables;
+    # --bound reaches every draw of parameters and points;
     # the Schlesinger samples (psi-word and transport checks) keep bound 100.
     from e6painleve import birational, models, verify
 
@@ -377,16 +381,30 @@ def test_verify_with_almost_all_draws_degenerate_is_input_error(capsys):
     assert re.fullmatch(r"rejected \d+ of \d+ [a-z/ ]+; raise --bound to draw from more values", error["message"])
 
 
-def test_verify_period_reports_trials(capsys):
-    code, out, _ = run_cli(capsys, "verify", "period", "--trials", "3", "--seed", "2")
+def test_verify_period_is_proved_on_bases_whatever_the_sampling_flags(capsys):
+    # The period checks are linear and run once per basis vector, drawing nothing.
+    outputs = {
+        run_cli(capsys, "verify", "period", "--trials", trials, "--seed", seed, "--bound", bound)
+        for trials in ("1", "25")
+        for seed in ("0", "9")
+        for bound in ("2", "10000")
+    }
+    assert len(outputs) == 1
+    code, out, _ = outputs.pop()
     assert code == 0
     checks = json.loads(out)["checks"]
-    assert checks and all(c["samples"] == 3 for c in checks)
+    assert [(c["name"], c["passed"], c["samples"], c["rejected"]) for c in checks] == [
+        ("generator_consistency", True, 8, 0),
+        ("chi_delta_invariance", True, 8, 0),
+        ("evolution_linearity", True, 2, 0),
+        ("phi_word_root_evolution", True, 7, 0),
+    ]
 
 
 def test_same_seed_gives_identical_output(capsys):
-    _, out1, _ = run_cli(capsys, "verify", "period", "--seed", "9")
-    _, out2, _ = run_cli(capsys, "verify", "period", "--seed", "9")
+    # The period suite draws nothing, so the seeded birational suite is compared.
+    _, out1, _ = run_cli(capsys, "verify", "birational", "--seed", "9", "--trials", "5")
+    _, out2, _ = run_cli(capsys, "verify", "birational", "--seed", "9", "--trials", "5")
     assert out1 == out2
 
 

@@ -85,13 +85,34 @@ def test_a_fold_that_moves_chi_delta_fails_the_period_checks(monkeypatch):
     # The parameter rows are derived from the fold, so they take the mutant too.
     birational.param_rows.cache_clear()
     try:
-        checks = {c.name: c for c in verify.period_suite(seed=1, samples=10)}
+        checks = {c.name: c for c in verify.period_suite()}
     finally:
         birational.param_rows.cache_clear()
     assert not checks["chi_delta_invariance"].passed
     assert not checks["phi_word_root_evolution"].passed
     assert not checks["generator_consistency"].passed
-    assert checks["evolution_linearity"].passed  # the mutant is still linear
+    assert not checks["evolution_linearity"].passed  # linear, but not the lattice's matrix
+
+
+def test_a_fold_that_applies_letters_in_the_wrong_order_fails_evolution_linearity(monkeypatch):
+    # Single letters fold as before, so the per-generator checks pass; the
+    # fold's matrix of a whole word is the lattice's only in the right order.
+    original = periodmap.fold_root_values
+
+    def mutant(word, values):
+        return original(tuple(reversed(tuple(word))), values)
+
+    for module in (periodmap, verify):
+        monkeypatch.setattr(module, "fold_root_values", mutant)
+    birational.param_rows.cache_clear()
+    try:
+        checks = {c.name: c for c in verify.period_suite()}
+    finally:
+        birational.param_rows.cache_clear()
+    check = checks["evolution_linearity"]
+    assert (check.passed, check.samples) == (False, 1)
+    assert check.counterexample == {"word": list(models.PHI_WORD)}
+    assert checks["generator_consistency"].passed and checks["chi_delta_invariance"].passed
 
 
 def test_relation_checks_report_the_counterexample():
@@ -116,7 +137,7 @@ def test_generator_consistency_catches_a_wrong_root_fold(monkeypatch):
         monkeypatch.setattr(module, "root_variable_evolution", mutant)
     birational.param_rows.cache_clear()
     try:
-        checks = {c.name: c for c in verify.period_suite(seed=1, samples=10)}
+        checks = {c.name: c for c in verify.period_suite()}
     finally:
         birational.param_rows.cache_clear()
     assert not checks["generator_consistency"].passed
@@ -138,13 +159,13 @@ def test_integer_checks_match_their_fraction_forms(bound):
     for seed in range(1, 6):
         library = _reports(
             lambda: verify.birational_suite(trials=10, seed=seed, bound=bound)
-            + verify.period_suite(seed=seed, samples=10, bound=bound)
+            + verify.period_suite()
         )
         oracle = _reports(
             lambda: [
                 CheckResult.sampled(name, comparison, fields)
                 for name, comparison, fields in birational_checks_oracle(verify.RELATIONS, 10, seed, bound)
-                + period_checks_oracle(verify._lattice_root_evolution, 10, seed, bound)
+                + period_checks_oracle(verify._lattice_root_evolution)
             ]
         )
         assert library == oracle, seed
