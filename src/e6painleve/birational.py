@@ -30,8 +30,8 @@ verify, runs through the one sampling loop sample_check: it draws, rejects
 degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
 rejected.  maps_equal is that loop on pairs of maps, and words_equal, on
-draws its caller passes (maps_equal's, cached and shared), on pairs of words
-compared on integers at one scale.
+draws its caller passes (maps_equal's, each with its integer form, cached
+and shared), on pairs of words compared on integers at one scale.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import ast
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterable
@@ -450,6 +450,17 @@ def _state_draw(seed: int, bound: int) -> Callable[[int], tuple[ParamVector, Sur
     return lambda index: sample_state(_per_sample_rng(seed, index), bound)
 
 
+def _scaled_state_draw(seed: int, bound: int) -> Callable[[int], tuple]:
+    """_state_draw's samples (b, p), each paired with its integer form (L b; L f, L g)."""
+
+    def draw(index: int) -> tuple:
+        b, p = sample = sample_state(_per_sample_rng(seed, index), bound)
+        scale, ints = scale_to_integers(b.b)
+        return sample, (ints, pair_from_coord(p.f, scale), pair_from_coord(p.g, scale))
+
+    return draw
+
+
 def maps_equal(
     map_a: MapLike,
     map_b: MapLike,
@@ -474,24 +485,24 @@ def words_equal(
     lhs: Iterable[str],
     rhs: Iterable[str],
     trials: int,
-    draw: Callable[[int], tuple[ParamVector, SurfacePoint]],
+    draw: Callable[[int], tuple],
 ) -> MapComparison:
     """maps_equal of two words on draw's samples, on integers: the same rejections and result.
 
-    Both words run through eval_integers from one scaling (L b; L f, L g)
-    of each draw, so their integer parameters are compared directly and
+    Both words run through eval_integers from the draw's one scaling
+    (L b; L f, L g), so their integer parameters are compared directly and
     their coordinates as pairs in lowest terms with a positive denominator.
     The caller passes the draw, so several comparisons can share one cached
-    stream (of _state_draw(seed, bound), maps_equal's draws).
+    stream (of _scaled_state_draw(seed, bound): maps_equal's draws, each
+    scaled once); a counterexample is the drawn (b, p).
     """
     lhs, rhs = tuple(lhs), tuple(rhs)
 
-    def holds(sample: tuple[ParamVector, SurfacePoint]) -> bool:
-        b, p = sample
-        scale, ints = scale_to_integers(b.b)
-        f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
+    def holds(drawn: tuple) -> bool:
+        ints, f, g = drawn[1]
         b1, f1, g1 = eval_integers(lhs, ints, f, g)
         b2, f2, g2 = eval_integers(rhs, ints, f, g)
         return b1 == b2 and _lowest_terms(*f1) == _lowest_terms(*f2) and _lowest_terms(*g1) == _lowest_terms(*g2)
 
-    return sample_check(trials, draw, holds, "sampled inputs")
+    result = sample_check(trials, draw, holds, "sampled inputs")
+    return result if result.equal else replace(result, counterexample=result.counterexample[0])

@@ -1,16 +1,19 @@
 """Rewriting lattice automorphisms as words in the Weyl-group generators.
 
 The algorithm tracks the images of the seven symmetry simple roots under the
-running element.  While some image is a negative root, right-multiplying by
-the corresponding simple reflection shortens the element (length drops
-exactly when the image of the reflecting root is negative), and the image
-vector updates cheaply: multiplying on the right by w_i replaces each image
-v_j by v_j + c_ij * v_i: with c_ii = -2 and c_ij = +1 on the diagram's edges,
-v_i is negated and added to its neighbours.  The loop runs on 7-int tuples; a
-negative root has no positive and some negative entry.  Once every image is
-positive, an element of the extended group sends simple roots to simple roots,
-the residual permutation is matched against the diagram automorphisms, and
-undoing the accumulated cancellation gives the word.
+running element, read off the columns of its matrix.  While some image is a
+negative root, right-multiplying by the corresponding simple reflection
+shortens the element (length drops exactly when the image of the reflecting
+root is negative), and the image vector updates cheaply: multiplying on the
+right by w_i replaces each image v_j by v_j + c_ij * v_i: with c_ii = -2 and
+c_ij = +1 on the diagram's edges, v_i is negated and added to its neighbours.
+The loop runs on 7-int tuples; a negative root has no positive and some
+negative entry.  Each image keeps a flag saying whether it is negative, and a
+step re-tests only the images it moves, the pivot and its neighbours; the
+pivot is the first flagged image.  Once every image is positive, an element
+of the extended group sends simple roots to simple roots, the residual
+permutation is matched against the diagram automorphisms, and undoing the
+accumulated cancellation gives the word.
 
 The returned word is verified against the input by exact matrix equality;
 anything that fails to reduce or to match an automorphism is rejected as
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, neg
 
-from .piclattice import CARTAN_TERMS, NotInSymmetryLattice, RootVector, symmetry_root, to_alpha_coords
-from .weylgroup import ALPHA_PERMUTATIONS, PicMap, Word, word_to_picmap
+from .piclattice import CARTAN_TERMS, RootVector
+from .weylgroup import ALPHA_PERMUTATIONS, PicMap, Word, simple_root_coords, word_to_picmap
 
 #: Hard cap on reduction steps; generous for every element handled here
 #: (the built-in dynamics reduce in 16 steps).
@@ -49,14 +52,6 @@ class ReductionStep:
     images: SimpleRootImages
 
 
-def _simple_root_index(v: RootVector) -> int | None:
-    """Index i when v equals the simple root a_i, else None."""
-    ones = [j for j, c in enumerate(v.coeffs) if c == 1]
-    if len(ones) == 1 and all(c == 0 for j, c in enumerate(v.coeffs) if j != ones[0]):
-        return ones[0]
-    return None
-
-
 def match_automorphism(images: SimpleRootImages) -> str:
     """Identify the diagram automorphism realized by simple-root images.
 
@@ -66,10 +61,9 @@ def match_automorphism(images: SimpleRootImages) -> str:
     """
     perm: dict[int, int] = {}
     for i, img in enumerate(images):
-        j = _simple_root_index(img)
-        if j is None:
+        if sorted(img.coeffs) != [0] * 6 + [1]:
             raise NoAutomorphismMatch(f"image of a_{i} is not a simple root")
-        perm[i] = j
+        perm[i] = img.coeffs.index(1)
     if len(set(perm.values())) != 7:
         raise NoAutomorphismMatch("images are not a permutation of the simple roots")
     if all(perm[i] == i for i in range(7)):
@@ -80,12 +74,16 @@ def match_automorphism(images: SimpleRootImages) -> str:
     raise NoAutomorphismMatch("permutation is not a diagram automorphism")
 
 
+def _root_images(m: PicMap) -> list[tuple[int, ...]]:
+    images = list(simple_root_coords(m))
+    if None in images:
+        raise NotInGroup("map does not preserve the symmetry sublattice")
+    return images
+
+
 def simple_root_images(m: PicMap) -> SimpleRootImages:
     """Images of a0..a6 under m, in symmetry-root coordinates."""
-    try:
-        return tuple(to_alpha_coords(m(symmetry_root(i))) for i in range(7))
-    except NotInSymmetryLattice as exc:
-        raise NotInGroup("map does not preserve the symmetry sublattice") from exc
+    return tuple(map(RootVector, _root_images(m)))
 
 
 def decompose(m: PicMap, trace: bool = False):
@@ -95,16 +93,18 @@ def decompose(m: PicMap, trace: bool = False):
     word reproduces m exactly (checked by matrix equality).  Raises
     NotInGroup for maps outside the extended affine Weyl group.
     """
-    images = [v.coeffs for v in simple_root_images(m)]
+    images = _root_images(m)
+    negative = [max(v) <= 0 and min(v) < 0 for v in images]
     cancellation: list[int] = []
     steps: list[ReductionStep] = []
     for _ in range(MAX_REDUCTION_STEPS):
-        pivot = next((i for i, v in enumerate(images) if max(v) <= 0 and min(v) < 0), None)
-        if pivot is None:
+        if True not in negative:
             break
+        pivot = negative.index(True)
         p = images[pivot]
         for j, c in CARTAN_TERMS[pivot]:
-            images[j] = tuple(map(add, images[j], p)) if c == 1 else tuple(map(neg, p))
+            images[j] = v = tuple(map(add, images[j], p)) if c == 1 else tuple(map(neg, p))
+            negative[j] = max(v) <= 0 and min(v) < 0
         cancellation.append(pivot)
         if trace:
             steps.append(ReductionStep(pivot, tuple(map(RootVector, images))))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 RANK = 10
 BASIS_LABELS = ("Hf", "Hg", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -230,22 +231,30 @@ def root_sign(v: RootVector) -> Sign:
     return Sign.ZERO
 
 
-def to_alpha_coords(c: DivisorClass) -> RootVector:
-    """Express a class in symmetry-root coordinates.
+def _alpha_coords(coeffs: Iterable[int]) -> tuple[int, ...] | None:
+    """The symmetry-root coordinates of ten integers, or None outside Q.
 
     Q is a primitive sublattice, so the coordinates are a triangular closed
     form: x3 and x5 are the Hf and Hg coefficients, x4 and x6 minus those of
     E8 and E6, and x0, x1, x2 follow from E4, E3, E2 in turn.  The class is in
-    Q exactly when its other entries match sum_i x_i a_i, E1 = x2 - Hf - Hg,
-    E5 = -E6 - Hg and E7 = -E8 - Hf; otherwise NotInSymmetryLattice is raised.
+    Q exactly when its other entries match sum_i x_i a_i: E1 = x2 - Hf - Hg,
+    E5 = -E6 - Hg and E7 = -E8 - Hf.
     """
-    hf, hg, e1, e2, e3, e4, e5, e6, e7, e8 = c.coeffs
+    hf, hg, e1, e2, e3, e4, e5, e6, e7, e8 = coeffs
     x0 = -e4
     x1 = x0 - e3
     x2 = x1 - e2
     if e1 != x2 - hf - hg or e5 != -e6 - hg or e7 != -e8 - hf:
+        return None
+    return (x0, x1, x2, hf, -e8, hg, -e6)
+
+
+def to_alpha_coords(c: DivisorClass) -> RootVector:
+    """A class in symmetry-root coordinates; NotInSymmetryLattice outside Q."""
+    coords = _alpha_coords(c.coeffs)
+    if coords is None:
         raise NotInSymmetryLattice(f"{c} is not in the span of the symmetry roots")
-    return RootVector((x0, x1, x2, hf, -e8, hg, -e6))
+    return RootVector(coords)
 
 
 def from_alpha_coords(v: RootVector) -> DivisorClass:

@@ -8,7 +8,8 @@ checks draw seeded generic rational samples and compare exactly; the
 relation and gauge checks scale each draw once to integers (by the lcm of
 its denominators) and compare integers, which is exact because every map
 they compare is homogeneous in that scaling.  The 20 relation checks share
-one cached draw, so each of their samples is drawn once per suite.
+one cached draw, so each of their samples is drawn and scaled once per
+suite.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache, lru_cache
 from .birational import (
     ParamVector,
     SurfacePoint,
-    _state_draw,
+    _scaled_state_draw,
     apply_rows,
     eval_word,
     maps_equal,
@@ -136,7 +137,7 @@ RELATIONS = (
 
 def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> list[CheckResult]:
     """Pointwise identities of the elementary maps at generic samples."""
-    draw = cache(_state_draw(seed, bound))  # the relations share their draws
+    draw = cache(_scaled_state_draw(seed, bound))  # the relations share their draws, each scaled once
     checks = [CheckResult.sampled(name, words_equal(lhs, rhs, trials, draw)) for name, lhs, rhs in RELATIONS]
 
     rng = random.Random(f"gauge:{seed}")

@@ -16,6 +16,9 @@ sum_k G[k][j] col_k(M).  A reflection moves two or three columns, an
 automorphism mostly permutes them; every moved column adds or subtracts at
 most four old ones, and the columns G leaves alone pass through unchanged.
 
+The image m(a_i) of a simple root is a signed sum of the two to four
+columns of m that the +-1 entries of a_i pick.
+
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
 for all i.  The defining vector alpha of the translation (with
 (alpha . a_i) = n_i) lives in Q tensor QQ and is unique modulo delta; its
@@ -28,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, neg, sub
-from typing import Callable, Iterable, Sequence
+from operator import add, mul, neg, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .piclattice import (
     CARTAN,
@@ -37,7 +40,6 @@ from .piclattice import (
     DELTA_WEIGHTS,
     RANK,
     DivisorClass,
-    NotInSymmetryLattice,
     RationalRootVector,
     anticanonical,
     exceptional,
@@ -45,9 +47,9 @@ from .piclattice import (
     H_F,
     H_G,
     intersection,
+    _alpha_coords,
     surface_root,
     symmetry_root,
-    to_alpha_coords,
 )
 
 SYMBOLS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6", "m0", "m1", "m2", "r", "r2")
@@ -76,6 +78,9 @@ def parse_word(symbols: Iterable[str]) -> Word:
     return word
 
 
+_IDENTITY_ROWS = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK))
+
+
 @dataclass(frozen=True)
 class PicMap:
     """Lattice automorphism as a 10x10 integer matrix on column vectors."""
@@ -88,7 +93,7 @@ class PicMap:
 
     @classmethod
     def identity(cls) -> "PicMap":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(RANK)) for i in range(RANK)))
+        return cls(_IDENTITY_ROWS)
 
     @classmethod
     def from_images(cls, images: Sequence[DivisorClass]) -> "PicMap":
@@ -98,14 +103,8 @@ class PicMap:
         return cls(tuple(tuple(images[j].coeffs[i] for j in range(RANK)) for i in range(RANK)))
 
     def __matmul__(self, other: "PicMap") -> "PicMap":
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(RANK))
-                for j in range(RANK)
-            )
-            for i in range(RANK)
-        )
-        return PicMap(rows)
+        cols = tuple(zip(*other.rows))
+        return PicMap(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows))
 
     def __call__(self, c: DivisorClass) -> DivisorClass:
         terms = [(j, x) for j, x in enumerate(c.coeffs) if x]
@@ -113,16 +112,8 @@ class PicMap:
 
     def inverse(self) -> "PicMap":
         # For an isometry M of the form J: M^-1 = J M^T J, and J is an involution.
-        j = gram_matrix()
-        jm = tuple(
-            tuple(sum(j[i][k] * self.rows[j_][k] for k in range(RANK)) for j_ in range(RANK))
-            for i in range(RANK)
-        )
-        rows = tuple(
-            tuple(sum(jm[i][k] * j[k][j_] for k in range(RANK)) for j_ in range(RANK))
-            for i in range(RANK)
-        )
-        inv = PicMap(rows)
+        j = PicMap(gram_matrix())
+        inv = j @ PicMap(tuple(zip(*self.rows))) @ j
         if inv @ self != PicMap.identity():
             raise ValueError("matrix is not an isometry; cannot invert via the form")
         return inv
@@ -235,6 +226,21 @@ ALPHA_PERMUTATIONS = {
 }
 
 
+#: The nonzero entries of each simple root a_i as (k, add or sub), so that
+#: m(a_i) = sum_k a_i[k] col_k(m) (the entries are +-1, as in _moved_columns).
+_ROOT_TERMS = tuple(tuple((k, {1: add, -1: sub}[x]) for k, x in enumerate(a.coeffs) if x) for a in _SIMPLE_ROOTS)
+
+
+def simple_root_coords(m: PicMap) -> Iterator[tuple[int, ...] | None]:
+    """Root coordinates of m(a_0), ..., m(a_6), each computed when asked for; None outside Q."""
+    cols = tuple(zip(*m.rows))
+    for terms in _ROOT_TERMS:
+        image = (0,) * RANK
+        for k, op in terms:
+            image = map(op, image, cols[k])
+        yield _alpha_coords(image)
+
+
 def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
     """The permutation (k_0, k_1, k_2) with m(d_j) = d_(k_j), or None.
 
@@ -264,7 +270,7 @@ def _moved_columns(symbol: str) -> tuple[tuple[int, int, Callable, tuple[tuple[i
 
 def word_to_picmap(word: Iterable[str]) -> PicMap:
     """Product of generator matrices; the rightmost symbol acts first."""
-    cols = list(PicMap.identity().rows)  # the identity's rows are its columns
+    cols = list(_IDENTITY_ROWS)  # the identity's rows are its columns
     for symbol in word:
         old = cols[:]
         for j, k, op, rest in _moved_columns(symbol):
@@ -286,14 +292,11 @@ def translation_delta_vector(m: PicMap) -> tuple[int, ...]:
     Raises NotTranslation when the element has a nontrivial finite part.
     """
     ns = []
-    for i in range(7):
-        try:
-            coords = to_alpha_coords(m(symmetry_root(i)))
-        except NotInSymmetryLattice as exc:
-            raise NotTranslation(f"image of a_{i} is outside the symmetry lattice") from exc
-        diff = tuple(c - (1 if j == i else 0) for j, c in enumerate(coords.coeffs))
-        n, rem = divmod(diff[0], DELTA_WEIGHTS[0])
-        if rem != 0 or any(diff[j] != n * DELTA_WEIGHTS[j] for j in range(7)):
+    for i, coords in enumerate(simple_root_coords(m)):
+        if coords is None:
+            raise NotTranslation(f"image of a_{i} is outside the symmetry lattice")
+        n = coords[0] - (i == 0)  # the a_0 coefficient of delta is 1
+        if any(c - (j == i) != n * w for j, (c, w) in enumerate(zip(coords, DELTA_WEIGHTS))):
             raise NotTranslation(f"image of a_{i} is not a_{i} plus a multiple of delta")
         ns.append(n)
     return tuple(ns)
@@ -334,6 +337,18 @@ def _finite_cartan_adjugate() -> tuple[int, tuple[tuple[int, ...], ...]]:
     return _det(block), adjugate
 
 
+def _scaled_kac_vector(m: PicMap) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(det, det alpha, n) for kac_vector's alpha, on integers."""
+    ns = translation_delta_vector(m)
+    det, adjugate = _finite_cartan_adjugate()
+    scaled = (0,) + tuple(sum(c * n for c, n in zip(row, ns[1:])) for row in adjugate)
+    if sum(w * n for w, n in zip(DELTA_WEIGHTS, ns)) != 0 or any(
+        sum(c * scaled[j] for j, c in CARTAN_TERMS[i]) != det * ns[i] for i in range(7)
+    ):
+        raise NotTranslation("inconsistent translation vector")
+    return det, scaled, ns
+
+
 def kac_vector(m: PicMap) -> RationalRootVector:
     """Defining vector of a translation: (alpha . a_i) = n_i for all i.
 
@@ -344,20 +359,14 @@ def kac_vector(m: PicMap) -> RationalRootVector:
     when m is not a translation or the system has no solution, which is
     when sum delta_i n_i != 0.
     """
-    ns = translation_delta_vector(m)
-    det, adjugate = _finite_cartan_adjugate()
-    scaled = (0,) + tuple(sum(c * n for c, n in zip(row, ns[1:])) for row in adjugate)
-    if sum(w * n for w, n in zip(DELTA_WEIGHTS, ns)) != 0 or any(
-        sum(c * scaled[j] for j, c in CARTAN_TERMS[i]) != det * ns[i] for i in range(7)
-    ):
-        raise NotTranslation("inconsistent translation vector")
+    det, scaled, _ = _scaled_kac_vector(m)
     return RationalRootVector(tuple(Fraction(x, det) for x in scaled))
 
 
 def translation_norm(m: PicMap) -> Fraction:
-    """Conjugation-invariant norm -(alpha . alpha) of a translation."""
-    alpha = kac_vector(m)
-    return -bullet(alpha, alpha)
+    """Conjugation-invariant norm -(alpha . alpha) = -sum_i alpha_i n_i of a translation."""
+    det, scaled, ns = _scaled_kac_vector(m)
+    return Fraction(-sum(map(mul, scaled, ns)), det)
 
 
 def find_conjugator(src: RationalRootVector, dst: RationalRootVector, max_len: int) -> Word | None:

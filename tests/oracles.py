@@ -23,7 +23,11 @@ numerator by the denominator, to_alpha_coords_oracle, membership in Q
 decided by rebuilding the class from its root coordinates, and
 birational_checks_oracle and period_checks_oracle, verify's sampled
 relation and gauge checks and its period checks on their bases, compared on
-Fractions.
+Fractions, decompose_oracle, the reduction that applies the matrix to each
+simple root and rescans all seven images for the pivot at every step, and
+translation_delta_vector_oracle and translation_norm_oracle, the delta
+vector from those images and the norm as a Fraction pairing of the
+eliminated defining vector.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import add, neg
 from typing import Callable, Sequence
 
 from e6painleve.birational import (
@@ -44,10 +49,20 @@ from e6painleve.birational import (
     sample_fraction,
     word_map,
 )
+from e6painleve.decompose import NoAutomorphismMatch, NotInGroup, ReductionStep, match_automorphism
 from e6painleve.models import PHI_WORD, PSI_WORD
 from e6painleve.periodmap import RootVariables, root_variable_evolution, root_variables
-from e6painleve.piclattice import DivisorClass, NotInSymmetryLattice, RootVector, from_alpha_coords
-from e6painleve.weylgroup import SYMBOLS
+from e6painleve.piclattice import (
+    CARTAN,
+    CARTAN_TERMS,
+    DELTA_WEIGHTS,
+    DivisorClass,
+    NotInSymmetryLattice,
+    RootVector,
+    from_alpha_coords,
+    symmetry_root,
+)
+from e6painleve.weylgroup import SYMBOLS, NotTranslation, PicMap, word_to_picmap
 
 
 def qrt_oracle(
@@ -489,3 +504,64 @@ def period_checks_oracle(
         (name, sample_check(len(basis), lambda i: basis[i - 1], holds, "basis vectors"), fields)
         for name, basis, holds, fields in checks
     ]
+
+
+def _images_oracle(m: PicMap) -> list[tuple[int, ...] | None]:
+    """m applied to each simple root, in root coordinates; None outside Q."""
+    images = []
+    for i in range(7):
+        try:
+            images.append(to_alpha_coords_oracle(m(symmetry_root(i))).coeffs)
+        except NotInSymmetryLattice:
+            images.append(None)
+    return images
+
+
+def decompose_oracle(m: PicMap, trace: bool = False):
+    """decompose with a full scan for the first negative image at every step."""
+    images = _images_oracle(m)
+    if None in images:
+        raise NotInGroup("map does not preserve the symmetry sublattice")
+    cancellation: list[int] = []
+    steps: list[ReductionStep] = []
+    for _ in range(4096):
+        pivot = next((i for i, v in enumerate(images) if max(v) <= 0 and min(v) < 0), None)
+        if pivot is None:
+            break
+        p = images[pivot]
+        for j, c in CARTAN_TERMS[pivot]:
+            images[j] = tuple(map(add, images[j], p)) if c == 1 else tuple(map(neg, p))
+        cancellation.append(pivot)
+        if trace:
+            steps.append(ReductionStep(pivot, tuple(map(RootVector, images))))
+    else:
+        raise NotInGroup("reduction did not terminate; map is outside the group")
+    try:
+        residual = match_automorphism(tuple(map(RootVector, images)))
+    except NoAutomorphismMatch as exc:
+        raise NotInGroup(str(exc)) from exc
+    word = tuple(([residual] if residual else []) + [f"w{i}" for i in reversed(cancellation)])
+    if word_to_picmap(word) != m:
+        raise NotInGroup("reduced word does not reproduce the map on the full lattice")
+    return (word, tuple(steps)) if trace else word
+
+
+def translation_delta_vector_oracle(m: PicMap) -> tuple[int, ...]:
+    """n with m(a_i) = a_i + n_i delta, testing each image before the next."""
+    ns = []
+    for i, coords in enumerate(_images_oracle(m)):
+        if coords is None:
+            raise NotTranslation(f"image of a_{i} is outside the symmetry lattice")
+        diff = [c - (j == i) for j, c in enumerate(coords)]
+        if any(d != diff[0] * w for d, w in zip(diff, DELTA_WEIGHTS)):
+            raise NotTranslation(f"image of a_{i} is not a_{i} plus a multiple of delta")
+        ns.append(diff[0])
+    return tuple(ns)
+
+
+def translation_norm_oracle(m: PicMap) -> Fraction:
+    """-(alpha . alpha) summed over the full Cartan matrix, alpha by elimination."""
+    alpha = kac_vector_oracle(CARTAN, translation_delta_vector_oracle(m), DELTA_WEIGHTS)
+    if alpha is None:
+        raise NotTranslation("inconsistent translation vector")
+    return -sum(alpha[i] * CARTAN[i][j] * alpha[j] for i in range(7) for j in range(7))

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e6painleve.decompose import (
     NoAutomorphismMatch,
@@ -15,13 +16,47 @@ from e6painleve.decompose import (
 )
 from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
 from e6painleve.piclattice import CARTAN, RootVector, Sign, root_sign
-from oracles import ALPHA_PERMUTATIONS
+from oracles import (
+    ALPHA_PERMUTATIONS,
+    decompose_oracle,
+    translation_delta_vector_oracle,
+    translation_norm_oracle,
+)
 from e6painleve.weylgroup import (
+    NotTranslation,
     PicMap,
     SYMBOLS,
     generator_picmap,
     invert_word,
+    translation_delta_vector,
+    translation_norm,
     word_to_picmap,
+)
+
+IDENTITY_ROWS = [[int(i == j) for j in range(10)] for i in range(10)]
+
+
+def _picmap(rows):
+    return PicMap(tuple(tuple(r) for r in rows))
+
+
+def _swapped(i, j):
+    rows = [list(r) for r in IDENTITY_ROWS]
+    rows[i], rows[j] = rows[j], rows[i]
+    return _picmap(rows)
+
+
+# Matrices outside the group, each with the NotInGroup message decompose gives.
+OUTSIDE_GROUP = (
+    (_picmap([[2 * x for x in r] for r in IDENTITY_ROWS]), "image of a_0 is not a simple root"),
+    (_picmap([[-x for x in r] for r in IDENTITY_ROWS]), "reduction did not terminate; map is outside the group"),
+    (_swapped(0, 2), "map does not preserve the symmetry sublattice"),
+    # I + e_0 v^T with v = Hf + E7 + E8 coefficientwise orthogonal to every
+    # a_i: it fixes every simple root, so only the final matrix check fails.
+    (
+        _picmap([[x + (i == 0) * (j in (0, 8, 9)) for j, x in enumerate(r)] for i, r in enumerate(IDENTITY_ROWS)]),
+        "reduced word does not reproduce the map on the full lattice",
+    ),
 )
 
 
@@ -112,12 +147,19 @@ def test_match_automorphism():
         assert match_automorphism(images) == symbol
     # swapping a0, a1 is no diagram symmetry
     swapped = (basis[1], basis[0]) + tuple(basis[2:])
-    with pytest.raises(NoAutomorphismMatch):
+    with pytest.raises(NoAutomorphismMatch) as excinfo:
         match_automorphism(swapped)
+    assert str(excinfo.value) == "permutation is not a diagram automorphism"
     # non-simple image
     bad = (RootVector.of(1, 1, 0, 0, 0, 0, 0),) + tuple(basis[1:])
-    with pytest.raises(NoAutomorphismMatch):
+    with pytest.raises(NoAutomorphismMatch) as excinfo:
         match_automorphism(bad)
+    assert str(excinfo.value) == "image of a_0 is not a simple root"
+    # two roots sent to one
+    doubled = (basis[0],) + tuple(basis[:6])
+    with pytest.raises(NoAutomorphismMatch) as excinfo:
+        match_automorphism(doubled)
+    assert str(excinfo.value) == "images are not a permutation of the simple roots"
 
 
 def test_not_in_group_when_symmetry_lattice_not_preserved():
@@ -125,8 +167,17 @@ def test_not_in_group_when_symmetry_lattice_not_preserved():
     # alpha-images leave the symmetry sublattice.
     rows = [[1 if i == j else 0 for j in range(10)] for i in range(10)]
     rows[9][9] = -1
-    with pytest.raises(NotInGroup):
+    with pytest.raises(NotInGroup) as excinfo:
         decompose(PicMap(tuple(tuple(r) for r in rows)))
+    assert str(excinfo.value) == "map does not preserve the symmetry sublattice"
+
+
+@pytest.mark.parametrize("m, message", OUTSIDE_GROUP)
+def test_not_in_group_messages(m, message):
+    for trace in (False, True):
+        with pytest.raises(NotInGroup) as excinfo:
+            decompose(m, trace=trace)
+        assert str(excinfo.value) == message
 
 
 def test_simple_root_images_of_automorphism_match_tables():
@@ -154,3 +205,38 @@ def test_trace_steps_are_right_reflections():
             images = tuple(v + CARTAN[step.index][j] * pivot for j, v in enumerate(images))
             assert step.images == images
         assert Sign.NEGATIVE not in [root_sign(v) for v in images]
+
+
+def _outcome(f, m):
+    """f(m), or the type and message of the exception it raises."""
+    try:
+        return f(m)
+    except (NotInGroup, NotTranslation) as exc:
+        return type(exc), str(exc)
+
+
+_symbol = st.sampled_from(SYMBOLS)
+_power = st.builds(
+    lambda base, n, conj: conj + base * n + invert_word(conj),
+    st.sampled_from((PHI_WORD, PSI_WORD)),
+    st.integers(0, 16),
+    st.one_of(st.just(()), st.lists(_symbol, min_size=1, max_size=6).map(tuple)),
+)
+_element = st.one_of(st.lists(_symbol, max_size=128).map(tuple), _power).map(word_to_picmap)
+
+
+@st.composite
+def _perturbed(draw):
+    rows = [list(r) for r in draw(_element).rows]
+    rows[draw(st.integers(0, 9))][draw(st.integers(0, 9))] += draw(st.sampled_from((-1, 1)))
+    return _picmap(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_element, _perturbed(), st.sampled_from([m for m, _ in OUTSIDE_GROUP])))
+def test_decompose_and_translation_norm_match_the_scanning_oracles(m):
+    # The same word and trace, or the same exception and message, as the
+    # reduction that rescans every image and applies m to each simple root.
+    assert _outcome(lambda m: decompose(m, trace=True), m) == _outcome(lambda m: decompose_oracle(m, trace=True), m)
+    assert _outcome(translation_delta_vector, m) == _outcome(translation_delta_vector_oracle, m)
+    assert _outcome(translation_norm, m) == _outcome(translation_norm_oracle, m)

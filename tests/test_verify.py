@@ -1,5 +1,6 @@
 """The verify suites: one sampling loop, first-failure reports, independent checks."""
 
+import functools
 import random
 
 import pytest
@@ -122,6 +123,25 @@ def test_relation_checks_report_the_counterexample():
     check = models.CheckResult.sampled("w3_is_w5", comparison)
     b, p = comparison.counterexample
     assert check.to_json()["counterexample"] == {"b": b.to_json(), "point": p.to_json()}
+
+
+def test_words_equal_reports_the_drawn_sample():
+    # On scaled draws, the same result as maps_equal, and the counterexample
+    # is the drawn (b, p), not its integer form.
+    draw = functools.cache(birational._scaled_state_draw(10, 10_000))
+    comparison = birational.words_equal(("w3",), ("w5",), 5, draw)
+    assert comparison == birational.maps_equal(
+        birational.word_map(("w3",)), birational.word_map(("w5",)), trials=5, seed=10
+    )
+    assert comparison.counterexample == draw(comparison.samples + comparison.rejected)[0]
+
+
+def test_relation_draws_are_scaled_once_per_suite(monkeypatch):
+    calls = []
+    scale = birational.scale_to_integers
+    monkeypatch.setattr(birational, "scale_to_integers", lambda values: calls.append(values) or scale(values))
+    checks = verify.birational_suite(trials=10, seed=1)[: len(verify.RELATIONS)]
+    assert len(calls) == max(c.samples + c.rejected for c in checks) >= 10
 
 
 def test_generator_consistency_catches_a_wrong_root_fold(monkeypatch):

@@ -187,6 +187,24 @@ def test_translation_delta_vectors():
         translation_delta_vector(generator_picmap("w3"))
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        # Swapping Hf and E1 sends a_2 = E1 - E2 to Hf - E2, outside Q; a_0
+        # and a_1 are fixed, so they pass first.
+        (_basis_swap(0, 2), "image of a_2 is outside the symmetry lattice"),
+        (_basis_swap(0, 5), "image of a_0 is outside the symmetry lattice"),
+        (generator_picmap("w3"), "image of a_2 is not a_2 plus a multiple of delta"),
+        (PicMap(tuple(tuple(2 * x for x in row) for row in IDENTITY.rows)), "image of a_0 is not a_0 plus a multiple of delta"),
+    ],
+)
+def test_not_translation_messages(m, message):
+    for f in (translation_delta_vector, kac_vector, translation_norm):
+        with pytest.raises(NotTranslation) as excinfo:
+            f(m)
+        assert str(excinfo.value) == message
+
+
 def test_kac_vectors():
     third = Fraction(1, 3)
     assert kac_vector(PHI_PIC_ACTION).coeffs == (0, 0, 0, -2 * third, -third, 2 * third, third)
@@ -211,8 +229,10 @@ def test_kac_vector_rejects_inconsistent_translation(monkeypatch):
     ns = (1, 0, 0, 0, 0, 0, 0)  # sum delta_i n_i = 1: no solution
     assert oracles.kac_vector_oracle(CARTAN, ns, DELTA_WEIGHTS) is None
     monkeypatch.setattr(weylgroup, "translation_delta_vector", lambda m: ns)
-    with pytest.raises(NotTranslation):
-        kac_vector(IDENTITY)
+    for f in (kac_vector, translation_norm):
+        with pytest.raises(NotTranslation) as excinfo:
+            f(IDENTITY)
+        assert str(excinfo.value) == "inconsistent translation vector"
 
 
 def test_translation_norms():
