@@ -20,11 +20,11 @@ the same b4 (birational.BirationalStep.apply_params).
 
 root_variable_evolution scales the seven values to integers over their
 common denominator (scale_to_integers) and folds the word on those integers
-(fold_root_values): a reflection adds integer multiples of one value to its
-neighbours, an automorphism permutes indices.  Every letter acts by an
-integer matrix, so one division at the end gives the exact result.  The
-fold, root_values and delta_period take integers as well as rationals, so
-the sampled checks of verify run on one integer scaling per draw.
+with the Weyl group's fold on root coordinates (weylgroup.fold_root_values).
+Every letter acts by an integer matrix, so one division at the end gives
+the exact result.  The fold, root_values and delta_period take integers as
+well as rationals, so the sampled checks of verify run on one integer
+scaling per draw.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .piclattice import CARTAN_TERMS, DELTA_WEIGHTS
-from .weylgroup import ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, parse_word
+from .piclattice import DELTA_WEIGHTS
+from .weylgroup import fold_root_values
 
 
 @dataclass(frozen=True)
@@ -123,29 +123,6 @@ def params_from_root_variables(a: RootVariables, b4) -> ParamVector:
             a0 + a1 + a2 + a3 + a4 - b4,
         )
     )
-
-
-def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
-    """Seven integer root values after applying a word of generators.
-
-    Letters act right to left: w_i sends a_j to a_j + c_ij a_i (c the
-    Cartan pairings), and an automorphism sigma moves the value of a_i to
-    a_sigma(i).  Each letter is an integer matrix, so the fold is exact on
-    any common scaling of the values.
-    """
-    values = list(values)
-    for symbol in reversed(parse_word(word)):
-        if symbol in REFLECTION_SYMBOLS:
-            i = int(symbol[1])
-            pivot = values[i]
-            for j, c in CARTAN_TERMS[i]:
-                values[j] += c * pivot
-        else:
-            moved = values[:]
-            for i, j in ALPHA_PERMUTATIONS[symbol].items():
-                moved[j] = values[i]
-            values = moved
-    return values
 
 
 def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariables:

@@ -46,7 +46,6 @@ from .models import (
 from .periodmap import (
     RootVariables,
     delta_period,
-    fold_root_values,
     root_values,
     root_variable_evolution,
     scale_to_integers,
@@ -60,6 +59,7 @@ from .weylgroup import (
     SYMBOL_INVERSE,
     SYMBOLS,
     find_conjugator,
+    fold_root_values,
     generator_picmap,
     invert_word,
     kac_vector,
@@ -299,23 +299,17 @@ def run_suite(
     max_word_length: int = 12,
     bound: int = 10_000,
 ) -> list[CheckResult]:
-    if suite == "coxeter":
-        return coxeter_suite()
-    if suite == "birational":
-        return birational_suite(trials=trials, seed=seed, bound=bound)
-    if suite == "period":
-        return period_suite()
-    if suite == "equivalence":
-        return equivalence_suite(
+    """The checks of one suite; "all" runs the four in SUITES order."""
+    suites = {
+        "coxeter": coxeter_suite,
+        "birational": lambda: birational_suite(trials=trials, seed=seed, bound=bound),
+        "period": period_suite,
+        "equivalence": lambda: equivalence_suite(
             trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
-        )
+        ),
+    }
     if suite == "all":
-        return (
-            coxeter_suite()
-            + birational_suite(trials=trials, seed=seed, bound=bound)
-            + period_suite()
-            + equivalence_suite(
-                trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
-            )
-        )
-    raise ValueError(f"unknown suite {suite!r}")
+        return [check for run in suites.values() for check in run()]
+    if suite not in suites:
+        raise ValueError(f"unknown suite {suite!r}")
+    return suites[suite]()

@@ -5,11 +5,13 @@ Generators are the seven simple reflections w0..w6 in the symmetry roots,
     w_i(C) = C + (C.a_i) a_i,
 
 together with the five nontrivial diagram automorphisms m0, m1, m2, r, r2
-(the dihedral group of the triangle of surface roots).  Every generator is a
-Cremona isometry: it preserves the intersection form and fixes the canonical
-class.  Words are finite sequences of generator symbols; the sequence
-(g1, g2, ..., gk) denotes the composition g1 o g2 o ... o gk, with gk applied
-first, so that word_to_picmap is the left-to-right matrix product.  That
+(the dihedral group of the triangle of surface roots), generated by m0 and
+r: their matrices are tables of basis images, and m1 = m0 r, m2 = r m0 and
+r2 = r r are products.  Every generator is a Cremona isometry: it preserves
+the intersection form and fixes the canonical class.  Words are finite
+sequences of generator symbols; the sequence (g1, g2, ..., gk) denotes the
+composition g1 o g2 o ... o gk, with gk applied first, so that
+word_to_picmap is the left-to-right matrix product.  That
 product is kept as the 10 integer columns of the running matrix M: a letter
 G acts on the right as a column operation, column j of M G being
 sum_k G[k][j] col_k(M).  A reflection moves two or three columns, an
@@ -18,6 +20,12 @@ most four old ones, and the columns G leaves alone pass through unchanged.
 
 The image m(a_i) of a simple root is a signed sum of the two to four
 columns of m that the +-1 entries of a_i pick.
+
+fold_root_values is the group's one action on root coordinates: a word
+moves seven integer values, a reflection adding multiples of one value to
+its neighbours and an automorphism permuting indices (ALPHA_PERMUTATIONS,
+read off the matrices).  The period map moves root variables with it, and
+find_conjugator moves the pairings of a vector with the simple roots.
 
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
 for all i.  The defining vector alpha of the translation (with
@@ -28,6 +36,7 @@ conjugating words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,59 +157,19 @@ def _reflection_picmap(i: int) -> PicMap:
     return PicMap.from_images(images)
 
 
+#: The automorphisms other than m0 and r, as products (the first factor acts last).
+_AUTOMORPHISM_PRODUCTS = {"m1": ("m0", "r"), "m2": ("r", "m0"), "r2": ("r", "r")}
+
+
 def _automorphism_picmap(symbol: str) -> PicMap:
+    if symbol in _AUTOMORPHISM_PRODUCTS:
+        first, second = _AUTOMORPHISM_PRODUCTS[symbol]
+        return generator_picmap(first) @ generator_picmap(second)
     e = exceptional
     hf, hg = H_F, H_G
     tables = {
         "m0": (hg, hf, e(1), e(2), e(3), e(4), e(7), e(8), e(5), e(6)),
-        "m1": (
-            hf,
-            hf + hg - e(1) - e(2),
-            hf - e(2),
-            hf - e(1),
-            e(7),
-            e(8),
-            e(5),
-            e(6),
-            e(3),
-            e(4),
-        ),
-        "m2": (
-            hf + hg - e(1) - e(2),
-            hg,
-            hg - e(2),
-            hg - e(1),
-            e(5),
-            e(6),
-            e(3),
-            e(4),
-            e(7),
-            e(8),
-        ),
-        "r": (
-            hg,
-            hf + hg - e(1) - e(2),
-            hg - e(2),
-            hg - e(1),
-            e(5),
-            e(6),
-            e(7),
-            e(8),
-            e(3),
-            e(4),
-        ),
-        "r2": (
-            hf + hg - e(1) - e(2),
-            hf,
-            hf - e(2),
-            hf - e(1),
-            e(7),
-            e(8),
-            e(3),
-            e(4),
-            e(5),
-            e(6),
-        ),
+        "r": (hg, hf + hg - e(1) - e(2), hg - e(2), hg - e(1), e(5), e(6), e(7), e(8), e(3), e(4)),
     }
     return PicMap.from_images(tables[symbol])
 
@@ -224,6 +193,29 @@ ALPHA_PERMUTATIONS = {
     s: {i: _SIMPLE_ROOTS.index(generator_picmap(s)(a)) for i, a in enumerate(_SIMPLE_ROOTS)}
     for s in AUTOMORPHISM_SYMBOLS
 }
+
+
+def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
+    """Seven integer root values after applying a word of generators.
+
+    Letters act right to left: w_i sends a_j to a_j + c_ij a_i (c the
+    Cartan pairings), and an automorphism sigma moves the value of a_i to
+    a_sigma(i).  Each letter is an integer matrix, so the fold is exact on
+    any common scaling of the values.
+    """
+    values = list(values)
+    for symbol in reversed(parse_word(word)):
+        if symbol in REFLECTION_SYMBOLS:
+            i = int(symbol[1])
+            pivot = values[i]
+            for j, c in CARTAN_TERMS[i]:
+                values[j] += c * pivot
+        else:
+            moved = values[:]
+            for i, j in ALPHA_PERMUTATIONS[symbol].items():
+                moved[j] = values[i]
+            values = moved
+    return values
 
 
 #: The nonzero entries of each simple root a_i as (k, add or sub), so that
@@ -302,14 +294,6 @@ def translation_delta_vector(m: PicMap) -> tuple[int, ...]:
     return tuple(ns)
 
 
-def bullet(x: RationalRootVector, y: RationalRootVector) -> Fraction:
-    """Intersection pairing on Q tensor QQ in simple-root coordinates."""
-    ys = y.coeffs
-    return sum(
-        xi * sum(c * ys[j] for j, c in terms) for xi, terms in zip(x.coeffs, CARTAN_TERMS)
-    )
-
-
 def _det(m: list[list[int]]) -> int:
     # Laplace expansion along the first row, skipping zero entries: cheap
     # for the sparse Cartan blocks it is used on.
@@ -373,33 +357,30 @@ def find_conjugator(src: RationalRootVector, dst: RationalRootVector, max_len: i
     """Breadth-first search for a reflection word w with w(src) = dst modulo delta.
 
     A vector x is tracked by its pairings n_i = (x . a_i), which fix it
-    modulo delta.  A word moves them as it moves root variables, w_i adding
-    c_ij n_i to each n_j, so the search runs on root_variable_evolution.
-    Levels are explored in increasing length and, within a level, in
-    lexicographic symbol order, so the result is deterministic.  Returns
-    None when no word of length <= max_len works.  Raises NormMismatch
-    immediately when the invariant norms differ.
+    modulo delta.  A word moves them as it moves root values, w_i adding
+    c_ij n_i to each n_j, so the search folds each letter with
+    fold_root_values on the pairings of src and dst, scaled to integers by
+    one common lcm of their denominators.  Levels are explored in increasing
+    length and, within a level, in lexicographic symbol order, so the
+    result is deterministic.  Returns None when no word of length <= max_len
+    works.  Raises NormMismatch immediately when the invariant norms
+    -(x . x) = -sum_i x_i n_i differ.
     """
-    from .periodmap import RootVariables, root_variable_evolution  # periodmap imports this module
-
-    if -bullet(src, src) != -bullet(dst, dst):
+    pairings = [[sum(c * x.coeffs[j] for j, c in terms) for terms in CARTAN_TERMS] for x in (src, dst)]
+    if sum(map(mul, src.coeffs, pairings[0])) != sum(map(mul, dst.coeffs, pairings[1])):
         raise NormMismatch("translation norms differ; vectors cannot be conjugate")
-
-    def pairings(x: RationalRootVector) -> RootVariables:
-        return RootVariables(tuple(sum(c * x.coeffs[j] for j, c in terms) for terms in CARTAN_TERMS))
-
-    target = pairings(dst)
-    start = pairings(src)
+    scale = math.lcm(*(n.denominator for ns in pairings for n in ns))
+    start, target = (tuple(n.numerator * (scale // n.denominator) for n in ns) for ns in pairings)
     if start == target:
         return ()
     seen = {start}
-    frontier: list[tuple[RootVariables, Word]] = [(start, ())]
+    frontier: list[tuple[tuple[int, ...], Word]] = [(start, ())]
     for _ in range(max_len):
-        next_frontier: list[tuple[RootVariables, Word]] = []
+        next_frontier: list[tuple[tuple[int, ...], Word]] = []
         # Prepending the new symbol keeps lexicographic enumeration per level.
         for symbol in REFLECTION_SYMBOLS:
             for n, word in frontier:
-                moved = root_variable_evolution((symbol,), n)
+                moved = tuple(fold_root_values((symbol,), n))
                 if moved == target:
                     return (symbol,) + word
                 if moved not in seen:

@@ -27,7 +27,8 @@ Fractions, decompose_oracle, the reduction that applies the matrix to each
 simple root and rescans all seven images for the pivot at every step, and
 translation_delta_vector_oracle and translation_norm_oracle, the delta
 vector from those images and the norm as a Fraction pairing of the
-eliminated defining vector.
+eliminated defining vector, and find_conjugator_oracle, the conjugator
+search on Fraction-valued root variables.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ from e6painleve.piclattice import (
     DELTA_WEIGHTS,
     DivisorClass,
     NotInSymmetryLattice,
+    RationalRootVector,
     RootVector,
     from_alpha_coords,
     symmetry_root,
 )
-from e6painleve.weylgroup import SYMBOLS, NotTranslation, PicMap, word_to_picmap
+from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS, NormMismatch, NotTranslation, PicMap, word_to_picmap
 
 
 def qrt_oracle(
@@ -565,3 +567,34 @@ def translation_norm_oracle(m: PicMap) -> Fraction:
     if alpha is None:
         raise NotTranslation("inconsistent translation vector")
     return -sum(alpha[i] * CARTAN[i][j] * alpha[j] for i in range(7) for j in range(7))
+
+
+def find_conjugator_oracle(src: RationalRootVector, dst: RationalRootVector, max_len: int):
+    """The conjugator search on Fraction-valued root variables; norms summed over the full Cartan matrix."""
+
+    def pairings(x: RationalRootVector) -> RootVariables:
+        return RootVariables(tuple(sum(c * x.coeffs[j] for j, c in terms) for terms in CARTAN_TERMS))
+
+    def norm(x: RationalRootVector) -> Fraction:
+        return -sum(x.coeffs[i] * CARTAN[i][j] * x.coeffs[j] for i in range(7) for j in range(7))
+
+    if norm(src) != norm(dst):
+        raise NormMismatch("translation norms differ; vectors cannot be conjugate")
+    target = pairings(dst)
+    start = pairings(src)
+    if start == target:
+        return ()
+    seen = {start}
+    frontier = [(start, ())]
+    for _ in range(max_len):
+        next_frontier = []
+        for symbol in REFLECTION_SYMBOLS:
+            for n, word in frontier:
+                moved = root_variable_evolution((symbol,), n)
+                if moved == target:
+                    return (symbol,) + word
+                if moved not in seen:
+                    seen.add(moved)
+                    next_frontier.append((moved, (symbol,) + word))
+        frontier = next_frontier
+    return None

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e6painleve import cli
 from e6painleve.birational import ParamVector, SurfacePoint, eval_step, generator_step, sample_state
 from e6painleve.cli import build_parser, main
 from e6painleve.models import phi_orbit
@@ -48,6 +49,16 @@ def test_decompose_named_elements(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--element", "conjugator")
     data = json.loads(out)
     assert code == 0 and sorted(data["word"]) == ["w3", "w5"]
+
+
+def test_decompose_reports_verified_without_another_word_product(capsys, monkeypatch):
+    # decompose raises NotInGroup unless its word reproduces the map, so the
+    # command multiplies no word of its own for the "verified" field.
+    calls = []
+    monkeypatch.setattr(cli, "word_to_picmap", lambda word: calls.append(word))
+    code, out, _ = run_cli(capsys, "decompose", "--element", "phi")
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert calls == []
 
 
 def test_decompose_identity_file(capsys, tmp_path):
@@ -479,6 +490,22 @@ def test_orbit_golden_output(capsys, name, kind, steps, start, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == name.removeprefix("sha256:")
     else:
         assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("act", "--seed", "1", "--word", "w3", "--b", "1,2,3,4,5,6,7,8", "--point", "2,3"), "--seed"),
+        (("gens", "--trials", "2"), "--trials"),
+        (("orbit", "--map", "psi", "--steps", "1", *README_PSI, "--seed", "3"), "--seed"),
+        (("verify", "all", "--format", "csv"), "--format"),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_input_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "input" and flag in error["message"]
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -6,6 +6,7 @@ from functools import reduce
 from operator import add, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
@@ -143,6 +144,15 @@ def test_dihedral_relations():
     for s in ("m0", "m1", "m2"):
         assert word_to_picmap((s, s)) == IDENTITY
     assert generator_picmap("m0") @ r == generator_picmap("r2") @ generator_picmap("m0")
+
+
+def test_derived_automorphisms_match_their_basis_tables():
+    # m1 = m0 r, m2 = r m0 and r2 = r r send Hf and Hg where the hand tables
+    # did; with the oracle alpha- and surface-root permutations (tested
+    # below) these two images fix each matrix, as Hf.delta != 0.
+    d0 = H_F + H_G - exceptional(1) - exceptional(2)
+    for symbol, (hf, hg) in {"m1": (H_F, d0), "m2": (d0, H_G), "r2": (d0, H_F)}.items():
+        assert (generator_picmap(symbol)(H_F), generator_picmap(symbol)(H_G)) == (hf, hg), symbol
 
 
 def test_semidirect_relations():
@@ -321,3 +331,35 @@ def test_picmap_application_matches_dense_matvec():
         coeffs = tuple(rng.choice((0, 0, 0, -3, -1, 1, 2, 7)) for _ in range(10))
         expected = tuple(sum(m.rows[i][j] * coeffs[j] for j in range(10)) for i in range(10))
         assert m(DivisorClass(coeffs)).coeffs == expected
+
+
+def _conjugator_outcome(search, src, dst, max_len):
+    """The word or None a search returns, or the type and message of its NormMismatch."""
+    try:
+        return search(src, dst, max_len)
+    except NormMismatch as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _conjugate_translations(draw):
+    """Kac vectors of two conjugated powers of phi or psi, and a search depth.
+
+    The second power, often of the same n, is conjugated by a few more
+    reflections, so that a conjugating word often exists.
+    """
+    n = draw(st.integers(1, 4))
+    conj = tuple(draw(st.lists(st.sampled_from(SYMBOLS), max_size=4)))
+    bases = st.sampled_from((PHI_WORD, PSI_WORD))
+    src = conj + draw(bases) * n + invert_word(conj)
+    conj = tuple(draw(st.lists(st.sampled_from(REFLECTION_SYMBOLS), max_size=4))) + conj
+    dst = conj + draw(bases) * draw(st.one_of(st.just(n), st.integers(0, 4))) + invert_word(conj)
+    return kac_vector(word_to_picmap(src)), kac_vector(word_to_picmap(dst)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_conjugate_translations())
+def test_find_conjugator_matches_the_fraction_oracle(case):
+    # The same word, the same None or the same NormMismatch as the search on
+    # Fraction-valued root variables.
+    assert _conjugator_outcome(find_conjugator, *case) == _conjugator_outcome(oracles.find_conjugator_oracle, *case)
