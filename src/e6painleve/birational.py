@@ -29,9 +29,9 @@ exact, never approximate.  Every randomized check, here and in models and
 verify, runs through the one sampling loop sample_check: it draws, rejects
 degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
-rejected.  maps_equal is that loop on pairs of maps, and words_equal, on
-draws its caller passes (maps_equal's, each with its integer form, cached
-and shared), on pairs of words compared on integers at one scale.
+rejected.  maps_equal is that loop on pairs of maps, and integer_maps_equal,
+on draws its caller passes (maps_equal's, each with its integer form, cached
+and shared), on pairs of maps on integers (words, or phi) at one scale.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable
 
 from .periodmap import (
@@ -446,12 +446,8 @@ def sample_check(
 MapLike = Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]]
 
 
-def _state_draw(seed: int, bound: int) -> Callable[[int], tuple[ParamVector, SurfacePoint]]:
-    return lambda index: sample_state(_per_sample_rng(seed, index), bound)
-
-
 def _scaled_state_draw(seed: int, bound: int) -> Callable[[int], tuple]:
-    """_state_draw's samples (b, p), each paired with its integer form (L b; L f, L g)."""
+    """maps_equal's samples (b, p), each paired with its integer form (L b; L f, L g)."""
 
     def draw(index: int) -> tuple:
         b, p = sample = sample_state(_per_sample_rng(seed, index), bound)
@@ -478,31 +474,35 @@ def maps_equal(
     def holds(sample: tuple[ParamVector, SurfacePoint]) -> bool:
         return map_a(*sample) == map_b(*sample)
 
-    return sample_check(trials, _state_draw(seed, bound), holds, "sampled inputs")
+    draw = lambda index: sample_state(_per_sample_rng(seed, index), bound)
+    return sample_check(trials, draw, holds, "sampled inputs")
 
 
-def words_equal(
-    lhs: Iterable[str],
-    rhs: Iterable[str],
+def integer_maps_equal(
+    map_a: Callable[..., tuple],
+    map_b: Callable[..., tuple],
     trials: int,
     draw: Callable[[int], tuple],
 ) -> MapComparison:
-    """maps_equal of two words on draw's samples, on integers: the same rejections and result.
+    """maps_equal of two maps on integers, on draw's samples: the same rejections and result.
 
-    Both words run through eval_integers from the draw's one scaling
-    (L b; L f, L g), so their integer parameters are compared directly and
-    their coordinates as pairs in lowest terms with a positive denominator.
-    The caller passes the draw, so several comparisons can share one cached
-    stream (of _scaled_state_draw(seed, bound): maps_equal's draws, each
-    scaled once); a counterexample is the drawn (b, p).
+    Each map takes the draw's one scaling (L b; L f, L g), as eval_integers
+    does, and returns (L b~; L f~, L g~), compared with the coordinates as
+    pairs in lowest terms.  The caller passes the draw, so several
+    comparisons can share one cached stream (of _scaled_state_draw(seed,
+    bound): maps_equal's draws, each scaled once); a counterexample is the
+    drawn (b, p).
     """
-    lhs, rhs = tuple(lhs), tuple(rhs)
 
     def holds(drawn: tuple) -> bool:
-        ints, f, g = drawn[1]
-        b1, f1, g1 = eval_integers(lhs, ints, f, g)
-        b2, f2, g2 = eval_integers(rhs, ints, f, g)
+        b1, f1, g1 = map_a(*drawn[1])
+        b2, f2, g2 = map_b(*drawn[1])
         return b1 == b2 and _lowest_terms(*f1) == _lowest_terms(*f2) and _lowest_terms(*g1) == _lowest_terms(*g2)
 
     result = sample_check(trials, draw, holds, "sampled inputs")
     return result if result.equal else replace(result, counterexample=result.counterexample[0])
+
+
+def words_equal(lhs: Iterable[str], rhs: Iterable[str], trials: int, draw: Callable[[int], tuple]) -> MapComparison:
+    """integer_maps_equal of two words, each run through eval_integers."""
+    return integer_maps_equal(partial(eval_integers, tuple(lhs)), partial(eval_integers, tuple(rhs)), trials, draw)

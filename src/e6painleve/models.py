@@ -40,7 +40,7 @@ b-parameters: one straight from psi's own blowup-point positions, and one
 (the first composed with the conjugating reflection pair w5, w3) under which
 psi becomes phi exactly; the same conjugation produces the explicit change
 of variables (x, y) -> (f, g).  verify_equivalence checks both identities
-pointwise at seeded generic rational samples, exactly.
+pointwise at seeded generic rational samples, exactly, on integers.
 
 psi_orbit uses that identity to run on phi's integer kernel: it changes
 chart once, steps phi, and maps each state back through w5, w3, built from
@@ -62,7 +62,9 @@ not generic, or y = b~7, eval_word maps the state back.  Each step is
 screened exactly, by psi's closed form modulo 2^61 - 1 and, where that
 meets a zero residue, modulo 2^89 - 1, with psi_step as the fallback, so
 the orbit is that of iterated psi_step.  psi_step stays the independent
-closed form the checks compare with the words and with phi.
+closed form the checks compare with the words and with phi.  It is written
+once, fraction-free, over any commutative ring: on integers for psi_step
+and the checks, modulo the primes for the screen.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .birational import (
@@ -79,14 +82,17 @@ from .birational import (
     MapComparison,
     ParamVector,
     SurfacePoint,
+    _lowest_terms,
+    _scaled_state_draw,
     coord_from_pair,
+    eval_integers,
     eval_word,
-    maps_equal,
+    integer_maps_equal,
     pair_from_coord,
     sample_check,
     sample_fraction,
-    word_map,
 )
+from .periodmap import scale_to_integers
 from .weylgroup import PicMap, Word, parse_word
 
 #: Generator word of the QRT-deautonomization step (rightmost symbol first).
@@ -166,11 +172,8 @@ class SchlesingerParams:
         )
 
     def shifted(self) -> "SchlesingerParams":
-        """Index evolution of one Schlesinger step: theta01 - 1, theta11 + 1."""
-        return SchlesingerParams(
-            self.theta01 - 1, self.theta02, self.theta11 + 1, self.theta12,
-            self.kappa1, self.kappa2, self.kappa3,
-        )
+        """Index evolution of one Schlesinger step (_shifted)."""
+        return SchlesingerParams(*_shifted(_indices(self), 1))
 
     def to_json(self) -> dict[str, str]:
         return {
@@ -334,27 +337,45 @@ def _phi_step_carried(
     return new_b, SurfacePoint(f_new, g_new), (first, second)
 
 
-def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
-    """One step of the deautonomized QRT dynamics on (b; f, g).
+def phi_integers(b: Sequence[int], f: tuple[int, int], g: tuple[int, int]) -> tuple:
+    """phi on L b and the pairs (num : den) of L f and L g: L b~ and the pairs of L f~ and L g~.
 
-    Each defining relation is one call of _solve_qrt_relation on integer
-    pairs: the first with (u, v) = (f, g), the second, at the
-    already-updated parameters, with (u, v) = (-g, -f~), which turns it into
-    the same form with r = b~1..b~4 and p = (b~7, b~8).  Each call cancels
-    the confined factors by direct gcds (no cofactors are carried into a
-    single step), and its result is reduced with one gcd (coord_from_pair).
-    Exact on the lines at infinity; raises Indeterminate only at base points.
+    Each relation is one _solve_qrt_relation on integers: the first with
+    (u, v) = (f, g), the second, at the new parameters, with (u, v) =
+    (-g, -f~), r = b~1..b~4 and p = (b~7, b~8).  Each result is put in lowest
+    terms, as eval_integers puts a word's; raises Indeterminate only at base points.
     """
-    new_b, point, _ = _phi_step_carried(b, p)
-    return new_b, point
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    d = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
+    new_b = (b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d)
+    roots = new_b[:4]
+    try:
+        f_new = _lowest_terms(*_solve_qrt_relation(f, g, roots, (b5, b6))[:2])
+        num, den, _ = _solve_qrt_relation((-g[0], g[1]), (-f_new[0], f_new[1]), roots, new_b[6:])
+        g_new = _lowest_terms(-num, den)
+    except Indeterminate as exc:
+        raise Indeterminate("phi hit a base point", symbol="phi") from exc
+    return new_b, f_new, g_new
 
 
-def _psi_closed_form(values: Sequence, divide: Callable) -> tuple:
-    """psi's closed form (x, y) -> (x~, y~); values are theta01..kappa3, x, y.
+def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
+    """One step of the deautonomized QRT dynamics on (b; f, g): phi_integers on L b."""
+    scale, ints = scale_to_integers(b.b)
+    new_b, f, g = phi_integers(ints, pair_from_coord(p.f, scale), pair_from_coord(p.g, scale))
+    point = SurfacePoint(coord_from_pair(*f, scale), coord_from_pair(*g, scale))
+    return ParamVector(tuple(Fraction(x, scale) for x in new_b)), point
 
-    Written once for any field: divide(num, den) is the field's division and
-    raises Indeterminate when den is zero, so every denominator of the map
-    passes through it.
+
+def _psi_closed_form(values: Sequence, one, nonzero: Callable) -> tuple:
+    """psi's closed form (x, y) -> (x~, y~) as pairs (num, den); values are theta01..kappa3, x, y.
+
+    Written once for any commutative ring with unit one: every denominator
+    passes through nonzero, and a zero raises Indeterminate.  With the map's
+    alpha = An / Ad and beta = Bn / Ad, and D = An - Bn, x~ is
+    D (An x d12 + (one + t02) H Ad) / (Ad (D H - An (t11 + one) dt)) and y~ is
+    D (y (x + dt) - t12 x) / (An dt), homogeneous of degree 1 when one has
+    weight 1: on the integers of L (theta, x, y), with one = L, the pairs of
+    L x~ and L y~.
     """
     t01, t02, t11, t12, k1, k2, k3, x, y = values
     dt, d12 = t01 - t02, t11 - t12
@@ -365,20 +386,14 @@ def _psi_closed_form(values: Sequence, divide: Callable) -> tuple:
     r1 = k1 * k2 + k2 * k3 + k3 * k1 - P - t11 * (t01 + t02 + t12)
     r2 = k1 * k2 * k3 + t11 * P
 
-    den_shared = (x + y) * d12
-    alpha = divide(y * r1 + divide(x * (t01 * r1 + r2), xs), den_shared)
-    beta = divide(y02 * r1 + r2, den_shared)
-
-    dab = alpha - beta
-    x_new = divide(dab * (alpha * x * d12 + (1 + t02) * H), dab * H - alpha * (t11 + 1) * dt)
-    y_new = divide(dab * (y * xs - t12 * x), alpha * dt)
-    return x_new, y_new
-
-
-def _divide(num: Fraction, den: Fraction) -> Fraction:
-    if den == 0:
+    Ad = xs * (x + y) * d12
+    An = y * r1 * xs + x * (t01 * r1 + r2)
+    D = An - (y02 * r1 + r2) * xs
+    x_den = D * H - An * (t11 + one) * dt
+    y_den = An * dt
+    if not (nonzero(Ad) and nonzero(x_den) and nonzero(y_den)):
         raise Indeterminate("psi hit a base point", symbol="psi")
-    return num / den
+    return (D * (An * x * d12 + (one + t02) * H * Ad), Ad * x_den), (D * (y * xs - t12 * x), y_den)
 
 
 #: The primes of the exact screen in psi_orbit, tried in turn.
@@ -393,16 +408,11 @@ def _psi_defined(values: Sequence[Fraction]) -> bool:
     prime failed, not that the map is undefined over Q.
     """
     for prime in _SCREEN_PRIMES:
-        def divide(num: int, den: int) -> int:
-            den %= prime
-            if not den:
-                raise Indeterminate("psi hit a base point", symbol="psi")
-            return num * pow(den, -1, prime) % prime
-
         try:
-            _psi_closed_form([divide(v.numerator, v.denominator) for v in values], divide)
+            residues = [v.numerator * pow(v.denominator, -1, prime) % prime for v in values]
+            _psi_closed_form(residues, 1, lambda v: v % prime)
             return True
-        except Indeterminate:
+        except (ValueError, Indeterminate):
             pass
     return False
 
@@ -411,14 +421,48 @@ def _indices(t: SchlesingerParams) -> tuple[Fraction, ...]:
     return (t.theta01, t.theta02, t.theta11, t.theta12, t.kappa1, t.kappa2, t.kappa3)
 
 
+def _shifted(indices: Sequence, one) -> tuple:
+    """The indices after one Schlesinger step: theta01 - one, theta11 + one."""
+    return (indices[0] - one, indices[1], indices[2] + one, *indices[3:])
+
+
 def psi_step(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, Fraction]:
     """One elementary Schlesinger step on the indices and the point (x, y).
 
-    Raises Indeterminate when any denominator of the closed-form map
-    vanishes at the sample.
+    The closed form on the integers of L (theta, x, y), one gcd per coordinate.
+    Raises Indeterminate when any denominator of the map vanishes at the sample.
     """
-    x_new, y_new = _psi_closed_form((*_indices(t), Fraction(x), Fraction(y)), _divide)
-    return t.shifted(), x_new, y_new
+    one, values = scale_to_integers((*_indices(t), Fraction(x), Fraction(y)))
+    (x_num, x_den), (y_num, y_den) = _psi_closed_form(values, one, bool)
+    return t.shifted(), Fraction(x_num, x_den * one), Fraction(y_num, y_den * one)
+
+
+def _chart_dictionary(indices: Sequence, one) -> tuple:
+    """b of the chart dictionary, over any ring with unit one (on L theta with one = L, L b)."""
+    t01, t02, t11, t12, k1, k2, k3 = indices
+    return (t02 + k1, t02 + k2, t02 + k3, 0, t11, t12, t01 - t02, -t02 - one)
+
+
+def _matched_dictionary(indices: Sequence, one) -> tuple:
+    """b of the matched dictionary at the indices, as _chart_dictionary."""
+    t01, t02, t11, t12, k1, k2, k3 = indices
+    return (-k1 - t01 - t11, k2 + t02, k3 + t02, 0, t01 - t02, k1 + t01 + t12, t11, k1 + t11 - one)
+
+
+def _change_of_variables(indices: Sequence, x: tuple, y: tuple) -> tuple[tuple, tuple]:
+    """(f, g) as pairs (num, den) at the pairs x = (x0 : x1), y = (y0 : y1), x1 and y1 nonzero.
+
+    Homogeneous of degree 1: at L theta and the pairs of L x, L y, the pairs
+    of L f, L g.  Raises Indeterminate where a den is zero.
+    """
+    t01, t02, t11, t12, k1, k2, k3 = indices
+    (x0, x1), (y0, y1) = x, y
+    c = k1 + t02
+    f = x0 * (y0 - t11 * y1) - (c + t11) * y0 * x1, (y0 + c * y1) * x1
+    g = x0 * (y0 + (k1 + t01) * y1) + (t01 - t02) * y0 * x1, (x0 - c * x1) * y1
+    if not (f[1] and g[1]):
+        raise Indeterminate("change of variables undefined at the sample")
+    return f, g
 
 
 def b_from_schlesinger_chart(t: SchlesingerParams) -> ParamVector:
@@ -426,18 +470,7 @@ def b_from_schlesinger_chart(t: SchlesingerParams) -> ParamVector:
 
     The parameter sum is always -1 (one Schlesinger step is a unit shift).
     """
-    return ParamVector(
-        (
-            t.theta02 + t.kappa1,
-            t.theta02 + t.kappa2,
-            t.theta02 + t.kappa3,
-            Fraction(0),
-            t.theta11,
-            t.theta12,
-            t.theta01 - t.theta02,
-            -t.theta02 - 1,
-        )
-    )
+    return ParamVector(_chart_dictionary(_indices(t), 1))
 
 
 def b_from_schlesinger_matched(t: SchlesingerParams) -> ParamVector:
@@ -446,34 +479,18 @@ def b_from_schlesinger_matched(t: SchlesingerParams) -> ParamVector:
     This is the first dictionary transported by the conjugating pair of
     reflections w5, w3.
     """
-    return ParamVector(
-        (
-            -t.kappa1 - t.theta01 - t.theta11,
-            t.kappa2 + t.theta02,
-            t.kappa3 + t.theta02,
-            Fraction(0),
-            t.theta01 - t.theta02,
-            t.kappa1 + t.theta01 + t.theta12,
-            t.theta11,
-            t.kappa1 + t.theta11 - 1,
-        )
-    )
+    return ParamVector(_matched_dictionary(_indices(t), 1))
 
 
 def change_of_variables(t: SchlesingerParams, x, y) -> tuple[Fraction, Fraction]:
     """The explicit coordinate change (x, y) -> (f, g) transporting psi to phi.
 
     After one psi step, the same formulas at the shifted indices map
-    (x~, y~) to (f~, g~).
+    (x~, y~) to (f~, g~).  Runs on the integers of L (theta, x, y).
     """
-    x, y = Fraction(x), Fraction(y)
-    den_f = y + t.kappa1 + t.theta02
-    den_g = x - t.kappa1 - t.theta02
-    if den_f == 0 or den_g == 0:
-        raise Indeterminate("change of variables undefined at the sample")
-    f = (x * (y - t.theta11) - (t.kappa1 + t.theta02 + t.theta11) * y) / den_f
-    g = (x * (y + t.kappa1 + t.theta01) + (t.theta01 - t.theta02) * y) / den_g
-    return f, g
+    one, values = scale_to_integers((*_indices(t), Fraction(x), Fraction(y)))
+    (f_num, f_den), (g_num, g_den) = _change_of_variables(values[:7], (values[7], 1), (values[8], 1))
+    return Fraction(f_num, f_den * one), Fraction(g_num, g_den * one)
 
 
 def change_of_variables_inverse(t: SchlesingerParams, f, g) -> tuple[Fraction, Fraction]:
@@ -560,6 +577,7 @@ def verify_equivalence(
     seed: int = 0,
     matched_dictionary: Callable[[SchlesingerParams], ParamVector] = b_from_schlesinger_matched,
     bound: int = SAMPLE_BOUND,
+    draw: Callable[[int], tuple] | None = None,
 ) -> EquivalenceReport:
     """Pointwise verification that the two dynamics are the same map.
 
@@ -571,29 +589,39 @@ def verify_equivalence(
        step (in (x, y)) with one phi step (in (f, g)) under the matched
        dictionary, including the parameter evolution.
 
-    The conjugation samples have numerators and denominators up to bound,
-    the Schlesinger samples of the transport check up to 100.  Raises
+    Both compare on integers, each sample scaled once (every map involved is
+    homogeneous of degree 1).  The conjugation samples, from draw (by default
+    _scaled_state_draw(seed, bound)), have numerators and denominators up to
+    bound, the Schlesinger samples of the transport check up to 100.  Raises
     ValueError when trials is below 1, since neither check would then
     compare a sample.
     """
     conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
-    conjugation = maps_equal(phi_step, word_map(conjugated), trials=trials, seed=seed, bound=bound)
+    word = partial(eval_integers, conjugated)
+    conjugation = integer_maps_equal(phi_integers, word, trials, draw or _scaled_state_draw(seed, bound))
 
-    def draw(index: int) -> tuple[SchlesingerParams, Fraction, Fraction]:
+    def dictionary(indices: tuple[int, ...], one: int) -> tuple:
+        if matched_dictionary is b_from_schlesinger_matched:
+            return _matched_dictionary(indices, one)
+        t = SchlesingerParams(*(Fraction(v, one) for v in indices))
+        return tuple(one * v for v in matched_dictionary(t).b)
+
+    def draw_schlesinger(index: int) -> tuple[SchlesingerParams, Fraction, Fraction]:
         rng = random.Random(f"equivalence:{seed}:{index}")
         return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
 
     def transported(sample: tuple[SchlesingerParams, Fraction, Fraction]) -> bool | None:
         t, x, y = sample
-        t_new, x_new, y_new = psi_step(t, x, y)
-        f_new, g_new = change_of_variables(t_new, x_new, y_new)
-        f, g = change_of_variables(t, x, y)
-        b_new, p_new = phi_step(matched_dictionary(t), SurfacePoint.affine(f, g))
-        if not p_new.is_finite:
+        one, values = scale_to_integers((*_indices(t), x, y))
+        indices, new_indices = values[:7], _shifted(values[:7], one)
+        f_new, g_new = _change_of_variables(new_indices, *_psi_closed_form(values, one, bool))
+        f, g = _change_of_variables(indices, (values[7], 1), (values[8], 1))
+        b_phi, f_phi, g_phi = phi_integers(dictionary(indices, one), f, g)
+        if not (f_phi[1] and g_phi[1]):
             return None
-        return p_new == SurfacePoint.affine(f_new, g_new) and b_new == matched_dictionary(t_new)
+        return b_phi == dictionary(new_indices, one) and (f_phi, g_phi) == (_lowest_terms(*f_new), _lowest_terms(*g_new))
 
-    transport = sample_check(trials, draw, transported, "Schlesinger samples")
+    transport = sample_check(trials, draw_schlesinger, transported, "Schlesinger samples")
     return EquivalenceReport(
         (
             CheckResult.sampled("conjugation", conjugation),

@@ -4,31 +4,31 @@ Each suite returns a list of named check results; a suite passes when every
 check does.  Matrix-level checks are exact identities.  The period checks
 are linear identities, proved on fixed bases: they draw nothing, so
 --trials, --seed and --bound do not change them.  The other pointwise
-checks draw seeded generic rational samples and compare exactly; the
-relation and gauge checks scale each draw once to integers (by the lcm of
-its denominators) and compare integers, which is exact because every map
-they compare is homogeneous in that scaling.  The 20 relation checks share
-one cached draw, so each of their samples is drawn and scaled once per
-suite.
+checks draw seeded generic rational samples, scale each draw once to
+integers (by the lcm L of its denominators) and compare integers, which is
+exact because every map they compare is homogeneous in that scaling: words
+through eval_integers, phi through phi_integers, and psi's closed form and
+the dictionaries with one = L.  The 20 relation checks,
+phi_formula_equals_word and conjugation draw the same samples, from one
+cached draw per run_suite call.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from .birational import (
     ParamVector,
-    SurfacePoint,
+    _lowest_terms,
     _scaled_state_draw,
     apply_rows,
-    eval_word,
-    maps_equal,
+    eval_integers,
+    integer_maps_equal,
     param_rows,
     sample_check,
     sample_fraction,
-    word_map,
     words_equal,
 )
 from .models import (
@@ -37,9 +37,11 @@ from .models import (
     PHI_WORD,
     PSI_PIC_ACTION,
     PSI_WORD,
-    b_from_schlesinger_chart,
-    phi_step,
-    psi_step,
+    _chart_dictionary,
+    _indices,
+    _psi_closed_form,
+    _shifted,
+    phi_integers,
     sample_schlesinger,
     verify_equivalence,
 )
@@ -135,9 +137,9 @@ RELATIONS = (
 )
 
 
-def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000) -> list[CheckResult]:
+def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000, draw=None) -> list[CheckResult]:
     """Pointwise identities of the elementary maps at generic samples."""
-    draw = cache(_scaled_state_draw(seed, bound))  # the relations share their draws, each scaled once
+    draw = draw or cache(_scaled_state_draw(seed, bound))  # the relations share their draws, each scaled once
     checks = [CheckResult.sampled(name, words_equal(lhs, rhs, trials, draw)) for name, lhs, rhs in RELATIONS]
 
     rng = random.Random(f"gauge:{seed}")
@@ -221,9 +223,9 @@ def period_suite() -> list[CheckResult]:
 
 
 def equivalence_suite(
-    trials: int = 25, seed: int = 0, max_word_length: int = 12, bound: int = 10_000
+    trials: int = 25, seed: int = 0, max_word_length: int = 12, bound: int = 10_000, draw=None
 ) -> list[CheckResult]:
-    """Translation analysis, conjugacy, and the full equivalence checks."""
+    """Translation analysis, conjugacy, and the full equivalence checks (the sampled ones on integers)."""
     checks = []
 
     checks.append(
@@ -268,7 +270,8 @@ def equivalence_suite(
         )
     )
 
-    phi_vs_word = maps_equal(phi_step, word_map(PHI_WORD), trials=trials, seed=seed, bound=bound)
+    draw = draw or cache(_scaled_state_draw(seed, bound))
+    phi_vs_word = integer_maps_equal(phi_integers, partial(eval_integers, PHI_WORD), trials, draw)
     checks.append(CheckResult.sampled("phi_formula_equals_word", phi_vs_word))
 
     rng = random.Random(f"psi-word:{seed}")
@@ -277,17 +280,22 @@ def equivalence_suite(
         return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
 
     def psi_matches_word(sample: tuple) -> bool | None:
+        # On L (theta, x, y): psi's pairs against the word's from the chart's L b.
         t, x, y = sample
-        t_new, x_new, y_new = psi_step(t, x, y)
-        word_b, word_p = eval_word(PSI_WORD, b_from_schlesinger_chart(t), SurfacePoint.affine(x, y))
-        if not word_p.is_finite:
+        one, values = scale_to_integers((*_indices(t), x, y))
+        x_new, y_new = _psi_closed_form(values, one, bool)
+        chart, point = _chart_dictionary(values[:7], one), ((values[7], 1), (values[8], 1))
+        word_b, word_x, word_y = eval_integers(PSI_WORD, chart, *point)
+        if not (word_x[1] and word_y[1]):
             return None
-        return word_p == SurfacePoint.affine(x_new, y_new) and word_b == b_from_schlesinger_chart(t_new)
+        return word_b == _chart_dictionary(_shifted(values[:7], one), one) and all(
+            _lowest_terms(*a) == _lowest_terms(*b) for a, b in ((word_x, x_new), (word_y, y_new))
+        )
 
     psi_vs_word = sample_check(trials, schlesinger_sample, psi_matches_word, "psi/word samples")
     checks.append(CheckResult.sampled("psi_formula_equals_word", psi_vs_word, ("theta", "x", "y")))
 
-    report = verify_equivalence(trials=trials, seed=seed, bound=bound)
+    report = verify_equivalence(trials=trials, seed=seed, bound=bound, draw=draw)
     checks.extend(report.checks)
     return checks
 
@@ -300,12 +308,13 @@ def run_suite(
     bound: int = 10_000,
 ) -> list[CheckResult]:
     """The checks of one suite; "all" runs the four in SUITES order."""
+    draw = cache(_scaled_state_draw(seed, bound))  # the relation, phi-word and conjugation checks' draws
     suites = {
         "coxeter": coxeter_suite,
-        "birational": lambda: birational_suite(trials=trials, seed=seed, bound=bound),
+        "birational": lambda: birational_suite(trials=trials, seed=seed, bound=bound, draw=draw),
         "period": period_suite,
         "equivalence": lambda: equivalence_suite(
-            trials=trials, seed=seed, max_word_length=max_word_length, bound=bound
+            trials=trials, seed=seed, max_word_length=max_word_length, bound=bound, draw=draw
         ),
     }
     if suite == "all":

@@ -27,8 +27,13 @@ Fractions, decompose_oracle, the reduction that applies the matrix to each
 simple root and rescans all seven images for the pivot at every step, and
 translation_delta_vector_oracle and translation_norm_oracle, the delta
 vector from those images and the norm as a Fraction pairing of the
-eliminated defining vector, and find_conjugator_oracle, the conjugator
-search on Fraction-valued root variables.
+eliminated defining vector, find_conjugator_oracle, the conjugator
+search on Fraction-valued root variables, and psi_closed_form_oracle, psi's
+closed form written for any field through its division, with
+psi_step_oracle and psi_defined_oracle on it (over Q, and modulo the screen
+primes), and equivalence_checks_oracle, the four sampled checks of verify's
+equivalence suite on Fractions with the Fraction dictionaries and change of
+variables.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ from operator import add, neg
 from typing import Callable, Sequence
 
 from e6painleve.birational import (
+    Indeterminate,
     MapComparison,
     ParamVector,
     ProjectiveCoord,
+    SurfacePoint,
+    eval_word,
     generator_step,
     maps_equal,
     sample_check,
@@ -51,7 +59,15 @@ from e6painleve.birational import (
     word_map,
 )
 from e6painleve.decompose import NoAutomorphismMatch, NotInGroup, ReductionStep, match_automorphism
-from e6painleve.models import PHI_WORD, PSI_WORD
+from e6painleve.models import (
+    CONJUGATOR_WORD,
+    PHI_WORD,
+    PSI_WORD,
+    SchlesingerParams,
+    _phi_step_carried,
+    _SCREEN_PRIMES,
+    sample_schlesinger,
+)
 from e6painleve.periodmap import RootVariables, root_variable_evolution, root_variables
 from e6painleve.piclattice import (
     CARTAN,
@@ -598,3 +614,144 @@ def find_conjugator_oracle(src: RationalRootVector, dst: RationalRootVector, max
                     next_frontier.append((moved, (symbol,) + word))
         frontier = next_frontier
     return None
+
+
+def psi_closed_form_oracle(values: Sequence, divide: Callable) -> tuple:
+    """psi's closed form (x, y) -> (x~, y~); values are theta01..kappa3, x, y.
+
+    Written once for any field: divide(num, den) is the field's division and
+    raises Indeterminate when den is zero, so every denominator of the map
+    passes through it.
+    """
+    t01, t02, t11, t12, k1, k2, k3, x, y = values
+    dt, d12 = t01 - t02, t11 - t12
+    y12, y02 = y - t12, y + t02
+    P = y12 * (x - t02) + t01 * y02
+    H = x * y12 + dt * y
+    xs = x + dt
+    r1 = k1 * k2 + k2 * k3 + k3 * k1 - P - t11 * (t01 + t02 + t12)
+    r2 = k1 * k2 * k3 + t11 * P
+
+    den_shared = (x + y) * d12
+    alpha = divide(y * r1 + divide(x * (t01 * r1 + r2), xs), den_shared)
+    beta = divide(y02 * r1 + r2, den_shared)
+
+    dab = alpha - beta
+    x_new = divide(dab * (alpha * x * d12 + (1 + t02) * H), dab * H - alpha * (t11 + 1) * dt)
+    y_new = divide(dab * (y * xs - t12 * x), alpha * dt)
+    return x_new, y_new
+
+
+def _fraction_divide(num: Fraction, den: Fraction) -> Fraction:
+    if den == 0:
+        raise Indeterminate("psi hit a base point", symbol="psi")
+    return num / den
+
+
+def _indices(t: SchlesingerParams) -> tuple[Fraction, ...]:
+    return (t.theta01, t.theta02, t.theta11, t.theta12, t.kappa1, t.kappa2, t.kappa3)
+
+
+def psi_step_oracle(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Fraction, Fraction]:
+    """psi_step on Fractions, each denominator through the field's division."""
+    x_new, y_new = psi_closed_form_oracle((*_indices(t), Fraction(x), Fraction(y)), _fraction_divide)
+    return t.shifted(), x_new, y_new
+
+
+def psi_defined_oracle(values: Sequence[Fraction]) -> bool:
+    """The psi_orbit screen: the closed form run modulo each screen prime, inverting every denominator."""
+    for prime in _SCREEN_PRIMES:
+        def divide(num: int, den: int) -> int:
+            den %= prime
+            if not den:
+                raise Indeterminate("psi hit a base point", symbol="psi")
+            return num * pow(den, -1, prime) % prime
+
+        try:
+            psi_closed_form_oracle([divide(v.numerator, v.denominator) for v in values], divide)
+            return True
+        except Indeterminate:
+            pass
+    return False
+
+
+def chart_dictionary_oracle(t: SchlesingerParams) -> ParamVector:
+    return ParamVector(
+        (
+            t.theta02 + t.kappa1, t.theta02 + t.kappa2, t.theta02 + t.kappa3, Fraction(0),
+            t.theta11, t.theta12, t.theta01 - t.theta02, -t.theta02 - 1,
+        )
+    )
+
+
+def matched_dictionary_oracle(t: SchlesingerParams) -> ParamVector:
+    return ParamVector(
+        (
+            -t.kappa1 - t.theta01 - t.theta11, t.kappa2 + t.theta02, t.kappa3 + t.theta02, Fraction(0),
+            t.theta01 - t.theta02, t.kappa1 + t.theta01 + t.theta12, t.theta11, t.kappa1 + t.theta11 - 1,
+        )
+    )
+
+
+def change_of_variables_oracle(t: SchlesingerParams, x, y) -> tuple[Fraction, Fraction]:
+    x, y = Fraction(x), Fraction(y)
+    den_f = y + t.kappa1 + t.theta02
+    den_g = x - t.kappa1 - t.theta02
+    if den_f == 0 or den_g == 0:
+        raise Indeterminate("change of variables undefined at the sample")
+    f = (x * (y - t.theta11) - (t.kappa1 + t.theta02 + t.theta11) * y) / den_f
+    g = (x * (y + t.kappa1 + t.theta01) + (t.theta01 - t.theta02) * y) / den_g
+    return f, g
+
+
+def equivalence_checks_oracle(
+    trials: int, seed: int, bound: int, matched_dictionary: Callable | None = None
+) -> list[tuple[str, MapComparison, tuple[str, ...]]]:
+    """The four sampled checks of equivalence_suite on Fractions: (name, comparison, fields).
+
+    phi is the Fraction step of phi_orbit's kernel (carrying nothing), psi
+    psi_step_oracle, and the dictionaries and the change of variables the
+    Fraction transcriptions above; matched_dictionary replaces the matched
+    one in the transport check.
+    """
+    matched = matched_dictionary or matched_dictionary_oracle
+
+    def phi(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
+        return _phi_step_carried(b, p)[:2]
+
+    rng = random.Random(f"psi-word:{seed}")
+
+    def psi_matches_word(sample: tuple) -> bool | None:
+        t, x, y = sample
+        t_new, x_new, y_new = psi_step_oracle(t, x, y)
+        word_b, word_p = eval_word(PSI_WORD, chart_dictionary_oracle(t), SurfacePoint.affine(x, y))
+        if not word_p.is_finite:
+            return None
+        return word_p == SurfacePoint.affine(x_new, y_new) and word_b == chart_dictionary_oracle(t_new)
+
+    def transport_draw(index: int) -> tuple:
+        rng = random.Random(f"equivalence:{seed}:{index}")
+        return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
+
+    def transported(sample: tuple) -> bool | None:
+        t, x, y = sample
+        t_new, x_new, y_new = psi_step_oracle(t, x, y)
+        f_new, g_new = change_of_variables_oracle(t_new, x_new, y_new)
+        f, g = change_of_variables_oracle(t, x, y)
+        b_new, p_new = phi(matched(t), SurfacePoint.affine(f, g))
+        if not p_new.is_finite:
+            return None
+        return p_new == SurfacePoint.affine(f_new, g_new) and b_new == matched(t_new)
+
+    conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
+    phi_vs_word = maps_equal(phi, word_map(PHI_WORD), trials=trials, seed=seed, bound=bound)
+    psi_sample = lambda _: (sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100))
+    psi_vs_word = sample_check(trials, psi_sample, psi_matches_word, "psi/word samples")
+    conjugation = maps_equal(phi, word_map(conjugated), trials=trials, seed=seed, bound=bound)
+    transport = sample_check(trials, transport_draw, transported, "Schlesinger samples")
+    return [
+        ("phi_formula_equals_word", phi_vs_word, ("b", "point")),
+        ("psi_formula_equals_word", psi_vs_word, ("theta", "x", "y")),
+        ("conjugation", conjugation, ("b", "point")),
+        ("transported_dynamics", transport, ("theta", "x", "y")),
+    ]

@@ -45,6 +45,8 @@ from e6painleve.weylgroup import word_to_picmap
 from oracles import (
     cancel_pieces_oracle,
     phi_projective_chain,
+    psi_defined_oracle,
+    psi_step_oracle,
     qrt_oracle,
     qrt_relations_hold,
     schlesinger_oracle,
@@ -245,6 +247,31 @@ def test_psi_preserves_fuchs_relation():
     assert new_t.theta11 == t.theta11 + 1
 
 
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except Indeterminate as exc:
+        assert exc.symbol == "psi"
+        return None
+
+
+def test_psi_step_raises_where_the_divide_form_does():
+    # Small integers hit the denominators of the closed form often: the ring
+    # form gives the divide form's values and raises on the same inputs, and
+    # the screen agrees with the divide form's screen.
+    rng = random.Random(26)
+    degenerate = 0
+    for _ in range(20_000):
+        values = [Fraction(rng.randint(-2, 2)) for _ in range(8)]
+        t = SchlesingerParams(*values[:6], -sum(values[:6]))
+        x, y = values[6:]
+        expected = _outcome(psi_step_oracle, t, x, y)
+        assert _outcome(psi_step, t, x, y) == expected
+        assert models._psi_defined((*_theta_tuple(t), x, y)) == (expected is not None)
+        degenerate += expected is None
+    assert 5_000 < degenerate < 15_000
+
+
 def test_schlesinger_params_validate_fuchs():
     with pytest.raises(ValueError):
         SchlesingerParams(*(Fraction(1),) * 7)
@@ -399,11 +426,11 @@ def test_sampling_loops_share_the_rejection_cap(monkeypatch):
     import e6painleve.models as models
     import e6painleve.verify as verify
 
-    def undefined(t, x, y):
+    def undefined(values, one, nonzero):
         raise Indeterminate("forced")
 
-    monkeypatch.setattr(models, "psi_step", undefined)
-    monkeypatch.setattr(verify, "psi_step", undefined)
+    monkeypatch.setattr(models, "_psi_closed_form", undefined)
+    monkeypatch.setattr(verify, "_psi_closed_form", undefined)
     with pytest.raises(TooManyDegenerateSamples, match="rejected 10 of 10 Schlesinger samples"):
         verify_equivalence(trials=3, seed=1)
     with pytest.raises(TooManyDegenerateSamples, match="rejected 10 of 10 psi/word samples"):
@@ -646,6 +673,13 @@ def test_psi_orbit_screen_is_conservative(monkeypatch):
         states, error = _psi_orbit_states(README_THETA, x, Fraction(-2), 3)
         assert error is None and expected_error is None and states == expected
         assert calls == expected_calls
+
+
+def test_psi_screen_agrees_with_the_divide_form_on_the_readme_orbit():
+    trace = psi_orbit(README_THETA, Fraction(17, 5), Fraction(23, 9), 22)
+    for entry in trace.entries:
+        values = (*_theta_tuple(entry.params), *entry.point)
+        assert models._psi_defined(values) == psi_defined_oracle(values)
 
 
 def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):

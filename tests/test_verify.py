@@ -1,14 +1,18 @@
 """The verify suites: one sampling loop, first-failure reports, independent checks."""
 
+import __future__
 import functools
+import inspect
 import random
+import textwrap
 
 import pytest
 
 from e6painleve import birational, models, periodmap, verify
 from e6painleve.birational import ParamVector, TooManyDegenerateSamples, sample_check, sample_fraction
-from e6painleve.models import CheckResult, psi_step, sample_schlesinger
-from oracles import birational_checks_oracle, period_checks_oracle
+from e6painleve.models import CheckResult, b_from_schlesinger_matched, sample_schlesinger
+import oracles
+from oracles import birational_checks_oracle, equivalence_checks_oracle, period_checks_oracle
 
 
 def test_every_sampled_check_runs_one_sample_check(monkeypatch):
@@ -25,11 +29,12 @@ def test_every_sampled_check_runs_one_sample_check(monkeypatch):
 
 
 def test_a_perturbed_psi_word_check_reports_its_first_failing_sample(monkeypatch):
-    def perturbed(t, x, y):
-        t_new, x_new, y_new = psi_step(t, x, y)
-        return t_new, x_new + 1, y_new
+    # On L (theta, x, y) with one = L, x~ + 1 is the pair (x_num + L x_den, x_den).
+    def perturbed(values, one, nonzero):
+        (x_num, x_den), y_new = models._psi_closed_form(values, one, nonzero)
+        return (x_num + one * x_den, x_den), y_new
 
-    monkeypatch.setattr(verify, "psi_step", perturbed)
+    monkeypatch.setattr(verify, "_psi_closed_form", perturbed)
     checks = {c.name: c for c in verify.equivalence_suite(trials=5, seed=3)}
     check = checks["psi_formula_equals_word"]
     assert (check.passed, check.samples) == (False, 1)
@@ -191,3 +196,79 @@ def test_integer_checks_match_their_fraction_forms(bound):
         assert library == oracle, seed
         rejected += sum(c["rejected"] for c in library)
     assert (rejected > 0) == (bound == 2)
+
+
+def _equivalence_reports(seed, bound):
+    """equivalence_suite's four sampled checks and their Fraction forms, as _reports gives them."""
+    library = _reports(lambda: verify.equivalence_suite(trials=10, seed=seed, bound=bound)[-4:])
+    oracle = _reports(lambda: [CheckResult.sampled(*check) for check in equivalence_checks_oracle(10, seed, bound)])
+    assert library == oracle, seed
+    return library
+
+
+@pytest.mark.parametrize("bound", (2, 10_000))
+def test_integer_equivalence_checks_match_their_fraction_forms(bound):
+    # Bound 2 forces rejections of phi's and the conjugation's draws.
+    rejected = sum(c["rejected"] for seed in range(1, 6) for c in _equivalence_reports(seed, bound))
+    assert (rejected > 0) == (bound == 2)
+
+
+def test_integer_psi_checks_match_their_fraction_forms_on_small_samples(monkeypatch):
+    # Schlesinger samples with numerators and denominators up to 2 meet the
+    # rejections the seeded ones (up to 100) almost never do: the word or phi
+    # at a base point, and the change of variables undefined.
+    small = lambda rng, bound: sample_fraction(rng, 2)
+    for module in (models, verify, oracles):
+        monkeypatch.setattr(module, "sample_fraction", small)
+    psi_checks = ("psi_formula_equals_word", "transported_dynamics")
+    reports = [c for seed in range(1, 6) for c in _equivalence_reports(seed, 10_000)]
+    assert sum(c["rejected"] for c in reports if c["name"] in psi_checks) > 50
+
+
+def test_a_perturbed_matched_dictionary_reports_the_fraction_forms_counterexample():
+    def perturbed(t):
+        b = b_from_schlesinger_matched(t)
+        return ParamVector((b.b[0] + 1,) + b.b[1:])
+
+    for seed in range(1, 6):
+        report = models.verify_equivalence(trials=10, seed=seed, matched_dictionary=perturbed)
+        oracle = equivalence_checks_oracle(10, seed, 10_000, matched_dictionary=perturbed)
+        expected = [CheckResult.sampled(*check).to_json() for check in oracle[2:]]
+        assert [c.to_json() for c in report.checks] == expected, seed
+        transported = report.checks[1]
+        assert (transported.passed, transported.samples) == (False, 1)
+        assert set(transported.counterexample) == {"theta", "x", "y"}
+        # A dictionary passed in, but equal to the matched one, passes as the default does.
+        same = models.verify_equivalence(trials=10, seed=seed, matched_dictionary=lambda t: b_from_schlesinger_matched(t))
+        assert same == models.verify_equivalence(trials=10, seed=seed) and same.passed
+
+
+def _mutant(function, old: str, new: str):
+    """function recompiled, in a copy of its module's globals, with old replaced by new once."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(function.__globals__)
+    code = compile(source.replace(old, new), "<mutant>", "exec", __future__.annotations.compiler_flag)
+    exec(code, namespace)
+    return namespace[function.__name__]
+
+
+def test_a_psi_ring_form_mutant_fails_the_psi_checks(monkeypatch):
+    # One coefficient of x~'s denominator: (t11 + one) -> (t11 + 2 one).
+    mutant = _mutant(models._psi_closed_form, "An * (t11 + one)", "An * (t11 + 2 * one)")
+    for module in (models, verify):
+        monkeypatch.setattr(module, "_psi_closed_form", mutant)
+    checks = {c.name: c for c in verify.equivalence_suite(trials=5, seed=1)}
+    assert not checks["psi_formula_equals_word"].passed
+    assert not checks["transported_dynamics"].passed
+    assert checks["phi_formula_equals_word"].passed and checks["conjugation"].passed
+
+
+def test_a_phi_kernel_mutant_fails_the_phi_checks(monkeypatch):
+    mutant = _mutant(models.phi_integers, "b5 + d", "b5 - d")
+    for module in (models, verify):
+        monkeypatch.setattr(module, "phi_integers", mutant)
+    checks = {c.name: c for c in verify.equivalence_suite(trials=5, seed=1)}
+    assert not checks["phi_formula_equals_word"].passed
+    assert not checks["conjugation"].passed
+    assert checks["psi_formula_equals_word"].passed
