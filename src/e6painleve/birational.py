@@ -21,6 +21,12 @@ integer pairs for L f and L g, and each step reduces each coordinate it
 changes with one gcd.  A zero denominator is infinity, so the lines at
 infinity are ordinary inputs, and 0/0 is a base point of the map and raises
 Indeterminate.  eval_word scales in once and makes Fractions once at exit.
+Words run as straight-line code: on first use each Form compiles its term
+tables into one function (f, g, b) -> (num, den) and each step its
+param_rows into one b -> b~ (BirationalStep.kernel), from the library's own
+integer coefficients and indices, so no formula or input text reaches
+compile; the objects holding the tables hold the code, so
+generator_step.cache_clear() drops it.
 
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
@@ -41,7 +47,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Any, Callable, Iterable
 
 from .periodmap import (
@@ -172,16 +178,19 @@ _FORMULAS: dict[str, tuple[str, str]] = {
 
 #: Terms of an integer polynomial in b: (c, ks) stands for c * prod of b[k].
 Coefficient = tuple[tuple[int, tuple[int, ...]], ...]
+_NAMES = frozenset(("f", "g", *(f"b{k}" for k in range(1, 9))))  # the variables of a formula
 
 
 def _expand(node: ast.expr) -> dict[tuple[str, ...], int]:
-    """A +, -, * expression over names and integers as {sorted names: coefficient}."""
-    if isinstance(node, ast.Name):
+    """A +, -, * expression over f, g, b1..b8 and int literals as {sorted names: coefficient}."""
+    if isinstance(node, ast.Name) and node.id in _NAMES:
         return {(node.id,): 1}
-    if isinstance(node, ast.Constant):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
         return {(): node.value}
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return {m: -c for m, c in _expand(node.operand).items()}
+    if not (isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub, ast.Mult)):
+        raise ValueError(f"{ast.unparse(node)!r} is not a +, -, * expression over f, g, b1..b8 and integers")
     left, right = _expand(node.left), _expand(node.right)
     if isinstance(node.op, ast.Mult):
         terms = [(tuple(sorted(m + n)), c * d) for m, c in left.items() for n, d in right.items()]
@@ -192,6 +201,19 @@ def _expand(node: ast.expr) -> dict[tuple[str, ...], int]:
     for m, c in terms:
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
+
+
+def _sum_source(terms: Iterable[tuple[int, list[str]]]) -> str:
+    """Python source of the sum over (c, factors) of the integer c times the named factors."""
+    parts = [{1: "", -1: "-"}.get(int(c), f"{int(c)}*") + "*".join(x) if x else str(int(c)) for c, x in terms]
+    return " + ".join(parts).replace(" + -", " - ") or "0"
+
+
+def _compile(args: str, *body: str) -> Callable:
+    """A function of args with the given body lines, built from the library's own tables."""
+    namespace: dict[str, Any] = {}
+    exec(f"def compiled({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["compiled"]
 
 
 @dataclass(frozen=True)
@@ -228,24 +250,21 @@ class Form:
         return self.text
 
     def __call__(self, f: tuple[int, int], g: tuple[int, int], b: tuple[int, ...]) -> tuple[int, int]:
-        """(num : den) at integer pairs f = (f0, f1), g = (g0, g1) and integer b."""
-        fs = (f[1], f[0]) if self.degree[0] else (1,)
-        gs = (g[1], g[0]) if self.degree[1] else (1,)
-        num = den = 0
-        for i, j, coefficient in self.num:
-            num += _coefficient_value(coefficient, b) * fs[i] * gs[j]
-        for i, j, coefficient in self.den:
-            den += _coefficient_value(coefficient, b) * fs[i] * gs[j]
-        return num, den
+        """(num : den) at integer pairs f = (f0, f1), g = (g0, g1) and integer b (or any ring's)."""
+        return self.compiled(f, g, b)
 
+    @cached_property
+    def compiled(self) -> Callable:
+        """num and den as one straight-line function (f, g, b) -> (num, den) of the term tables."""
+        df, dg = self.degree
 
-def _coefficient_value(coefficient: Coefficient, b: tuple[int, ...]) -> int:
-    value = 0
-    for c, ks in coefficient:
-        for k in ks:
-            c *= b[k]
-        value += c
-    return value
+        def product(i: int, j: int, coefficient: Coefficient) -> tuple[int, list[str]]:
+            b_terms = [(c, [f"b[{int(k)}]" for k in ks]) for c, ks in coefficient]
+            c, x = b_terms[0] if len(b_terms) == 1 else (1, [f"({_sum_source(b_terms)})"])
+            return c, x + ["f0"] * i + ["f1"] * (df - i) + ["g0"] * j + ["g1"] * (dg - j)
+
+        num, den = (_sum_source(product(*term) for term in terms) for terms in (self.num, self.den))
+        return _compile("f, g, b", "(f0, f1), (g0, g1) = f, g", f"return {num}, {den}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +283,16 @@ class BirationalStep:
         """
         scale, ints = scale_to_integers(b.b)
         return ParamVector(tuple(Fraction(x, scale) for x in apply_rows(param_rows(self.name), ints)))
+
+    @cached_property
+    def kernel(self) -> tuple[Callable | None, Callable | None, Callable]:
+        """The compiled f and g forms (None where the step keeps the coordinate) and param_rows b -> b~."""
+        rows = "".join(f"{_sum_source((c, [f'b[{int(j)}]']) for j, c in row)}, " for row in param_rows(self.name))
+        return (
+            None if self.coord_f.text == "f" else self.coord_f.compiled,
+            None if self.coord_g.text == "g" else self.coord_g.compiled,
+            _compile("b", f"return ({rows})"),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -325,13 +354,12 @@ def eval_integers(
     symbol, when the point is a base point of a step.
     """
     for pos, symbol in enumerate(reversed(word)):
-        step = generator_step(symbol)
-        keep_f, keep_g = step.coord_f.text == "f", step.coord_g.text == "g"
-        if not (keep_f and keep_g):
+        coord_f, coord_g, rows = generator_step(symbol).kernel
+        if coord_f or coord_g:
             try:
                 f, g = (
-                    f if keep_f else _lowest_terms(*step.coord_f(f, g, b)),
-                    g if keep_g else _lowest_terms(*step.coord_g(f, g, b)),
+                    f if coord_f is None else _lowest_terms(*coord_f(f, g, b)),
+                    g if coord_g is None else _lowest_terms(*coord_g(f, g, b)),
                 )
             except Indeterminate as exc:
                 raise Indeterminate(
@@ -339,7 +367,7 @@ def eval_integers(
                     step_index=pos,
                     symbol=symbol,
                 ) from exc
-        b = apply_rows(param_rows(symbol), b)
+        b = rows(b)
     return b, f, g
 
 

@@ -161,7 +161,8 @@ class SchlesingerParams:
 
     def __post_init__(self) -> None:
         for name in ("theta01", "theta02", "theta11", "theta12", "kappa1", "kappa2", "kappa3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            if type(value := getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
         if self.fuchs_sum() != 0:
             raise ValueError("Fuchs relation violated: the seven indices must sum to zero")
 

@@ -17,7 +17,10 @@ those are checked against.  The defining vector of a translation is
 cross-checked against a general exact linear solve (solve_linear_system).
 
 Former library routines stay here as references for their faster
-replacements: cancel_pieces_oracle, the two-division seeded cancellation of
+replacements: form_oracle, a Form evaluated by walking its term tables, and
+eval_integers_oracle, words evaluated on it and on the generic apply_rows
+(both replaced by straight-line code compiled from the same tables),
+cancel_pieces_oracle, the two-division seeded cancellation of
 phi's confined factors, decimal_str_oracle, Decimal division of the
 numerator by the denominator, to_alpha_coords_oracle, membership in Q
 decided by rebuilding the class from its root coordinates, and
@@ -46,14 +49,19 @@ from operator import add, neg
 from typing import Callable, Sequence
 
 from e6painleve.birational import (
+    Coefficient,
+    Form,
     Indeterminate,
     MapComparison,
     ParamVector,
     ProjectiveCoord,
     SurfacePoint,
+    _lowest_terms,
+    apply_rows,
     eval_word,
     generator_step,
     maps_equal,
+    param_rows,
     sample_check,
     sample_fraction,
     word_map,
@@ -357,6 +365,46 @@ def coord_oracle(symbol: str, b: Sequence, f, g) -> tuple:
         "r2": lambda: (g + b4 - b6, -((g * (f - b1) - b2 * (g + b1)) / (f + g)) - b4 + b6),
     }
     return formulas[symbol]()
+
+
+def form_oracle(form: Form, f: tuple, g: tuple, b: Sequence) -> tuple:
+    """A Form's (num : den) by walking its term tables, as Form.__call__ did before it was compiled."""
+    fs = (f[1], f[0]) if form.degree[0] else (1,)
+    gs = (g[1], g[0]) if form.degree[1] else (1,)
+    num = den = 0
+    for i, j, coefficient in form.num:
+        num += _coefficient_value(coefficient, b) * fs[i] * gs[j]
+    for i, j, coefficient in form.den:
+        den += _coefficient_value(coefficient, b) * fs[i] * gs[j]
+    return num, den
+
+
+def _coefficient_value(coefficient: Coefficient, b: Sequence) -> int:
+    value = 0
+    for c, ks in coefficient:
+        for k in ks:
+            c *= b[k]
+        value += c
+    return value
+
+
+def eval_integers_oracle(word: tuple[str, ...], b: tuple[int, ...], f: tuple, g: tuple) -> tuple:
+    """eval_integers as it was before compilation: form_oracle and apply_rows(param_rows(symbol)) per letter."""
+    for pos, symbol in enumerate(reversed(word)):
+        step = generator_step(symbol)
+        keep_f, keep_g = step.coord_f.text == "f", step.coord_g.text == "g"
+        if not (keep_f and keep_g):
+            try:
+                f, g = (
+                    f if keep_f else _lowest_terms(*form_oracle(step.coord_f, f, g, b)),
+                    g if keep_g else _lowest_terms(*form_oracle(step.coord_g, f, g, b)),
+                )
+            except Indeterminate as exc:
+                raise Indeterminate(
+                    f"indeterminate at step {pos} ({symbol}) of word", step_index=pos, symbol=symbol
+                ) from exc
+        b = apply_rows(param_rows(symbol), b)
+    return b, f, g
 
 
 def solve_linear_system(

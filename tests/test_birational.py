@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e6painleve.birational import (
+    Form,
     Indeterminate,
     ParamVector,
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
     coord_from_pair,
+    eval_integers,
     eval_step,
     eval_word,
     generator_step,
@@ -25,7 +28,7 @@ from e6painleve import birational
 from e6painleve.models import CONJUGATOR_WORD
 from e6painleve.piclattice import E6_EDGES
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
-from oracles import PARAM_TABLES, ProjectiveValue, coord_oracle, param_oracle
+from oracles import PARAM_TABLES, ProjectiveValue, coord_oracle, eval_integers_oracle, form_oracle, param_oracle
 
 
 def test_projective_coord_canonicalization():
@@ -134,6 +137,59 @@ def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
             calls.clear()
             assert eval_word((symbol,), b, p)[1] is p
             assert calls == []
+
+
+@pytest.mark.parametrize("text", ("f + h", "f + 0.5", "g*b9", "f + True", "b0*f", "f**2", "f/g/b1", "abs(f)"))
+def test_form_parse_rejects_other_names_constants_and_operations(text):
+    # h is no variable, 0.5 and True are no ints, b9 and b0 are no parameters.
+    with pytest.raises(ValueError):
+        Form.parse(text)
+
+
+def test_compiled_forms_match_their_term_tables():
+    rng = random.Random(27)
+    forms = [Form.parse(text) for text in ("0", "-7", "-3*b2*f + 2", "f*g - b8*b8", "(f - g)/(b1*b2 + 1)")]
+    forms += [form for s in SYMBOLS for form in (generator_step(s).coord_f, generator_step(s).coord_g)]
+    for form in forms:
+        for _ in range(40):
+            f, g = ((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2))
+            b = tuple(rng.randint(-9, 9) for _ in range(8))
+            assert form(f, g, b) == form_oracle(form, f, g, b), str(form)
+
+
+def _eval_outcome(evaluate, word, b, f, g):
+    try:
+        return evaluate(word, b, f, g)
+    except Indeterminate as exc:
+        return exc.step_index, exc.symbol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    word=st.integers(0, 40).flatmap(lambda n: st.lists(st.sampled_from(SYMBOLS), min_size=n, max_size=n)).map(tuple),
+    seed=st.integers(0, 10**6),
+    bound=st.sampled_from((2, 5, 10_000)),
+    point=st.sampled_from(("drawn", "f at infinity", "g at infinity", "both at infinity", "(b1, -b1)", "(b2, -b2)")),
+)
+def test_eval_integers_matches_the_generic_evaluation(word, seed, bound, point):
+    # The compiled kernel against the term tables walked letter by letter:
+    # the same values, the same base point, and unchanged coordinates
+    # passed through as the same objects.
+    _, (b, f, g) = birational._scaled_state_draw(seed, bound)(1)
+    f_inf, g_inf = (1, 0), (-1, 0)  # both infinity, and distinct objects
+    f, g = {
+        "drawn": (f, g),
+        "f at infinity": (f_inf, g),
+        "g at infinity": (f, g_inf),
+        "both at infinity": (f_inf, g_inf),
+        "(b1, -b1)": ((b[0], 1), (-b[0], 1)),
+        "(b2, -b2)": ((b[1], 1), (-b[1], 1)),
+    }[point]
+    expected = _eval_outcome(eval_integers_oracle, word, b, f, g)
+    got = _eval_outcome(eval_integers, word, b, f, g)
+    assert got == expected
+    if len(expected) == 3:
+        assert (got[1] is f, got[2] is g) == (expected[1] is f, expected[2] is g)
 
 
 def test_reflections_are_pointwise_involutions():

@@ -275,6 +275,16 @@ def test_psi_step_raises_where_the_divide_form_does():
 def test_schlesinger_params_validate_fuchs():
     with pytest.raises(ValueError):
         SchlesingerParams(*(Fraction(1),) * 7)
+    with pytest.raises(ValueError):
+        SchlesingerParams(Fraction(1, 2), 1, "1/3", 0, 0, 0, -2)
+
+
+def test_schlesinger_params_keep_fractions_and_convert_other_values():
+    half = Fraction(1, 2)
+    t = SchlesingerParams(half, 1, "1/3", half, 0, 0, Fraction(-7, 3))
+    assert t.theta01 is half and t.theta12 is half
+    assert [type(v) for v in _theta_tuple(t)] == [Fraction] * 7
+    assert (t.theta02, t.theta11, t.kappa1) == (1, Fraction(1, 3), 0)
 
 
 def test_psi_formula_equals_generator_word():
