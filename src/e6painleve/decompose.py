@@ -15,18 +15,22 @@ of the extended group sends simple roots to simple roots, the residual
 permutation is matched against the diagram automorphisms, and undoing the
 accumulated cancellation gives the word.
 
-The returned word is verified against the input by exact matrix equality;
-anything that fails to reduce or to match an automorphism is rejected as
-outside the group.
+Without a trace, a pre-pass first runs this reduction on one integer code
+sum_i x_i 8^i per image.  A group element sends every simple root to a real
+root, whose entries share one sign, so the code's sign is the root's, the
+pivots are the full loop's, and a_k ends with code 8^k.  The word is verified
+against the input by exact matrix equality; where the pre-pass fails in any
+way the map is outside the group, and the full loop, the one source of traces
+and failure messages, rejects it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, neg
+from operator import add, mul, neg
 
 from .piclattice import CARTAN_TERMS, RootVector
-from .weylgroup import ALPHA_PERMUTATIONS, PicMap, Word, simple_root_coords, word_to_picmap
+from .weylgroup import ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, PicMap, Word, simple_root_coords, word_to_picmap
 
 #: Hard cap on reduction steps; generous for every element handled here
 #: (the built-in dynamics reduce in 16 steps).
@@ -52,6 +56,13 @@ class ReductionStep:
     images: SimpleRootImages
 
 
+#: The symbol of each permutation (sigma(0), ..., sigma(6)) of the simple roots that the group realizes.
+_AUTOMORPHISMS = {tuple(range(7)): ""} | {tuple(map(sigma.get, range(7))): s for s, sigma in ALPHA_PERMUTATIONS.items()}
+_CODE_WEIGHTS = tuple(8**i for i in range(7))
+#: The residual letters of each permutation sigma in _AUTOMORPHISMS, keyed by the final codes 8^sigma(i).
+_RESIDUALS = {tuple(_CODE_WEIGHTS[k] for k in sigma): (s,) if s else () for sigma, s in _AUTOMORPHISMS.items()}
+
+
 def match_automorphism(images: SimpleRootImages) -> str:
     """Identify the diagram automorphism realized by simple-root images.
 
@@ -59,19 +70,16 @@ def match_automorphism(images: SimpleRootImages) -> str:
     Raises NoAutomorphismMatch when the images are not the permutation of
     simple roots induced by any diagram automorphism.
     """
-    perm: dict[int, int] = {}
+    perm = []
     for i, img in enumerate(images):
         if sorted(img.coeffs) != [0] * 6 + [1]:
             raise NoAutomorphismMatch(f"image of a_{i} is not a simple root")
-        perm[i] = img.coeffs.index(1)
-    if len(set(perm.values())) != 7:
+        perm.append(img.coeffs.index(1))
+    if len(set(perm)) != 7:
         raise NoAutomorphismMatch("images are not a permutation of the simple roots")
-    if all(perm[i] == i for i in range(7)):
-        return ""
-    for symbol, sigma in ALPHA_PERMUTATIONS.items():
-        if perm == sigma:
-            return symbol
-    raise NoAutomorphismMatch("permutation is not a diagram automorphism")
+    if tuple(perm) not in _AUTOMORPHISMS:
+        raise NoAutomorphismMatch("permutation is not a diagram automorphism")
+    return _AUTOMORPHISMS[tuple(perm)]
 
 
 def _root_images(m: PicMap) -> list[tuple[int, ...]]:
@@ -86,6 +94,25 @@ def simple_root_images(m: PicMap) -> SimpleRootImages:
     return tuple(map(RootVector, _root_images(m)))
 
 
+def _code_reduction(images: list[tuple[int, ...]]) -> Word | None:
+    """decompose's word, reduced on the codes of the images; None where that fails."""
+    codes = [sum(map(mul, _CODE_WEIGHTS, v)) for v in images]
+    cancellation: list[int] = []
+    for _ in range(MAX_REDUCTION_STEPS):
+        for pivot, p in enumerate(codes):
+            if p < 0:
+                break
+        else:
+            break
+        for j, c in CARTAN_TERMS[pivot]:
+            codes[j] += c * p
+        cancellation.append(pivot)
+    else:
+        return None
+    residual = _RESIDUALS.get(tuple(codes))
+    return None if residual is None else residual + tuple(REFLECTION_SYMBOLS[i] for i in reversed(cancellation))
+
+
 def decompose(m: PicMap, trace: bool = False):
     """Express a lattice map as a word in the group generators.
 
@@ -94,6 +121,10 @@ def decompose(m: PicMap, trace: bool = False):
     NotInGroup for maps outside the extended affine Weyl group.
     """
     images = _root_images(m)
+    if not trace:
+        word = _code_reduction(images)
+        if word is not None and word_to_picmap(word) == m:
+            return word
     negative = [max(v) <= 0 and min(v) < 0 for v in images]
     cancellation: list[int] = []
     steps: list[ReductionStep] = []

@@ -71,7 +71,8 @@ class RootVariables:
     def __post_init__(self) -> None:
         if len(self.a) != 7:
             raise ValueError(f"expected 7 root variables, got {len(self.a)}")
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
+        if type(self.a) is not tuple or not all(type(x) is Fraction for x in self.a):
+            object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
 
     @classmethod
     def of(cls, *values) -> "RootVariables":

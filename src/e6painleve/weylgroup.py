@@ -14,9 +14,10 @@ composition g1 o g2 o ... o gk, with gk applied first, so that
 word_to_picmap is the left-to-right matrix product.  That
 product is kept as the 10 integer columns of the running matrix M: a letter
 G acts on the right as a column operation, column j of M G being
-sum_k G[k][j] col_k(M).  A reflection moves two or three columns, an
-automorphism mostly permutes them; every moved column adds or subtracts at
-most four old ones, and the columns G leaves alone pass through unchanged.
+sum_k G[k][j] col_k(M), which adds or subtracts at most four old columns.
+Each generator's step is straight-line code compiled on its first product:
+it passes through the columns G leaves alone or permutes, and builds the
+others entry by entry from the unpacked entries of the columns they read.
 
 The image m(a_i) of a simple root is a signed sum of the two to four
 columns of m that the +-1 entries of a_i pick.
@@ -88,6 +89,7 @@ def parse_word(symbols: Iterable[str]) -> Word:
 
 
 _IDENTITY_ROWS = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK))
+_CANONICAL = tuple(-x for x in anticanonical().coeffs)
 
 
 @dataclass(frozen=True)
@@ -128,21 +130,12 @@ class PicMap:
         return inv
 
     def is_cremona_isometry(self) -> bool:
-        """Check M^T J M = J and that the canonical class is fixed.
-
-        Entry (a, b) of M^T J M is the intersection number of the images of
-        basis classes a and b, which reads only the nonzero entries of J.
-        """
-        j = gram_matrix()
-        images = [DivisorClass(col) for col in zip(*self.rows)]
-        if any(
-            intersection(images[a], images[b]) != j[a][b]
-            for a in range(RANK)
-            for b in range(a, RANK)
-        ):
+        """Check M^T J M = J, entry (a, b) being col_a . J col_b with J c = (c1, c0, -c2, ..., -c9), and M K = K."""
+        j, cols = gram_matrix(), tuple(zip(*self.rows))
+        j_cols = [(c[1], c[0], *map(neg, c[2:])) for c in cols]
+        if any(sum(map(mul, cols[a], j_cols[b])) != j[a][b] for a in range(RANK) for b in range(a, RANK)):
             return False
-        k_class = -1 * anticanonical()
-        return self(k_class) == k_class
+        return tuple(sum(map(mul, row, _CANONICAL)) for row in self.rows) == _CANONICAL
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -150,11 +143,7 @@ class PicMap:
 
 def _reflection_picmap(i: int) -> PicMap:
     alpha = symmetry_root(i)
-    images = []
-    for k in range(RANK):
-        basis = DivisorClass(tuple(1 if idx == k else 0 for idx in range(RANK)))
-        images.append(basis + intersection(basis, alpha) * alpha)
-    return PicMap.from_images(images)
+    return PicMap.from_images([e + intersection(e, alpha) * alpha for e in map(DivisorClass, _IDENTITY_ROWS)])
 
 
 #: The automorphisms other than m0 and r, as products (the first factor acts last).
@@ -218,19 +207,27 @@ def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
     return values
 
 
-#: The nonzero entries of each simple root a_i as (k, add or sub), so that
-#: m(a_i) = sum_k a_i[k] col_k(m) (the entries are +-1, as in _moved_columns).
-_ROOT_TERMS = tuple(tuple((k, {1: add, -1: sub}[x]) for k, x in enumerate(a.coeffs) if x) for a in _SIMPLE_ROOTS)
+#: The nonzero entries of each simple root a_i, then of each surface root d_j, as (k,
+#: add or sub), so that m(c) = sum_k c[k] col_k(m) (the entries are +-1, as in _moved_columns).
+_ROOT_TERMS, _SURFACE_TERMS = (
+    tuple(tuple((k, {1: add, -1: sub}[x]) for k, x in enumerate(c.coeffs) if x) for c in classes)
+    for classes in (_SIMPLE_ROOTS, map(surface_root, range(3)))
+)
+
+
+def _column_sums(m: PicMap, terms: tuple) -> Iterator[Iterator[int]]:
+    """The images m(c) of the classes c with these terms, each computed when asked for."""
+    cols = tuple(zip(*m.rows))
+    for class_terms in terms:
+        image = (0,) * RANK
+        for k, op in class_terms:
+            image = map(op, image, cols[k])
+        yield image
 
 
 def simple_root_coords(m: PicMap) -> Iterator[tuple[int, ...] | None]:
     """Root coordinates of m(a_0), ..., m(a_6), each computed when asked for; None outside Q."""
-    cols = tuple(zip(*m.rows))
-    for terms in _ROOT_TERMS:
-        image = (0,) * RANK
-        for k, op in terms:
-            image = map(op, image, cols[k])
-        yield _alpha_coords(image)
+    return map(_alpha_coords, _column_sums(m, _ROOT_TERMS))
 
 
 def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
@@ -238,8 +235,8 @@ def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
 
     None when m does not map the three surface roots onto themselves.
     """
-    roots = [surface_root(j) for j in range(3)]
-    images = [m(d) for d in roots]
+    roots = [surface_root(j).coeffs for j in range(3)]
+    images = [tuple(image) for image in _column_sums(m, _SURFACE_TERMS)]
     if any(x not in roots for x in images):
         return None
     perm = tuple(roots.index(x) for x in images)
@@ -260,16 +257,30 @@ def _moved_columns(symbol: str) -> tuple[tuple[int, int, Callable, tuple[tuple[i
     return tuple((j, *terms[0], terms[1:]) for j, terms in columns if terms != ((j, add),))
 
 
+@lru_cache(maxsize=None)
+def _column_step(symbol: str) -> Callable[..., tuple[tuple[int, ...], ...]]:
+    """_moved_columns as straight-line code from the ten columns of M to those of M G: a moved
+    column is one old column or ten signed sums of entries x{k}_{i} of the columns it reads."""
+    cols, read = [f"c{j}" for j in range(RANK)], set()
+    for j, k, op, rest in _moved_columns(symbol):
+        terms = ((k, op),) + rest
+        if terms == ((k, add),):
+            cols[j] = f"c{k}"
+            continue
+        read.update(k for k, _ in terms)
+        entries = ("".join(f"{'+' if op is add else '-'}x{k}_{i}" for k, op in terms).lstrip("+") for i in range(RANK))
+        cols[j] = f"({', '.join(entries)})"
+    unpack = "".join(f"    {', '.join(f'x{k}_{i}' for i in range(RANK))} = c{k}\n" for k in sorted(read))
+    namespace: dict = {}
+    exec(f"def step({', '.join(f'c{j}' for j in range(RANK))}):\n{unpack}    return {', '.join(cols)}\n", namespace)
+    return namespace["step"]
+
+
 def word_to_picmap(word: Iterable[str]) -> PicMap:
     """Product of generator matrices; the rightmost symbol acts first."""
-    cols = list(_IDENTITY_ROWS)  # the identity's rows are its columns
+    cols = _IDENTITY_ROWS  # the identity's rows are its columns
     for symbol in word:
-        old = cols[:]
-        for j, k, op, rest in _moved_columns(symbol):
-            col = old[k] if op is add else list(map(neg, old[k]))
-            for k, op in rest:
-                col = list(map(op, col, old[k]))
-            cols[j] = col
+        cols = _column_step(symbol)(*cols)
     return PicMap(tuple(zip(*cols)))
 
 

@@ -240,3 +240,20 @@ def test_decompose_and_translation_norm_match_the_scanning_oracles(m):
     assert _outcome(lambda m: decompose(m, trace=True), m) == _outcome(lambda m: decompose_oracle(m, trace=True), m)
     assert _outcome(translation_delta_vector, m) == _outcome(translation_delta_vector_oracle, m)
     assert _outcome(translation_norm, m) == _outcome(translation_norm_oracle, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_element, _perturbed(), st.sampled_from([m for m, _ in OUTSIDE_GROUP])))
+def test_decompose_without_trace_matches_the_scanning_oracle(m):
+    # Without a trace decompose reduces on one code per image first; it must
+    # give the oracle's word, or its exception and message.
+    assert _outcome(decompose, m) == _outcome(decompose_oracle, m)
+
+
+@pytest.mark.parametrize("word, residual", [(("m0",) + PHI_WORD, "m1"), (PHI_WORD * 2, "r2")])
+def test_decompose_without_trace_matches_the_oracle_on_residual_automorphisms(word, residual):
+    m = word_to_picmap(word)
+    out = decompose(m)
+    assert out == decompose_oracle(m) == decompose(m, trace=True)[0]
+    assert out[0] == residual
+    assert word_to_picmap(out) == m

@@ -302,6 +302,19 @@ def test_word_to_picmap_matches_dense_product():
         assert word_to_picmap(word) == dense(word)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SYMBOLS), max_size=64))
+def test_word_to_picmap_matches_the_matrix_product(word):
+    # The compiled column steps against the left-to-right @ product.
+    assert word_to_picmap(word) == reduce(lambda m, s: m @ generator_picmap(s), word, IDENTITY)
+
+
+def test_word_to_picmap_rejects_unknown_symbols():
+    with pytest.raises(ValueError) as excinfo:
+        word_to_picmap(("w7",))
+    assert str(excinfo.value) == "unknown generator symbol 'w7'"
+
+
 def test_moved_columns_are_plus_minus_one_operators():
     # Every nonzero entry of the 12 generators is +-1, kept as add or sub;
     # the columns left out are the basis columns.
