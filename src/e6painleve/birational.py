@@ -57,7 +57,7 @@ from .periodmap import (
     root_variables,
     scale_to_integers,
 )
-from .weylgroup import PicMap, generator_picmap, SYMBOLS
+from .weylgroup import PicMap, _compile, generator_picmap, SYMBOLS
 
 
 class Indeterminate(ArithmeticError):
@@ -207,13 +207,6 @@ def _sum_source(terms: Iterable[tuple[int, list[str]]]) -> str:
     """Python source of the sum over (c, factors) of the integer c times the named factors."""
     parts = [{1: "", -1: "-"}.get(int(c), f"{int(c)}*") + "*".join(x) if x else str(int(c)) for c, x in terms]
     return " + ".join(parts).replace(" + -", " - ") or "0"
-
-
-def _compile(args: str, *body: str) -> Callable:
-    """A function of args with the given body lines, built from the library's own tables."""
-    namespace: dict[str, Any] = {}
-    exec(f"def compiled({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
-    return namespace["compiled"]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import __version__
-from .birational import Indeterminate, TooManyDegenerateSamples, eval_word, generator_step
+from .birational import Indeterminate, TooManyDegenerateSamples, eval_word, generator_step, param_rows
 from .decompose import NotInGroup, decompose
 from .models import (
     CONJUGATOR_WORD,
@@ -30,7 +30,7 @@ from .models import (
     phi_orbit,
     psi_orbit,
 )
-from .periodmap import ParamVector, root_variables
+from .periodmap import root_variables
 from .serialize import coord_decimal, decimal_str, parse_fraction_list, parse_params, parse_point, parse_schlesinger
 from .verify import SUITES, run_suite
 from .weylgroup import NormMismatch, PicMap, SYMBOLS, parse_word, word_to_picmap
@@ -129,16 +129,14 @@ def _exact_output():
 
 
 def cmd_gens(args: argparse.Namespace) -> int:
-    units = [ParamVector(tuple(int(i == j) for i in range(8))) for j in range(8)]
     generators = []
     for symbol in SYMBOLS:
         step = generator_step(symbol)
-        columns = [step.apply_params(u).b for u in units]
         generators.append(
             {
                 "symbol": symbol,
                 "picmap": step.picmap.to_json(),
-                "param_matrix": [[str(col[i]) for col in columns] for i in range(8)],
+                "param_matrix": [[str(dict(row).get(j, 0)) for j in range(8)] for row in param_rows(symbol)],
                 # The induced parameter action is linear.
                 "param_shift": ["0"] * 8,
                 "coord_f": str(step.coord_f),

@@ -9,25 +9,28 @@ parameters b1..b8.  Writing d for the parameter sum, one step solves
 in that order (each relation is explicit in its unknown), with parameters
 moving by b5, b6 -> +d and b7, b8 -> -d.  Substituting (f, g) -> (-g, -f~)
 and (b1..b6) -> (b1~..b4~, b7~, b8~) turns the first relation into the
-second, so one solver serves both.  With u = (U : X), v = (V : W) and the
-parameters scaled to integers by their lcm L, it writes
+second, so one solver serves both.  The parameters are the integers L b,
+for a common denominator L of b, and the coordinates the pairs of L f and
+L g: both relations are homogeneous of degree 1 in (f, g, b), and L stays
+valid along an orbit, since d = sum of the L b_i is an integer.  With
+u = (U : X) and v = (V : W), the solver writes
 
-    u~ + v = X A_1 A_2 A_3 A_4 / (L W q_1 q_2 S),
+    u~ + v = X A_1 A_2 A_3 A_4 / (W q_1 q_2 S),
 
-where A_i = L V + L r_i W, q_j = L V - L p_j W and S = L (U W + V X).  Most
-of that fraction cancels, in confined factors (singularity confinement,
+where A_i = V + r_i W, q_j = V - p_j W and S = U W + V X.  Most of that
+fraction cancels, in confined factors (singularity confinement,
 Grammaticos-Ramani-Papageorgiou 1991): X = x_1 x_2 with x_j dividing q_j,
 and S = s_1 s_2 s_3 s_4 with s_i dividing A_i.  The solver cancels them
 piece by piece, on numbers of a quarter of the size, before anything is
-multiplied out, and reduces what is left with one gcd.  The pieces recur
-as tau-function factors along an orbit: x_1 and x_2 are, up to a few bits,
-the cofactors q_2 / x_2 and q_1 / x_1 of the half-step before last, and
-s_i is the cofactor A_i / s_i of the previous half-step.  So phi_orbit and
-psi_orbit carry the cofactors from step to step and seed each piece's gcd
-with them; phi_step starts afresh.  Where X, W, S or some A_i or q_j is
-zero, the unknown is the ratio of two bihomogeneous integer polynomials on
-P1 x P1, which makes it exact on the lines at infinity and leaves 0/0 only
-at base points.
+multiplied out, and the kernel reduces what is left with one gcd per
+half-step.  The pieces recur as tau-function factors along an orbit: x_1
+and x_2 are, up to a few bits, the cofactors q_2 / x_2 and q_1 / x_1 of
+the half-step before last, and s_i is the cofactor A_i / s_i of the
+previous half-step.  So phi_orbit and psi_orbit carry the cofactors from
+step to step and seed each piece's gcd with them; phi_step is the kernel
+without a carry.  Where X, W, S or some A_i or q_j is zero, the unknown is
+the ratio of two bihomogeneous integer polynomials on P1 x P1, which makes
+it exact on the lines at infinity and leaves 0/0 only at base points.
 
 psi is an elementary two-point Schlesinger transformation, realized as a
 closed-form birational map in isomonodromic coordinates (x, y) whose
@@ -45,15 +48,15 @@ pointwise at seeded generic rational samples, exactly, on integers.
 psi_orbit uses that identity to run on phi's integer kernel: it changes
 chart once, steps phi, and maps each state back through w5, w3, built from
 the pieces phi's second half-step already holds.  There v = -f~ and u = -g,
-so with f~ = -V/W the second relation turns w3's y into
+so with L f~ = -V/W the second relation turns w3's y into
 
-    y = (f~ - b2)(f~ - b3)(f~ - b4) / ((f~ + b~8)(f~ + g)) - f~
-      = b~7 - x_1 K' / (L c_2 s_1 S'),  K' = (X' a_2 a_3 a_4 - c_1 c_2 s_1 S') / W,
+    y = (f~ - b2)(f~ - b3)(f~ - b4) / ((f~ + b~8)(f~ + g)) - f~,
+  L y = L b~7 - x_1 K' / (c_2 s_1 S'),  K' = (X' a_2 a_3 a_4 - c_1 c_2 s_1 S') / W,
 
 and w5, at w3's parameters, gives
 
-    x = (f~ (y - b~1 - b~5 - b~7) - (b~1 + b~5) y) / (y - b~7)
-      = f~ - (b~1 + b~5) X' a_2 a_3 a_4 / (W K'),
+    x = (f~ (y - b~1 - b~5 - b~7) - (b~1 + b~5) y) / (y - b~7),
+  L x = L f~ - L (b~1 + b~5) X' a_2 a_3 a_4 / (W K'),
 
 whose numerator shares with W what W holds of the first half-step's c_2.
 Each pair is then reduced with one gcd of a few bits.  Where a piece does
@@ -81,6 +84,7 @@ from .birational import (
     Indeterminate,
     MapComparison,
     ParamVector,
+    ProjectiveCoord,
     SurfacePoint,
     _lowest_terms,
     _scaled_state_draw,
@@ -188,7 +192,6 @@ class SchlesingerParams:
 class _Pieces(NamedTuple):
     """The pieces of one generic half-step (see _solve_qrt_relation)."""
 
-    L: int
     x: list[int]  # x_j, the confined factors of X in q_j
     c: list[int]  # c_j = q_j / x_j
     X: int  # X', what is left of X
@@ -200,22 +203,22 @@ class _Pieces(NamedTuple):
 def _solve_qrt_relation(
     u: tuple[int, int],
     v: tuple[int, int],
-    r: Sequence[Fraction],
-    p: Sequence[Fraction],
+    r: Sequence[int],
+    p: Sequence[int],
     x_seeds: Sequence[int] | None = None,
     s_seeds: Sequence[int] | None = None,
 ) -> tuple[int, int, _Pieces | None]:
     """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)) for u~.
 
     u = (U : X) and v = (V : W) are integer pairs, a zero second entry
-    meaning infinity; r holds four parameters and p two, scaled to integers
-    by the lcm L of their denominators.  With A_i = L V + L r_i W,
-    q_j = L V - L p_j W and S = L (U W + V X), u~ + v = X prod_i A_i /
-    (L W q_1 q_2 S).  The confined factors x_j of X in q_j and s_i of S in
-    A_i cancel first (_cancel_pieces).  With the cofactors c_j = q_j / x_j
-    and a_i = A_i / s_i, and X' and S' what is left of X and S,
+    meaning infinity, and r (four) and p (two) are integers, all scaled by
+    one L (the relation is homogeneous of degree 1).  With A_i = V + r_i W,
+    q_j = V - p_j W and S = U W + V X, u~ + v = X prod_i A_i / (W q_1 q_2 S).
+    The confined factors x_j of X in q_j and s_i of S in A_i cancel first
+    (_cancel_pieces).  With the cofactors c_j = q_j / x_j and
+    a_i = A_i / s_i, and X' and S' what is left of X and S,
 
-        u~ = ((X' prod_i a_i - L V c_1 c_2 S') / W) : (L c_1 c_2 S'),
+        u~ = ((X' prod_i a_i - V c_1 c_2 S') / W) : (c_1 c_2 S'),
 
     returned unreduced with its pieces.  W divides that numerator when it
     is prime to L (v in lowest terms); otherwise it stays in the
@@ -228,35 +231,33 @@ def _solve_qrt_relation(
     Where X, W, S or some A_i or q_j is zero the pieces are None and the
     pair is the bihomogeneous form of bidegree (1, 3) in (u, v), with W
     cancelled symbolically: with Q = q_1 q_2 and the cubic form
-    R = (prod_i A_i - (L V)^2 Q) / W, u~ = (X R - L^2 V Q U) : (L Q S).
+    R = (prod_i A_i - V^2 Q) / W, u~ = (X R - V Q U) : (Q S).
     This makes u~ exact on the lines at infinity, and 0/0 a base point.
     """
     U, X = u
     V, W = v
-    ratios = [x.as_integer_ratio() for x in (*r, *p)]
-    L = math.lcm(*[d for _, d in ratios])
-    r1, r2, r3, r4, p1, p2 = [n * (L // d) for n, d in ratios]
-    Vs = L * V
-    A = (Vs + r1 * W, Vs + r2 * W, Vs + r3 * W, Vs + r4 * W)
-    q = (Vs - p1 * W, Vs - p2 * W)
-    S = L * (U * W + V * X)
+    r1, r2, r3, r4 = r
+    p1, p2 = p
+    A = (V + r1 * W, V + r2 * W, V + r3 * W, V + r4 * W)
+    q = (V - p1 * W, V - p2 * W)
+    S = U * W + V * X
     if X and W and S and all(A) and all(q):
         x, c, X = _cancel_pieces(q, X, x_seeds and x_seeds[::-1])
         s, a, S = _cancel_pieces(A, S, s_seeds)
-        pieces = _Pieces(L, x, c, X, s, a, S)
+        pieces = _Pieces(x, c, X, s, a, S)
         c12S = c[0] * c[1] * S
-        num = (a[0] * a[1]) * (a[2] * a[3]) * X - Vs * c12S
+        num = (a[0] * a[1]) * (a[2] * a[3]) * X - V * c12S
         quotient, rest = divmod(num, W)
-        return (num, L * W * c12S, pieces) if rest else (quotient, L * c12S, pieces)
+        return (num, W * c12S, pieces) if rest else (quotient, c12S, pieces)
     s12, s34, m12, m34 = r1 + r2, r3 + r4, r1 * r2, r3 * r4
     W2 = W * W
     Q = q[0] * q[1]
     R = (
-        (((s12 + s34 + p1 + p2) * Vs + (m12 + m34 + s12 * s34 - p1 * p2) * W) * Vs
-         + (s12 * m34 + s34 * m12) * W2) * Vs
+        (((s12 + s34 + p1 + p2) * V + (m12 + m34 + s12 * s34 - p1 * p2) * W) * V
+         + (s12 * m34 + s34 * m12) * W2) * V
         + m12 * m34 * W2 * W
     )
-    return X * R - L * Vs * Q * U, L * Q * S, None
+    return X * R - V * Q * U, Q * S, None
 
 
 def _cancel_pieces(
@@ -307,64 +308,50 @@ def _divide_out(m: int, seed: int) -> tuple[int, int]:
     return g, k * (seed // g) + rest // g
 
 
-def _phi_step_carried(
-    b: ParamVector, p: SurfacePoint, carry: tuple | None = None
-) -> tuple[ParamVector, SurfacePoint, tuple]:
-    """phi_step that takes the pieces of the previous step and returns its own.
+def _phi_kernel(
+    b: Sequence[int], f: tuple[int, int], g: tuple[int, int], scale: int, carry: tuple | None = None
+) -> tuple[tuple[int, ...], ProjectiveCoord, ProjectiveCoord, tuple]:
+    """phi on L b and the pairs of L f and L g, for L = scale: L b~, f~, g~ and the pieces.
 
-    carry holds the _Pieces of the two half-steps, each None where its
-    half-step was not generic.
-    """
-    b1, b2, b3, b4, b5, b6, b7, b8 = b.b
-    d = b.chi_delta()
-    new_b = ParamVector((b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d))
-    roots = (b1, b2, b3, b4)
-    first, second = carry or (None, None)
-    g_num, g_den = pair_from_coord(p.g)
-    try:
-        num, den, first = _solve_qrt_relation(
-            pair_from_coord(p.f), (g_num, g_den), roots, (b5, b6),
-            first and first.c, second and second.a,
-        )
-        f_new = coord_from_pair(num, den)
-        f_num, f_den = pair_from_coord(f_new)
-        num, den, second = _solve_qrt_relation(
-            (-g_num, g_den), (-f_num, f_den), roots, new_b.b[6:],
-            second and second.c, first and first.a,
-        )
-        g_new = coord_from_pair(-num, den)
-    except Indeterminate as exc:
-        raise Indeterminate("phi hit a base point", symbol="phi") from exc
-    return new_b, SurfacePoint(f_new, g_new), (first, second)
-
-
-def phi_integers(b: Sequence[int], f: tuple[int, int], g: tuple[int, int]) -> tuple:
-    """phi on L b and the pairs (num : den) of L f and L g: L b~ and the pairs of L f~ and L g~.
-
-    Each relation is one _solve_qrt_relation on integers: the first with
-    (u, v) = (f, g), the second, at the new parameters, with (u, v) =
-    (-g, -f~), r = b~1..b~4 and p = (b~7, b~8).  Each result is put in lowest
-    terms, as eval_integers puts a word's; raises Indeterminate only at base points.
+    Each relation is one _solve_qrt_relation: the first with (u, v) =
+    (f, g), the second, at the new parameters, with (u, v) = (-g, -f~),
+    r = b~1..b~4 and p = (b~7, b~8).  Each coordinate is reduced once, by
+    coord_from_pair.  carry holds the _Pieces of the previous step's two
+    half-steps, each None where its half-step was not generic, and the
+    result holds this step's.  Raises Indeterminate only at base points.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = b
     d = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
     new_b = (b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d)
     roots = new_b[:4]
+    first, second = carry or (None, None)
     try:
-        f_new = _lowest_terms(*_solve_qrt_relation(f, g, roots, (b5, b6))[:2])
-        num, den, _ = _solve_qrt_relation((-g[0], g[1]), (-f_new[0], f_new[1]), roots, new_b[6:])
-        g_new = _lowest_terms(-num, den)
+        num, den, first = _solve_qrt_relation(f, g, roots, (b5, b6), first and first.c, second and second.a)
+        f_new = coord_from_pair(num, den, scale)
+        f_num, f_den = pair_from_coord(f_new, scale)
+        num, den, second = _solve_qrt_relation(
+            (-g[0], g[1]), (-f_num, f_den), roots, new_b[6:], second and second.c, first and first.a
+        )
+        g_new = coord_from_pair(-num, den, scale)
     except Indeterminate as exc:
         raise Indeterminate("phi hit a base point", symbol="phi") from exc
-    return new_b, f_new, g_new
+    return new_b, f_new, g_new, (first, second)
+
+
+def phi_integers(b: Sequence[int], f: tuple[int, int], g: tuple[int, int]) -> tuple:
+    """phi on L b and the pairs (num : den) of L f and L g: L b~ and the pairs of L f~ and L g~.
+
+    The kernel at scale 1, each pair in lowest terms, as eval_integers puts a word's.
+    """
+    new_b, f_new, g_new, _ = _phi_kernel(b, f, g, 1)
+    return new_b, pair_from_coord(f_new), pair_from_coord(g_new)
 
 
 def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
-    """One step of the deautonomized QRT dynamics on (b; f, g): phi_integers on L b."""
+    """One step of the deautonomized QRT dynamics on (b; f, g): the kernel on L b, without a carry."""
     scale, ints = scale_to_integers(b.b)
-    new_b, f, g = phi_integers(ints, pair_from_coord(p.f, scale), pair_from_coord(p.g, scale))
-    point = SurfacePoint(coord_from_pair(*f, scale), coord_from_pair(*g, scale))
-    return ParamVector(tuple(Fraction(x, scale) for x in new_b)), point
+    new_b, f, g, _ = _phi_kernel(ints, pair_from_coord(p.f, scale), pair_from_coord(p.g, scale), scale)
+    return ParamVector(tuple(Fraction(x, scale) for x in new_b)), SurfacePoint(f, g)
 
 
 def _psi_closed_form(values: Sequence, one, nonzero: Callable) -> tuple:
@@ -576,7 +563,6 @@ class EquivalenceReport:
 def verify_equivalence(
     trials: int = 25,
     seed: int = 0,
-    matched_dictionary: Callable[[SchlesingerParams], ParamVector] = b_from_schlesinger_matched,
     bound: int = SAMPLE_BOUND,
     draw: Callable[[int], tuple] | None = None,
 ) -> EquivalenceReport:
@@ -601,12 +587,6 @@ def verify_equivalence(
     word = partial(eval_integers, conjugated)
     conjugation = integer_maps_equal(phi_integers, word, trials, draw or _scaled_state_draw(seed, bound))
 
-    def dictionary(indices: tuple[int, ...], one: int) -> tuple:
-        if matched_dictionary is b_from_schlesinger_matched:
-            return _matched_dictionary(indices, one)
-        t = SchlesingerParams(*(Fraction(v, one) for v in indices))
-        return tuple(one * v for v in matched_dictionary(t).b)
-
     def draw_schlesinger(index: int) -> tuple[SchlesingerParams, Fraction, Fraction]:
         rng = random.Random(f"equivalence:{seed}:{index}")
         return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
@@ -617,10 +597,11 @@ def verify_equivalence(
         indices, new_indices = values[:7], _shifted(values[:7], one)
         f_new, g_new = _change_of_variables(new_indices, *_psi_closed_form(values, one, bool))
         f, g = _change_of_variables(indices, (values[7], 1), (values[8], 1))
-        b_phi, f_phi, g_phi = phi_integers(dictionary(indices, one), f, g)
+        b_phi, f_phi, g_phi = phi_integers(_matched_dictionary(indices, one), f, g)
         if not (f_phi[1] and g_phi[1]):
             return None
-        return b_phi == dictionary(new_indices, one) and (f_phi, g_phi) == (_lowest_terms(*f_new), _lowest_terms(*g_new))
+        expected = _matched_dictionary(new_indices, one), _lowest_terms(*f_new), _lowest_terms(*g_new)
+        return (b_phi, f_phi, g_phi) == expected
 
     transport = sample_check(trials, draw_schlesinger, transported, "Schlesinger samples")
     return EquivalenceReport(
@@ -650,26 +631,29 @@ class OrbitTrace:
 def phi_orbit(b: ParamVector, p: SurfacePoint, steps: int) -> OrbitTrace:
     """Iterate phi, recording every exact state (including the initial one).
 
-    Each step hands its cofactors to the next (see the module docstring);
-    the states are those of iterated phi_step.  On an indeterminate point
-    the raised error carries the partial trace.
+    b is scaled to integers once; each step hands its cofactors to the next
+    (see the module docstring), and the states are those of iterated
+    phi_step.  On an indeterminate point the raised error carries the
+    partial trace.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     entries = [OrbitEntry(0, b, (p.f, p.g))]
-    carry = None
+    scale, ints = scale_to_integers(b.b)
+    f, g, carry = p.f, p.g, None
     for k in range(1, steps + 1):
         try:
-            b, p, carry = _phi_step_carried(b, p, carry)
+            f, g = pair_from_coord(f, scale), pair_from_coord(g, scale)
+            ints, f, g, carry = _phi_kernel(ints, f, g, scale, carry)
         except Indeterminate as exc:
             exc.partial_trace = OrbitTrace("phi", tuple(entries))
             raise
-        entries.append(OrbitEntry(k, b, (p.f, p.g)))
+        entries.append(OrbitEntry(k, ParamVector(tuple(Fraction(x, scale) for x in ints)), (f, g)))
     return OrbitTrace("phi", tuple(entries))
 
 
-def _psi_from_pieces(b: ParamVector, p: SurfacePoint, carry: tuple) -> tuple | None:
-    """psi's (x, y) at phi's chart state (b; p) as two unreduced integer pairs.
+def _psi_from_pieces(b: Sequence[int], scale: int, f: ProjectiveCoord, carry: tuple) -> tuple | None:
+    """psi's (x, y) at phi's chart state (L b; f, g), L = scale, as two unreduced integer pairs.
 
     carry holds the pieces of the step that reached the state, and the
     pairs are the module docstring's formulas for w5 o w3 at b.  Where W
@@ -680,8 +664,8 @@ def _psi_from_pieces(b: ParamVector, p: SurfacePoint, carry: tuple) -> tuple | N
     first, second = carry
     if second is None:
         return None
-    L, (x1, _), (c1, c2), X, (s1, *_), (_, a2, a3, a4), S = second
-    f_num, W = pair_from_coord(p.f)
+    (x1, _), (c1, c2), X, (s1, *_), (_, a2, a3, a4), S = second
+    f_num, W = pair_from_coord(f, scale)
     P = X * a2 * a3 * a4
     c2s1S = c2 * s1 * S
     K, W_y = P - c1 * c2s1S, W
@@ -690,43 +674,46 @@ def _psi_from_pieces(b: ParamVector, p: SurfacePoint, carry: tuple) -> tuple | N
         K, W_y = quotient, 1
     if not K:
         return None
-    b1, _, _, _, b5, _, b7, _ = b.b
-    y = int(L * b7) * W_y * c2s1S - x1 * K, L * W_y * c2s1S
-    m, n = (b1 + b5).as_integer_ratio()
-    g, x_num = _divide_out(f_num * n * K - m * W_y * P, math.gcd(first.c[1], W) if first else 1)
-    return (x_num, n * (W // g) * K), y
+    y = b[6] * W_y * c2s1S - x1 * K, scale * W_y * c2s1S
+    g, x_num = _divide_out(f_num * K - (b[0] + b[4]) * W_y * P, math.gcd(first.c[1], W) if first else 1)
+    return (x_num, scale * (W // g) * K), y
 
 
 def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
     """Iterate psi, recording every exact state (including the initial one).
 
-    Runs in phi's chart (see the module docstring): one phi step per step,
-    with the pieces carried as in phi_orbit, each state mapped back through
-    w5, w3 at the chart's own b, from the step's pieces (_psi_from_pieces)
-    or, off them, by eval_word.  A step runs psi_step itself unless psi's
-    closed form modulo one of the screen primes proves it defined (no
-    denominator has a zero residue) and the conjugated path yields a finite
-    point; the chart and its pieces are then dropped, and the next step
-    re-enters the chart.  The states, the failing step and the partial trace
-    carried by the raised error are those of iterated psi_step.
+    Runs in phi's chart (see the module docstring): the matched b scaled to
+    integers once per chart entry, one phi kernel step per step, with the
+    pieces carried as in phi_orbit, each state mapped back through w5, w3 at
+    the chart's own b, from the step's pieces (_psi_from_pieces) or, off
+    them, by eval_word.  A step runs psi_step itself unless psi's closed
+    form modulo one of the screen primes proves it defined (no denominator
+    has a zero residue) and the conjugated path yields a finite point; the
+    chart and its pieces are then dropped, and the next step re-enters the
+    chart.  The states, the failing step and the partial trace carried by
+    the raised error are those of iterated psi_step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x, y = Fraction(x), Fraction(y)
     entries = [OrbitEntry(0, t, (x, y))]
-    chart = None  # phi's (b, point, carried pieces) at the current state, once entered
+    chart = None  # phi's (L b, L, f, g, carried pieces) at the current state, once entered
     for k in range(1, steps + 1):
         state = None
         if _psi_defined((*_indices(t), x, y)):
             try:
                 if chart is None:
-                    chart = b_from_schlesinger_matched(t), SurfacePoint.affine(*change_of_variables(t, x, y)), None
-                chart = _phi_step_carried(*chart)
-                pairs = _psi_from_pieces(*chart)
+                    scale, b = scale_to_integers(b_from_schlesinger_matched(t).b)
+                    chart = b, scale, *map(ProjectiveCoord.finite, change_of_variables(t, x, y)), None
+                b, scale, f, g, carry = chart
+                b, f, g, carry = _phi_kernel(b, pair_from_coord(f, scale), pair_from_coord(g, scale), scale, carry)
+                chart = b, scale, f, g, carry
+                pairs = _psi_from_pieces(b, scale, f, carry)
                 if pairs is not None:
                     state = t.shifted(), Fraction(*pairs[0]), Fraction(*pairs[1])
                 else:
-                    _, point = eval_word(CONJUGATOR_WORD, *chart[:2])
+                    params = ParamVector(tuple(Fraction(v, scale) for v in b))
+                    _, point = eval_word(CONJUGATOR_WORD, params, SurfacePoint(f, g))
                     if point.is_finite:
                         state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
             except Indeterminate:

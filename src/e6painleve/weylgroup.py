@@ -257,6 +257,13 @@ def _moved_columns(symbol: str) -> tuple[tuple[int, int, Callable, tuple[tuple[i
     return tuple((j, *terms[0], terms[1:]) for j, terms in columns if terms != ((j, add),))
 
 
+def _compile(args: str, *body: str) -> Callable:
+    """A function of args with the given body lines, built from the library's own tables."""
+    namespace: dict = {}
+    exec(f"def compiled({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["compiled"]
+
+
 @lru_cache(maxsize=None)
 def _column_step(symbol: str) -> Callable[..., tuple[tuple[int, ...], ...]]:
     """_moved_columns as straight-line code from the ten columns of M to those of M G: a moved
@@ -270,10 +277,8 @@ def _column_step(symbol: str) -> Callable[..., tuple[tuple[int, ...], ...]]:
         read.update(k for k, _ in terms)
         entries = ("".join(f"{'+' if op is add else '-'}x{k}_{i}" for k, op in terms).lstrip("+") for i in range(RANK))
         cols[j] = f"({', '.join(entries)})"
-    unpack = "".join(f"    {', '.join(f'x{k}_{i}' for i in range(RANK))} = c{k}\n" for k in sorted(read))
-    namespace: dict = {}
-    exec(f"def step({', '.join(f'c{j}' for j in range(RANK))}):\n{unpack}    return {', '.join(cols)}\n", namespace)
-    return namespace["step"]
+    unpack = (f"{', '.join(f'x{k}_{i}' for i in range(RANK))} = c{k}" for k in sorted(read))
+    return _compile(", ".join(f"c{j}" for j in range(RANK)), *unpack, f"return {', '.join(cols)}")
 
 
 def word_to_picmap(word: Iterable[str]) -> PicMap:

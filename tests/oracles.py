@@ -37,12 +37,18 @@ psi_step_oracle and psi_defined_oracle on it (over Q, and modulo the screen
 primes), and equivalence_checks_oracle, the four sampled checks of verify's
 equivalence suite on Fractions with the Fraction dictionaries and change of
 variables.
+
+mutant_of recompiles a library function with one edit, for the tests that
+check a check fails on a wrong formula.
 """
 
 from __future__ import annotations
 
+import __future__
+import inspect
 import math
 import random
+import textwrap
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import add, neg
@@ -72,8 +78,8 @@ from e6painleve.models import (
     PHI_WORD,
     PSI_WORD,
     SchlesingerParams,
-    _phi_step_carried,
     _SCREEN_PRIMES,
+    phi_step,
     sample_schlesinger,
 )
 from e6painleve.periodmap import RootVariables, root_variable_evolution, root_variables
@@ -757,16 +763,11 @@ def equivalence_checks_oracle(
 ) -> list[tuple[str, MapComparison, tuple[str, ...]]]:
     """The four sampled checks of equivalence_suite on Fractions: (name, comparison, fields).
 
-    phi is the Fraction step of phi_orbit's kernel (carrying nothing), psi
-    psi_step_oracle, and the dictionaries and the change of variables the
-    Fraction transcriptions above; matched_dictionary replaces the matched
-    one in the transport check.
+    phi is phi_step, psi psi_step_oracle, and the dictionaries and the
+    change of variables the Fraction transcriptions above;
+    matched_dictionary replaces the matched one in the transport check.
     """
     matched = matched_dictionary or matched_dictionary_oracle
-
-    def phi(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
-        return _phi_step_carried(b, p)[:2]
-
     rng = random.Random(f"psi-word:{seed}")
 
     def psi_matches_word(sample: tuple) -> bool | None:
@@ -786,16 +787,16 @@ def equivalence_checks_oracle(
         t_new, x_new, y_new = psi_step_oracle(t, x, y)
         f_new, g_new = change_of_variables_oracle(t_new, x_new, y_new)
         f, g = change_of_variables_oracle(t, x, y)
-        b_new, p_new = phi(matched(t), SurfacePoint.affine(f, g))
+        b_new, p_new = phi_step(matched(t), SurfacePoint.affine(f, g))
         if not p_new.is_finite:
             return None
         return p_new == SurfacePoint.affine(f_new, g_new) and b_new == matched(t_new)
 
     conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
-    phi_vs_word = maps_equal(phi, word_map(PHI_WORD), trials=trials, seed=seed, bound=bound)
+    phi_vs_word = maps_equal(phi_step, word_map(PHI_WORD), trials=trials, seed=seed, bound=bound)
     psi_sample = lambda _: (sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100))
     psi_vs_word = sample_check(trials, psi_sample, psi_matches_word, "psi/word samples")
-    conjugation = maps_equal(phi, word_map(conjugated), trials=trials, seed=seed, bound=bound)
+    conjugation = maps_equal(phi_step, word_map(conjugated), trials=trials, seed=seed, bound=bound)
     transport = sample_check(trials, transport_draw, transported, "Schlesinger samples")
     return [
         ("phi_formula_equals_word", phi_vs_word, ("b", "point")),
@@ -803,3 +804,13 @@ def equivalence_checks_oracle(
         ("conjugation", conjugation, ("b", "point")),
         ("transported_dynamics", transport, ("theta", "x", "y")),
     ]
+
+
+def mutant_of(function: Callable, old: str, new: str) -> Callable:
+    """function recompiled, in a copy of its module's globals, with old replaced by new once."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(function.__globals__)
+    code = compile(source.replace(old, new), "<mutant>", "exec", __future__.annotations.compiler_flag)
+    exec(code, namespace)
+    return namespace[function.__name__]

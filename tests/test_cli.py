@@ -465,6 +465,8 @@ def test_unknown_subcommand_is_input_error(capsys):
 
 README_PHI = ("--b", "1,2,3,4,5,6,7,8", "--point", "2,3")
 README_PSI = ("--theta", "1/2,1/3,1/5,1/7,2/3,3/5,-171/70", "--point", "17/5,23/9")
+#: A phi start whose b has denominators, so the kernel runs at a scale other than 1.
+SCALED_PHI = ("--b", "1/2,2/3,3/4,4/5,5/6,6/7,7/8,8/9", "--point", "2/3,3/5")
 @pytest.mark.parametrize(
     "name, kind, steps, start, fmt",
     [
@@ -476,11 +478,13 @@ README_PSI = ("--theta", "1/2,1/3,1/5,1/7,2/3,3/5,-171/70", "--point", "17/5,23/
         ("sha256:84014299be7e6814e924a32a3c70c1cee4bd62a8537d542b9396e76fc6fcd1d1", "psi", 24, README_PSI, "json"),
         ("sha256:82bc180688b8a837efbfe1494ac6ee1e33f5db505505074214c7745e1fa5f90c", "phi", 28, README_PHI, "csv"),
         ("sha256:a87307f6f9ec1b75a565e5ae0205aa7563410da5178ad70cc1510968e3c2f698", "psi", 22, README_PSI, "csv"),
+        ("sha256:ea1c855358828e8392ddc5e346c8dc7355695d95fed17517ab50f2d2077e6fde", "phi", 20, SCALED_PHI, "csv"),
     ],
 )
 def test_orbit_golden_output(capsys, name, kind, steps, start, fmt):
     # Byte-for-byte the output of the projective-chain phi and the
-    # unshared psi expressions, from the README starts.  The deep orbits
+    # unshared psi expressions, from the README starts (and phi from b with
+    # denominators, on a scale other than 1).  The deep orbits
     # (states past 4300 digits) are compared by the sha256 of stdout.
     code, out, err = run_cli(
         capsys, "orbit", "--map", kind, "--steps", str(steps), *start, "--format", fmt

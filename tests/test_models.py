@@ -17,6 +17,7 @@ from e6painleve.birational import (
     coord_from_pair,
     eval_word,
     maps_equal,
+    pair_from_coord,
     sample_fraction,
     word_map,
 )
@@ -39,11 +40,12 @@ from e6painleve.models import (
     sample_schlesinger,
     verify_equivalence,
 )
-from e6painleve.periodmap import root_variable_evolution, root_variables
+from e6painleve.periodmap import root_variable_evolution, root_variables, scale_to_integers
 from e6painleve.weylgroup import word_to_picmap
 
 from oracles import (
     cancel_pieces_oracle,
+    mutant_of,
     phi_projective_chain,
     psi_defined_oracle,
     psi_step_oracle,
@@ -447,14 +449,11 @@ def test_sampling_loops_share_the_rejection_cap(monkeypatch):
         verify.equivalence_suite(trials=3, seed=1)
 
 
-def test_verify_equivalence_detects_perturbed_dictionary():
-    def perturbed(t: SchlesingerParams) -> ParamVector:
-        b = b_from_schlesinger_matched(t)
-        values = list(b.b)
-        values[0] += 1
-        return ParamVector(tuple(values))
-
-    report = verify_equivalence(trials=5, seed=23, matched_dictionary=perturbed)
+def test_verify_equivalence_detects_perturbed_dictionary(monkeypatch):
+    # b1 + 1 in the matched dictionary: on L theta with one = L, the first entry + one.
+    perturbed = mutant_of(models._matched_dictionary, "(-k1 - t01 - t11,", "(-k1 - t01 - t11 + one,")
+    monkeypatch.setattr(models, "_matched_dictionary", perturbed)
+    report = verify_equivalence(trials=5, seed=23)
     transported = report.checks[1]
     assert not transported.passed
     assert transported.counterexample is not None
@@ -630,8 +629,8 @@ def test_psi_orbit_steps_where_the_change_of_variables_is_undefined():
 
 
 def _count_steps(monkeypatch):
-    """Record each step of phi's cofactor-carrying kernel ("phi") and each
-    psi_step ("psi") call psi_orbit makes."""
+    """Record each step of phi's kernel ("phi") and each psi_step ("psi")
+    call psi_orbit makes."""
     calls = []
 
     def counted(name, step):
@@ -640,7 +639,7 @@ def _count_steps(monkeypatch):
             return step(*args)
         return wrapper
 
-    monkeypatch.setattr(models, "_phi_step_carried", counted("phi", models._phi_step_carried))
+    monkeypatch.setattr(models, "_phi_kernel", counted("phi", models._phi_kernel))
     monkeypatch.setattr(models, "psi_step", counted("psi", psi_step))
     return calls
 
@@ -723,6 +722,29 @@ def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
         assert max(final_bits[2:]) <= 64
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.integers(2, 60))
+def test_phi_kernel_at_a_multiple_of_the_scale_gives_the_same_states(seed, k):
+    # An orbit keeps its start's L, which is no longer the lcm of b's
+    # denominators once b has moved: three carried kernel steps at scale k L
+    # give the states (or the base point) they give at L.
+    rng = random.Random(seed)
+    b = _random_params(rng)
+    p = SurfacePoint.affine(sample_fraction(rng, 60), sample_fraction(rng, 60))
+    scale, ints = scale_to_integers(b.b)
+    runs = []
+    for L, B in ((scale, ints), (k * scale, tuple(k * v for v in ints))):
+        f, g, carry, states = p.f, p.g, None, []
+        try:
+            for _ in range(3):
+                B, f, g, carry = models._phi_kernel(B, pair_from_coord(f, L), pair_from_coord(g, L), L, carry)
+                states.append((tuple(Fraction(v, L) for v in B), f, g))
+        except Indeterminate:
+            states.append(None)
+        runs.append(states)
+    assert runs[0] == runs[1]
+
+
 #: Pieces of _cancel_pieces: (core, missing, dropped, extra, cofactor, factor
 #: sign, seed sign).  The factor's piece is core * missing * dropped; its seed
 #: lacks missing and holds extra bits besides; n lacks dropped.
@@ -796,8 +818,8 @@ def test_psi_orbit_maps_back_through_the_word_off_the_generic_pieces(monkeypatch
     images, calls = [], []
     pieces = models._psi_from_pieces
 
-    def spy_pieces(b, p, carry):
-        pairs = pieces(b, p, carry)
+    def spy_pieces(b, scale, f, carry):
+        pairs = pieces(b, scale, f, carry)
         calls.append((carry[1] is not None, pairs is not None))
         return pairs
 
@@ -822,9 +844,12 @@ def test_map_back_leaves_y_equal_to_b7_to_the_word():
     # psi_step, which raises.
     x, y = Fraction(2472883, 2100675), Fraction(-347229092, 299237523)
     b = b_from_schlesinger_matched(README_THETA)
-    chart = models._phi_step_carried(b, SurfacePoint.affine(*change_of_variables(README_THETA, x, y)))
-    assert chart[1] == SurfacePoint.affine(Fraction(7, 3), -b.b[0]) and None not in chart[2]
-    assert models._psi_from_pieces(*chart) is None
-    assert not eval_word(CONJUGATOR_WORD, *chart[:2])[1].f.is_finite
+    scale, ints = scale_to_integers(b.b)
+    f, g = (pair_from_coord(FIN(v), scale) for v in change_of_variables(README_THETA, x, y))
+    new_b, f, g, carry = models._phi_kernel(ints, f, g, scale)
+    assert (f, g) == (FIN(Fraction(7, 3)), FIN(-b.b[0])) and None not in carry
+    assert models._psi_from_pieces(new_b, scale, f, carry) is None
+    params = ParamVector(tuple(Fraction(v, scale) for v in new_b))
+    assert not eval_word(CONJUGATOR_WORD, params, SurfacePoint(f, g))[1].f.is_finite
     states, error = _assert_psi_orbit_is_iterated_psi_step(README_THETA, x, y, 2)
     assert states == [(README_THETA, x, y)] and str(error) == "psi hit a base point"

@@ -1,18 +1,21 @@
 """The verify suites: one sampling loop, first-failure reports, independent checks."""
 
-import __future__
 import functools
-import inspect
 import random
-import textwrap
 
 import pytest
 
 from e6painleve import birational, models, periodmap, verify
 from e6painleve.birational import ParamVector, TooManyDegenerateSamples, sample_check, sample_fraction
-from e6painleve.models import CheckResult, b_from_schlesinger_matched, sample_schlesinger
+from e6painleve.models import CheckResult, sample_schlesinger
 import oracles
-from oracles import birational_checks_oracle, equivalence_checks_oracle, period_checks_oracle
+from oracles import (
+    birational_checks_oracle,
+    equivalence_checks_oracle,
+    matched_dictionary_oracle,
+    mutant_of,
+    period_checks_oracle,
+)
 
 
 def test_every_sampled_check_runs_one_sample_check(monkeypatch):
@@ -225,37 +228,28 @@ def test_integer_psi_checks_match_their_fraction_forms_on_small_samples(monkeypa
     assert sum(c["rejected"] for c in reports if c["name"] in psi_checks) > 50
 
 
-def test_a_perturbed_matched_dictionary_reports_the_fraction_forms_counterexample():
-    def perturbed(t):
-        b = b_from_schlesinger_matched(t)
+def test_a_perturbed_matched_dictionary_reports_the_fraction_forms_counterexample(monkeypatch):
+    # b1 + 1 in the matched dictionary: on L theta with one = L, the first entry + one.
+    perturbed = mutant_of(models._matched_dictionary, "(-k1 - t01 - t11,", "(-k1 - t01 - t11 + one,")
+    monkeypatch.setattr(models, "_matched_dictionary", perturbed)
+
+    def perturbed_oracle(t):
+        b = matched_dictionary_oracle(t)
         return ParamVector((b.b[0] + 1,) + b.b[1:])
 
     for seed in range(1, 6):
-        report = models.verify_equivalence(trials=10, seed=seed, matched_dictionary=perturbed)
-        oracle = equivalence_checks_oracle(10, seed, 10_000, matched_dictionary=perturbed)
+        report = models.verify_equivalence(trials=10, seed=seed)
+        oracle = equivalence_checks_oracle(10, seed, 10_000, matched_dictionary=perturbed_oracle)
         expected = [CheckResult.sampled(*check).to_json() for check in oracle[2:]]
         assert [c.to_json() for c in report.checks] == expected, seed
         transported = report.checks[1]
         assert (transported.passed, transported.samples) == (False, 1)
         assert set(transported.counterexample) == {"theta", "x", "y"}
-        # A dictionary passed in, but equal to the matched one, passes as the default does.
-        same = models.verify_equivalence(trials=10, seed=seed, matched_dictionary=lambda t: b_from_schlesinger_matched(t))
-        assert same == models.verify_equivalence(trials=10, seed=seed) and same.passed
-
-
-def _mutant(function, old: str, new: str):
-    """function recompiled, in a copy of its module's globals, with old replaced by new once."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1
-    namespace = dict(function.__globals__)
-    code = compile(source.replace(old, new), "<mutant>", "exec", __future__.annotations.compiler_flag)
-    exec(code, namespace)
-    return namespace[function.__name__]
 
 
 def test_a_psi_ring_form_mutant_fails_the_psi_checks(monkeypatch):
     # One coefficient of x~'s denominator: (t11 + one) -> (t11 + 2 one).
-    mutant = _mutant(models._psi_closed_form, "An * (t11 + one)", "An * (t11 + 2 * one)")
+    mutant = mutant_of(models._psi_closed_form, "An * (t11 + one)", "An * (t11 + 2 * one)")
     for module in (models, verify):
         monkeypatch.setattr(module, "_psi_closed_form", mutant)
     checks = {c.name: c for c in verify.equivalence_suite(trials=5, seed=1)}
@@ -265,9 +259,8 @@ def test_a_psi_ring_form_mutant_fails_the_psi_checks(monkeypatch):
 
 
 def test_a_phi_kernel_mutant_fails_the_phi_checks(monkeypatch):
-    mutant = _mutant(models.phi_integers, "b5 + d", "b5 - d")
-    for module in (models, verify):
-        monkeypatch.setattr(module, "phi_integers", mutant)
+    # phi_integers, and so both phi checks, run the one kernel.
+    monkeypatch.setattr(models, "_phi_kernel", mutant_of(models._phi_kernel, "b5 + d", "b5 - d"))
     checks = {c.name: c for c in verify.equivalence_suite(trials=5, seed=1)}
     assert not checks["phi_formula_equals_word"].passed
     assert not checks["conjugation"].passed
