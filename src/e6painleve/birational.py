@@ -20,7 +20,7 @@ integers, so L never changes along the word), the point is a pair of
 integer pairs for L f and L g, and each step reduces each coordinate it
 changes with one gcd.  A zero denominator is infinity, so the lines at
 infinity are ordinary inputs, and 0/0 is a base point of the map and raises
-Indeterminate.  eval_word scales in once and makes Fractions once at exit.
+Indeterminate.  eval_word scales in once and reduces each new pair at exit.
 Words run as straight-line code: on first use each Form compiles its term
 tables into one function (f, g, b) -> (num, den) and each step its
 param_rows into one b -> b~ (BirationalStep.kernel), from the library's own
@@ -73,70 +73,60 @@ class TooManyDegenerateSamples(RuntimeError):
     """Random sampling rejected more than 90 percent of its draws."""
 
 
-_ONE = Fraction(1)
-
-
 @dataclass(frozen=True)
 class ProjectiveCoord:
-    """Point of P1 as a pair (num : den), normalized so den is 0 or 1."""
+    """Point (numerator : denominator) of P1, an integer pair reduced by _lowest_terms."""
 
-    num: Fraction
-    den: Fraction
+    numerator: int
+    denominator: int
 
     def __post_init__(self) -> None:
-        num, den = Fraction(self.num), Fraction(self.den)
-        if den != 0:
-            num, den = num / den, Fraction(1)
-        elif num != 0:
-            num, den = Fraction(1), Fraction(0)
-        else:
-            raise Indeterminate("0/0 is not a point of P1")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = _lowest_terms(self.numerator, self.denominator)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def finite(cls, value) -> "ProjectiveCoord":
-        # A finite value is already normalized; only non-Fractions are coerced.
-        coord = object.__new__(cls)
-        object.__setattr__(coord, "num", value if type(value) is Fraction else Fraction(value))
-        object.__setattr__(coord, "den", _ONE)
-        return coord
+        value = value if isinstance(value, (int, Fraction)) else Fraction(value)  # both in lowest terms
+        return _coord(value.numerator, value.denominator)
 
     @classmethod
     def infinity(cls) -> "ProjectiveCoord":
-        return cls(Fraction(1), Fraction(0))
+        return _coord(1, 0)
 
     @property
     def is_finite(self) -> bool:
-        return self.den != 0
+        return self.denominator != 0
+
+    def pair(self, scale: int = 1) -> tuple[int, int]:
+        """Integer pair (num : den) of scale times the coordinate; infinity is (1 : 0)."""
+        return _scaled((self.numerator, self.denominator), scale)
 
     def as_fraction(self) -> Fraction:
         if not self.is_finite:
             raise ValueError("coordinate is at infinity")
-        return self.num
+        return Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
-        return str(self.num) if self.is_finite else "inf"
+        num, den = self.numerator, self.denominator
+        return "inf" if not den else str(num) if den == 1 else f"{num}/{den}"
 
     def to_json(self) -> dict[str, str]:
-        return {"n": str(self.num.numerator), "d": str(self.num.denominator if self.is_finite else 0)}
+        return {"n": str(self.numerator), "d": str(self.denominator)}
 
 
-def pair_from_coord(c: ProjectiveCoord, scale: int = 1) -> tuple[int, int]:
-    """Integer pair (num : den) of scale * c; infinity is (1 : 0)."""
-    return (scale * c.num.numerator, c.num.denominator) if c.den else (1, 0)
+def _coord(num: int, den: int) -> ProjectiveCoord:
+    """The coordinate of a pair already in lowest terms, as _lowest_terms returns it: no second gcd."""
+    coord = object.__new__(ProjectiveCoord)
+    object.__setattr__(coord, "numerator", num)
+    object.__setattr__(coord, "denominator", den)
+    return coord
 
 
-def coord_from_pair(num: int, den: int, scale: int = 1) -> ProjectiveCoord:
-    """The coordinate (num : scale den), reduced with one gcd.
-
-    A zero den is infinity; 0/0 is not a point and raises Indeterminate.
-    """
-    if den:
-        return ProjectiveCoord.finite(Fraction(num, den * scale))
-    if num:
-        return ProjectiveCoord.infinity()
-    raise Indeterminate("0/0 is not a point of P1")
+def _scaled(pair: tuple[int, int], scale: int) -> tuple[int, int]:
+    """The pair (scale num : den) of scale times (num : den) in lowest terms; infinity stays (1 : 0)."""
+    num, den = pair
+    return (scale * num, den) if den else (1, 0)
 
 
 @dataclass(frozen=True)
@@ -383,12 +373,12 @@ def eval_word(
     same object, and so does a point that no letter moves.
     """
     scale, ints = scale_to_integers(b.b)
-    f, g = pair_from_coord(p.f, scale), pair_from_coord(p.g, scale)
+    f, g = p.f.pair(scale), p.g.pair(scale)
     ints, new_f, new_g = eval_integers(tuple(word), ints, f, g)
     if new_f is not f or new_g is not g:
         p = SurfacePoint(
-            p.f if new_f is f else coord_from_pair(*new_f, scale),
-            p.g if new_g is g else coord_from_pair(*new_g, scale),
+            p.f if new_f is f else ProjectiveCoord(new_f[0], new_f[1] * scale),
+            p.g if new_g is g else ProjectiveCoord(new_g[0], new_g[1] * scale),
         )
     return ParamVector(tuple(Fraction(x, scale) for x in ints)), p
 
@@ -473,7 +463,7 @@ def _scaled_state_draw(seed: int, bound: int) -> Callable[[int], tuple]:
     def draw(index: int) -> tuple:
         b, p = sample = sample_state(_per_sample_rng(seed, index), bound)
         scale, ints = scale_to_integers(b.b)
-        return sample, (ints, pair_from_coord(p.f, scale), pair_from_coord(p.g, scale))
+        return sample, (ints, p.f.pair(scale), p.g.pair(scale))
 
     return draw
 

@@ -4,11 +4,11 @@ Subcommands: gens, decompose, act, period, orbit, verify.  All output is
 JSON (or CSV for orbits) with exact rationals encoded as strings; given the
 same seed and flags the output is byte-identical.  Exit codes: 0 success,
 1 input error (malformed arguments, a flag the subcommand does not read,
-or a verification whose samples were almost all degenerate at the given
---bound), 2 domain error (element
-outside the group, norm mismatch, or a failed verification), 3
-indeterminate evaluation.  Every nonzero exit but a failed verification
-writes one JSON error line to stderr.
+more than MAX_STEPS orbit steps or MAX_TRIALS trials, or a verification
+whose samples were almost all degenerate at the given --bound), 2 domain
+error (element outside the group, norm mismatch, or a failed
+verification), 3 indeterminate evaluation.  Every nonzero exit but a
+failed verification writes one JSON error line to stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_INDETERMINATE = 3
+
+MAX_STEPS = 10_000  # step 28 of the README phi orbit already holds about 46,000 bits
+MAX_TRIALS = 100_000
 
 NAMED_ELEMENTS = {
     "phi": lambda: PHI_PIC_ACTION,
@@ -248,6 +251,8 @@ def _emit_orbit(trace: OrbitTrace, fmt: str) -> None:
 def cmd_orbit(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
+    if args.steps > MAX_STEPS:
+        raise InputError(f"--steps must be at most {MAX_STEPS}")
     own, other = ("b", "theta") if args.map == "phi" else ("theta", "b")
     if getattr(args, own) is None:
         raise InputError(f"--map {args.map} requires --{own}")
@@ -280,6 +285,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag in ("trials", "bound"):
         if getattr(args, flag) <= 0:
             raise InputError(f"--{flag} must be positive")
+    if args.trials > MAX_TRIALS:
+        raise InputError(f"--trials must be at most {MAX_TRIALS}")
     if args.max_word_length < 0:
         raise InputError("--max-word-length must be nonnegative")
     checks = run_suite(

@@ -84,15 +84,14 @@ from .birational import (
     Indeterminate,
     MapComparison,
     ParamVector,
-    ProjectiveCoord,
     SurfacePoint,
+    _coord,
     _lowest_terms,
+    _scaled,
     _scaled_state_draw,
-    coord_from_pair,
     eval_integers,
     eval_word,
     integer_maps_equal,
-    pair_from_coord,
     sample_check,
     sample_fraction,
 )
@@ -226,7 +225,7 @@ def _solve_qrt_relation(
     c_2 and c_1 are x_1 and x_2 here up to a few bits, and s_seeds is
     (a_1..a_4) of the previous half-step, likewise s_1..s_4; without them
     each piece is a direct gcd.  What the seeds miss stays in the pair, for
-    the one gcd of coord_from_pair.
+    the kernel's one gcd.
 
     Where X, W, S or some A_i or q_j is zero the pieces are None and the
     pair is the bihomogeneous form of bidegree (1, 3) in (u, v), with W
@@ -310,29 +309,31 @@ def _divide_out(m: int, seed: int) -> tuple[int, int]:
 
 def _phi_kernel(
     b: Sequence[int], f: tuple[int, int], g: tuple[int, int], scale: int, carry: tuple | None = None
-) -> tuple[tuple[int, ...], ProjectiveCoord, ProjectiveCoord, tuple]:
-    """phi on L b and the pairs of L f and L g, for L = scale: L b~, f~, g~ and the pieces.
+) -> tuple[tuple[int, ...], tuple[int, int], tuple[int, int], tuple]:
+    """phi on L b and the pairs of f and g, for L = scale: L b~, the pairs of f~ and g~, and the pieces.
 
-    Each relation is one _solve_qrt_relation: the first with (u, v) =
-    (f, g), the second, at the new parameters, with (u, v) = (-g, -f~),
-    r = b~1..b~4 and p = (b~7, b~8).  Each coordinate is reduced once, by
-    coord_from_pair.  carry holds the _Pieces of the previous step's two
-    half-steps, each None where its half-step was not generic, and the
-    result holds this step's.  Raises Indeterminate only at base points.
+    Each relation is one _solve_qrt_relation on the pairs of L f and L g:
+    the first with (u, v) = (f, g), the second, at the new parameters, with
+    (u, v) = (-g, -f~), r = b~1..b~4 and p = (b~7, b~8).  f and g may be any
+    representatives; f~ and g~ come out reduced, each by one _lowest_terms.
+    carry holds the _Pieces of the previous step's two half-steps, each None
+    where its half-step was not generic, and the result holds this step's.
+    Raises Indeterminate only at base points.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = b
     d = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
     new_b = (b1, b2, b3, b4, b5 + d, b6 + d, b7 - d, b8 - d)
     roots = new_b[:4]
     first, second = carry or (None, None)
+    f, g = _scaled(f, scale), _scaled(g, scale)
     try:
         num, den, first = _solve_qrt_relation(f, g, roots, (b5, b6), first and first.c, second and second.a)
-        f_new = coord_from_pair(num, den, scale)
-        f_num, f_den = pair_from_coord(f_new, scale)
+        f_new = _lowest_terms(num, den * scale)
+        f_num, f_den = _scaled(f_new, scale)
         num, den, second = _solve_qrt_relation(
             (-g[0], g[1]), (-f_num, f_den), roots, new_b[6:], second and second.c, first and first.a
         )
-        g_new = coord_from_pair(-num, den, scale)
+        g_new = _lowest_terms(-num, den * scale)
     except Indeterminate as exc:
         raise Indeterminate("phi hit a base point", symbol="phi") from exc
     return new_b, f_new, g_new, (first, second)
@@ -343,15 +344,14 @@ def phi_integers(b: Sequence[int], f: tuple[int, int], g: tuple[int, int]) -> tu
 
     The kernel at scale 1, each pair in lowest terms, as eval_integers puts a word's.
     """
-    new_b, f_new, g_new, _ = _phi_kernel(b, f, g, 1)
-    return new_b, pair_from_coord(f_new), pair_from_coord(g_new)
+    return _phi_kernel(b, f, g, 1)[:3]
 
 
 def phi_step(b: ParamVector, p: SurfacePoint) -> tuple[ParamVector, SurfacePoint]:
     """One step of the deautonomized QRT dynamics on (b; f, g): the kernel on L b, without a carry."""
     scale, ints = scale_to_integers(b.b)
-    new_b, f, g, _ = _phi_kernel(ints, pair_from_coord(p.f, scale), pair_from_coord(p.g, scale), scale)
-    return ParamVector(tuple(Fraction(x, scale) for x in new_b)), SurfacePoint(f, g)
+    new_b, f, g, _ = _phi_kernel(ints, p.f.pair(), p.g.pair(), scale)
+    return ParamVector(tuple(Fraction(x, scale) for x in new_b)), SurfacePoint(_coord(*f), _coord(*g))
 
 
 def _psi_closed_form(values: Sequence, one, nonzero: Callable) -> tuple:
@@ -631,29 +631,29 @@ class OrbitTrace:
 def phi_orbit(b: ParamVector, p: SurfacePoint, steps: int) -> OrbitTrace:
     """Iterate phi, recording every exact state (including the initial one).
 
-    b is scaled to integers once; each step hands its cofactors to the next
-    (see the module docstring), and the states are those of iterated
-    phi_step.  On an indeterminate point the raised error carries the
-    partial trace.
+    b is scaled to integers once and the point runs as integer pairs, each
+    step handing its cofactors to the next (see the module docstring); the
+    states, each pair wrapped once, are those of iterated phi_step.  On an
+    indeterminate point the raised error carries the partial trace.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     entries = [OrbitEntry(0, b, (p.f, p.g))]
     scale, ints = scale_to_integers(b.b)
-    f, g, carry = p.f, p.g, None
+    f, g, carry = p.f.pair(), p.g.pair(), None
     for k in range(1, steps + 1):
         try:
-            f, g = pair_from_coord(f, scale), pair_from_coord(g, scale)
             ints, f, g, carry = _phi_kernel(ints, f, g, scale, carry)
         except Indeterminate as exc:
             exc.partial_trace = OrbitTrace("phi", tuple(entries))
             raise
-        entries.append(OrbitEntry(k, ParamVector(tuple(Fraction(x, scale) for x in ints)), (f, g)))
+        params = ParamVector(tuple(Fraction(x, scale) for x in ints))
+        entries.append(OrbitEntry(k, params, (_coord(*f), _coord(*g))))
     return OrbitTrace("phi", tuple(entries))
 
 
-def _psi_from_pieces(b: Sequence[int], scale: int, f: ProjectiveCoord, carry: tuple) -> tuple | None:
-    """psi's (x, y) at phi's chart state (L b; f, g), L = scale, as two unreduced integer pairs.
+def _psi_from_pieces(b: Sequence[int], scale: int, f: tuple[int, int], carry: tuple) -> tuple | None:
+    """psi's (x, y) at phi's chart state (L b; f, g), L = scale, f a pair, as two unreduced integer pairs.
 
     carry holds the pieces of the step that reached the state, and the
     pairs are the module docstring's formulas for w5 o w3 at b.  Where W
@@ -665,7 +665,7 @@ def _psi_from_pieces(b: Sequence[int], scale: int, f: ProjectiveCoord, carry: tu
     if second is None:
         return None
     (x1, _), (c1, c2), X, (s1, *_), (_, a2, a3, a4), S = second
-    f_num, W = pair_from_coord(f, scale)
+    f_num, W = _scaled(f, scale)
     P = X * a2 * a3 * a4
     c2s1S = c2 * s1 * S
     K, W_y = P - c1 * c2s1S, W
@@ -697,23 +697,25 @@ def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
         raise ValueError("steps must be nonnegative")
     x, y = Fraction(x), Fraction(y)
     entries = [OrbitEntry(0, t, (x, y))]
-    chart = None  # phi's (L b, L, f, g, carried pieces) at the current state, once entered
+    chart = None  # phi's (L b, L, the pairs of f and g, carried pieces) at the current state, once entered
     for k in range(1, steps + 1):
         state = None
         if _psi_defined((*_indices(t), x, y)):
             try:
                 if chart is None:
                     scale, b = scale_to_integers(b_from_schlesinger_matched(t).b)
-                    chart = b, scale, *map(ProjectiveCoord.finite, change_of_variables(t, x, y)), None
+                    one, values = scale_to_integers((*_indices(t), x, y))
+                    fg = _change_of_variables(values[:7], (values[7], 1), (values[8], 1))
+                    chart = b, scale, *(_lowest_terms(num, den * one) for num, den in fg), None
                 b, scale, f, g, carry = chart
-                b, f, g, carry = _phi_kernel(b, pair_from_coord(f, scale), pair_from_coord(g, scale), scale, carry)
+                b, f, g, carry = _phi_kernel(b, f, g, scale, carry)
                 chart = b, scale, f, g, carry
                 pairs = _psi_from_pieces(b, scale, f, carry)
                 if pairs is not None:
                     state = t.shifted(), Fraction(*pairs[0]), Fraction(*pairs[1])
                 else:
                     params = ParamVector(tuple(Fraction(v, scale) for v in b))
-                    _, point = eval_word(CONJUGATOR_WORD, params, SurfacePoint(f, g))
+                    _, point = eval_word(CONJUGATOR_WORD, params, SurfacePoint(_coord(*f), _coord(*g)))
                     if point.is_finite:
                         state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
             except Indeterminate:

@@ -50,14 +50,14 @@ def parse_schlesinger(text: str) -> SchlesingerParams:
     return SchlesingerParams(*vals)
 
 
-def decimal_str(x: Fraction, digits: int = 20) -> str:
+def decimal_str(x: Fraction | ProjectiveCoord, digits: int = 20) -> str:
     """Decimal approximation with the stated number of significant digits.
 
     Decimal(numerator) / Decimal(denominator) at precision digits, done on
     integers: a quotient with a few guard digits, the shift read off the
     bit lengths (1292913986 / 2^32 is log10 2), a sticky digit 1 if it is
     inexact or its trailing zeros stripped toward exponent 0 if not, and
-    one rounding by the context.
+    one rounding by the context.  A finite ProjectiveCoord serves as x.
     """
     n, d = abs(x.numerator), x.denominator
     shift = digits + 2 - ((n.bit_length() - d.bit_length() - 1) * 1292913986 >> 32)
@@ -69,8 +69,8 @@ def decimal_str(x: Fraction, digits: int = 20) -> str:
         coeff, exp = coeff // 10, exp + 1
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(ctx.plus(Decimal((x < 0, tuple(map(int, str(coeff))), exp))))
+        return str(ctx.plus(Decimal((x.numerator < 0, tuple(map(int, str(coeff))), exp))))
 
 
 def coord_decimal(c: ProjectiveCoord, digits: int = 20) -> str:
-    return decimal_str(c.as_fraction(), digits) if c.is_finite else "inf"
+    return decimal_str(c, digits) if c.is_finite else "inf"

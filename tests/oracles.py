@@ -7,7 +7,10 @@ trusted.  Plain field arithmetic (Fractions, or sympy symbols for the
 proofs); degenerate samples raise ZeroDivisionError and are skipped by
 callers.  The one exception is phi_projective_chain, phi's relations
 evaluated node by node on ProjectiveValue, the field operations of P1: the
-reference for phi_step at and through infinity.
+reference for phi_step at and through infinity.  ProjectiveValue holds a
+FractionCoord, the library's former coordinate of P1 (two Fractions
+normalized so the second is 0 or 1), which is also the reference for the
+integer-pair ProjectiveCoord.
 
 The library derives the parameter action of each generator and the
 permutations of the symmetry and surface roots under each diagram
@@ -49,6 +52,7 @@ import inspect
 import math
 import random
 import textwrap
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import add, neg
@@ -132,6 +136,44 @@ def qrt_relations_hold(
     return first and second
 
 
+@dataclass(frozen=True)
+class FractionCoord:
+    """Point of P1 as a pair (num : den) of Fractions, normalized so den is 0 or 1."""
+
+    num: Fraction
+    den: Fraction
+
+    def __post_init__(self) -> None:
+        num, den = Fraction(self.num), Fraction(self.den)
+        if den != 0:
+            num, den = num / den, Fraction(1)
+        elif num != 0:
+            num, den = Fraction(1), Fraction(0)
+        else:
+            raise Indeterminate("0/0 is not a point of P1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def is_finite(self) -> bool:
+        return self.den != 0
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_finite:
+            raise ValueError("coordinate is at infinity")
+        return self.num
+
+    def __str__(self) -> str:
+        return str(self.num) if self.is_finite else "inf"
+
+    def to_json(self) -> dict[str, str]:
+        return {"n": str(self.num.numerator), "d": str(self.num.denominator if self.is_finite else 0)}
+
+    def library(self) -> ProjectiveCoord:
+        """The same point as the library's ProjectiveCoord."""
+        return ProjectiveCoord(self.num.numerator, self.num.denominator if self.is_finite else 0)
+
+
 class ProjectiveValue:
     """A point of P1 with the field operations extended to infinity.
 
@@ -140,11 +182,11 @@ class ProjectiveValue:
     """
 
     def __init__(self, num, den=1):
-        self.coord = ProjectiveCoord(Fraction(num), Fraction(den))
+        self.coord = FractionCoord(Fraction(num), Fraction(den))
 
     @classmethod
     def of(cls, c: ProjectiveCoord) -> "ProjectiveValue":
-        return cls(c.num, c.den)
+        return cls(c.numerator, c.denominator)
 
     def __add__(self, other: "ProjectiveValue") -> "ProjectiveValue":
         a, b = self.coord, other.coord
@@ -172,7 +214,7 @@ def phi_projective_chain(b: tuple[Fraction, ...], f: ProjectiveCoord, g: Project
     a projective value, so inputs and intermediates at infinity are
     followed exactly until an operation meets 0/0 or infinity/infinity,
     which raises Indeterminate (also where the map itself is defined).
-    Returns the new (f, g) as ProjectiveCoords.
+    Returns the new (f, g) as the library's ProjectiveCoords.
     """
     c = ProjectiveValue
     f, g = c.of(f), c.of(g)
@@ -189,7 +231,7 @@ def phi_projective_chain(b: tuple[Fraction, ...], f: ProjectiveCoord, g: Project
         / ((f_new + c(n7)) * (f_new + c(n8)))
     )
     g_new = rhs2 / (f_new + g) - f_new
-    return f_new.coord, g_new.coord
+    return f_new.coord.library(), g_new.coord.library()
 
 
 def schlesinger_oracle(

@@ -13,7 +13,6 @@ from e6painleve.birational import (
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
-    coord_from_pair,
     eval_integers,
     eval_step,
     eval_word,
@@ -27,16 +26,57 @@ from e6painleve.birational import (
 from e6painleve import birational
 from e6painleve.models import CONJUGATOR_WORD
 from e6painleve.piclattice import E6_EDGES
+from e6painleve.serialize import decimal_str
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
-from oracles import PARAM_TABLES, ProjectiveValue, coord_oracle, eval_integers_oracle, form_oracle, param_oracle
+from oracles import (
+    PARAM_TABLES,
+    FractionCoord,
+    ProjectiveValue,
+    coord_oracle,
+    eval_integers_oracle,
+    form_oracle,
+    param_oracle,
+)
 
 
 def test_projective_coord_canonicalization():
-    assert ProjectiveCoord(Fraction(2), Fraction(4)) == ProjectiveCoord.finite(Fraction(1, 2))
-    assert ProjectiveCoord(Fraction(5), Fraction(0)) == ProjectiveCoord.infinity()
-    assert ProjectiveCoord(Fraction(-3), Fraction(0)) == ProjectiveCoord.infinity()
+    assert ProjectiveCoord(2, 4) == ProjectiveCoord.finite(Fraction(1, 2))
+    assert ProjectiveCoord(5, 0) == ProjectiveCoord.infinity()
+    assert ProjectiveCoord(-3, 0) == ProjectiveCoord.infinity()
     with pytest.raises(Indeterminate):
-        ProjectiveCoord(Fraction(0), Fraction(0))
+        ProjectiveCoord(0, 0)
+
+
+_coordinate_int = st.one_of(st.integers(-12, 12), st.integers(-2 ** 80, 2 ** 80))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_coordinate_int, _coordinate_int, st.integers(-4, 4), _coordinate_int, _coordinate_int)
+def test_projective_coord_matches_the_fraction_coordinate(n, d, k, n2, d2):
+    # The integer pair in lowest terms behaves as the former coordinate on
+    # two Fractions: the same points are equal, print and encode the same,
+    # and 0/0 raises in both.  The second pair is a multiple k of the
+    # first, a projectively equal pair when k is nonzero, or an unrelated one.
+    coords = []
+    for num, den in ((n, d), (k * n, k * d) if k else (n2, d2)):
+        try:
+            oracle = FractionCoord(Fraction(num), Fraction(den))
+        except Indeterminate:
+            with pytest.raises(Indeterminate):
+                ProjectiveCoord(num, den)
+            return
+        c = ProjectiveCoord(num, den)
+        assert (c.to_json(), str(c), c.is_finite) == (oracle.to_json(), str(oracle), oracle.is_finite)
+        if c.is_finite:
+            assert c.as_fraction() == oracle.as_fraction()
+            assert decimal_str(c) == decimal_str(c.as_fraction())
+        else:
+            with pytest.raises(ValueError):
+                c.as_fraction()
+        coords.append((c, oracle))
+    (c1, o1), (c2, o2) = coords
+    assert (c1 == c2) == (o1 == o2)
+    assert c1 != c2 or hash(c1) == hash(c2)
 
 
 def test_projective_arithmetic():
@@ -64,7 +104,7 @@ def test_expression_evaluation_is_projective():
     # equal projective inputs give equal outputs regardless of representative
     step = generator_step("w3")
     b = ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8)
-    p1 = SurfacePoint(ProjectiveCoord(Fraction(4), Fraction(2)), ProjectiveCoord.finite(3))
+    p1 = SurfacePoint(ProjectiveCoord(4, 2), ProjectiveCoord.finite(3))
     p2 = SurfacePoint.affine(2, 3)
     assert eval_step(step, b, p1) == eval_step(step, b, p2)
 
@@ -113,14 +153,16 @@ def test_eval_word_involution_and_step_index():
 
 def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
     # w3 changes only g, w5 only f, and w1, w2, w4, w6 neither: only the
-    # changed coordinates are reduced, the others pass through as they are.
+    # changed coordinates are reduced to new ProjectiveCoords, the others
+    # pass through as they are.
     calls = []
+    reduce = ProjectiveCoord.__post_init__
 
-    def counting(*args):
-        calls.append(args)
-        return coord_from_pair(*args)
+    def counting(coord):
+        calls.append((coord.numerator, coord.denominator))
+        reduce(coord)
 
-    monkeypatch.setattr(birational, "coord_from_pair", counting)
+    monkeypatch.setattr(ProjectiveCoord, "__post_init__", counting)
     b = ParamVector.of(Fraction(1, 2), 2, 3, 4, 5, 6, 7, Fraction(8, 3))
     for p in (
         SurfacePoint.affine(Fraction(17, 5), Fraction(23, 9)),
@@ -305,14 +347,14 @@ def _approach(symbol, b, p, rng):
     A finite coordinate c is approached as c + u EPS, infinity as 1/(u EPS).
     """
     f, g = (
-        c.num + u * EPS if c.is_finite else 1 / (u * EPS)
+        c.as_fraction() + u * EPS if c.is_finite else 1 / (u * EPS)
         for c, u in ((p.f, sample_fraction(rng, 10**9) or 1), (p.g, sample_fraction(rng, 10**9) or 1))
     )
     return coord_oracle(symbol, b.b, f, g)
 
 
 def _near(value, c):
-    return abs(value - c.num) < NEAR if c.is_finite else abs(value) > 1 / NEAR
+    return abs(value - c.as_fraction()) < NEAR if c.is_finite else abs(value) > 1 / NEAR
 
 
 def _approaches_part(symbol, b, p, rng):

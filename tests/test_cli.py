@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from e6painleve import cli
 from e6painleve.birational import ParamVector, SurfacePoint, eval_step, generator_step, sample_state
 from e6painleve.cli import build_parser, main
-from e6painleve.models import phi_orbit
+from e6painleve.models import OrbitTrace, phi_orbit
 from e6painleve.weylgroup import SYMBOLS, PicMap
 
 
@@ -226,7 +226,7 @@ def test_orbit_json_past_int_digit_limit(capsys):
         assert tuple(Fraction(x) for x in state["b"]) == final.params.b
         for key, coord in zip("fg", final.point):
             assert coord.is_finite and state[key]["d"] != "0"
-            assert Fraction(int(state[key]["n"]), int(state[key]["d"])) == coord.num
+            assert (int(state[key]["n"]), int(state[key]["d"])) == (coord.numerator, coord.denominator)
         assert max(len(state[key]["n"]) for key in "fg") > 4300
     finally:
         if old_limit is not None:
@@ -344,6 +344,31 @@ def test_verify_rejects_nonpositive_trials(capsys):
         assert json.loads(err)["error"] == "input"
 
 
+def test_orbit_and_verify_refuse_runs_past_their_caps(capsys, monkeypatch):
+    # More than 10,000 orbit steps or 100,000 verify trials is an input
+    # error raised before any work starts; the caps themselves run.
+    started = []
+    monkeypatch.setattr(cli, "phi_orbit", lambda *args: started.append("phi") or OrbitTrace("phi", ()))
+    monkeypatch.setattr(cli, "psi_orbit", lambda *args: started.append("psi") or OrbitTrace("psi", ()))
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: started.append("verify") or [])
+    for argv, message in (
+        (("orbit", "--map", "phi", "--steps", "99999999999999999999", *README_PHI), "--steps must be at most 10000"),
+        (("orbit", "--map", "psi", "--steps", "10001", *README_PSI), "--steps must be at most 10000"),
+        (("verify", "all", "--trials", "100000000000"), "--trials must be at most 100000"),
+        (("verify", "equivalence", "--trials", "100001"), "--trials must be at most 100000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, json.loads(err)) == (1, "", {"error": "input", "message": message}), argv
+    assert started == []
+    for argv in (
+        ("orbit", "--map", "phi", "--steps", "10000", *README_PHI),
+        ("orbit", "--map", "psi", "--steps", "10000", *README_PSI),
+        ("verify", "all", "--trials", "100000"),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert started == ["phi", "psi", "verify"]
+
+
 def test_verify_rejects_nonpositive_bound(capsys):
     for bound in ("0", "-1"):
         code, out, err = run_cli(capsys, "verify", "birational", "--bound", bound)
@@ -448,7 +473,7 @@ def test_gens_formulas_evaluate_like_eval_step(capsys):
         step = generator_step(entry["symbol"])
         for _ in range(10):
             b, p = sample_state(rng, 100)
-            env = {"f": p.f.num, "g": p.g.num, **{f"b{k + 1}": x for k, x in enumerate(b.b)}}
+            env = {"f": p.f.as_fraction(), "g": p.g.as_fraction(), **{f"b{k + 1}": x for k, x in enumerate(b.b)}}
             try:
                 image = [eval(entry[key], {"__builtins__": {}}, env) for key in ("coord_f", "coord_g")]
             except ZeroDivisionError:

@@ -14,10 +14,9 @@ from e6painleve.birational import (
     ProjectiveCoord,
     SurfacePoint,
     TooManyDegenerateSamples,
-    coord_from_pair,
+    _lowest_terms,
     eval_word,
     maps_equal,
-    pair_from_coord,
     sample_fraction,
     word_map,
 )
@@ -141,19 +140,20 @@ def test_phi_kernel_agrees_with_projective_chain_on_special_lines():
             + [FIN(sample_fraction(rng, 9))] * 3
         )
         kind = rng.randrange(4)
+        gv = g.as_fraction() if g.is_finite else None
         if kind == 0:
             f = INF
         elif kind == 1 and g.is_finite:
-            f = FIN(-g.num)
+            f = FIN(-gv)
         elif kind == 2 and g.is_finite:
             # choose f so that the intermediate f~ lands on a special value
-            target = rng.choice([b[0], b[1], b[2], b[3], -(b[6] - d), -(b[7] - d), -g.num])
+            target = rng.choice([b[0], b[1], b[2], b[3], -(b[6] - d), -(b[7] - d), -gv])
             try:
                 rhs = (
-                    (g.num + b[0]) * (g.num + b[1]) * (g.num + b[2]) * (g.num + b[3])
-                    / ((g.num - b[4]) * (g.num - b[5]))
+                    (gv + b[0]) * (gv + b[1]) * (gv + b[2]) * (gv + b[3])
+                    / ((gv - b[4]) * (gv - b[5]))
                 )
-                f = FIN(rhs / (target + g.num) - g.num)
+                f = FIN(rhs / (target + gv) - gv)
             except ZeroDivisionError:
                 f = INF
         else:
@@ -193,14 +193,14 @@ def test_phi_kernel_is_exact_where_the_chain_raised():
 def test_phi_step_does_no_projective_arithmetic(monkeypatch):
     # ProjectiveCoord has no arithmetic operators (test_birational).  phi_step
     # reads each coordinate as an integer pair and reduces each new one in
-    # exactly one coord_from_pair call, at finite points and at infinity.
+    # exactly one _lowest_terms call, at finite points and at infinity.
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return coord_from_pair(*args)
+        return _lowest_terms(*args)
 
-    monkeypatch.setattr(models, "coord_from_pair", counting)
+    monkeypatch.setattr(models, "_lowest_terms", counting)
     b = ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8)
     for p in (SurfacePoint.affine(2, 3), SurfacePoint(FIN(Fraction(2)), INF), SurfacePoint(INF, FIN(Fraction(3)))):
         calls.clear()
@@ -209,6 +209,40 @@ def test_phi_step_does_no_projective_arithmetic(monkeypatch):
     calls.clear()
     phi_orbit(b, SurfacePoint.affine(2, 3), 6)
     assert len(calls) == 12
+
+
+def test_phi_integers_and_phi_orbit_build_no_coordinate_objects_on_the_way(monkeypatch):
+    # phi_integers (verify's phi) stays on integer pairs: it builds no
+    # ProjectiveCoord and no Fraction.  phi_orbit wraps the kernel's pairs
+    # once, two coordinates per step, and builds no Fraction besides the
+    # eight parameters of each state.
+    built = {"coord": 0, "fraction": 0}
+    wrap, reduce, new_fraction = models._coord, ProjectiveCoord.__post_init__, Fraction.__new__
+
+    def counting_wrap(num, den):
+        built["coord"] += 1
+        return wrap(num, den)
+
+    def counting_reduce(coord):
+        built["coord"] += 1
+        reduce(coord)
+
+    def counting_fraction(cls, *args, **kwargs):
+        built["fraction"] += 1
+        return new_fraction(cls, *args, **kwargs)
+
+    b = ParamVector.of(Fraction(1, 2), 2, 3, 4, 5, 6, 7, Fraction(8, 3))
+    monkeypatch.setattr(models, "_coord", counting_wrap)
+    monkeypatch.setattr(ProjectiveCoord, "__post_init__", counting_reduce)
+    monkeypatch.setattr(Fraction, "__new__", counting_fraction)
+    for f, g in (((34, 5), (23, 9)), ((1, 0), (6, 1)), ((12, 1), (1, 0))):
+        models.phi_integers((3, 12, 18, 24, 30, 36, 42, 16), f, g)
+    assert built == {"coord": 0, "fraction": 0}
+    for p in (SurfacePoint.affine(2, 3), SurfacePoint(INF, FIN(3)), SurfacePoint(FIN(3), INF)):
+        built.update(coord=0, fraction=0)
+        phi_orbit(b, p, 6)
+        assert built == {"coord": 12, "fraction": 8 * 6}, p
+
 
 def test_phi_autonomous_when_parameter_sum_vanishes():
     b = ParamVector.of(1, 2, 3, 4, -1, -2, -3, -4)
@@ -694,7 +728,7 @@ def test_psi_screen_agrees_with_the_divide_form_on_the_readme_orbit():
 def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
     # From the third half-step on, each half-step is seeded with the
     # cofactors of the two before it, and the one gcd left to
-    # coord_from_pair cancels at most 64 bits (the pair of one final gcd
+    # _lowest_terms cancels at most 64 bits (the pair of one final gcd
     # shares about 46,000 bits at step 28 of the README phi orbit).
     seeded, final_bits = [], []
     solve = models._solve_qrt_relation
@@ -703,12 +737,12 @@ def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
         seeded.append(x_seeds is not None and s_seeds is not None)
         return solve(u, v, r, p, x_seeds, s_seeds)
 
-    def spy_reduce(num, den, *scale):
+    def spy_reduce(num, den):
         final_bits.append(math.gcd(num, den).bit_length())
-        return coord_from_pair(num, den, *scale)
+        return _lowest_terms(num, den)
 
     monkeypatch.setattr(models, "_solve_qrt_relation", spy_solve)
-    monkeypatch.setattr(models, "coord_from_pair", spy_reduce)
+    monkeypatch.setattr(models, "_lowest_terms", spy_reduce)
     chart = (
         b_from_schlesinger_matched(README_THETA),
         SurfacePoint.affine(*change_of_variables(README_THETA, Fraction(17, 5), Fraction(23, 9))),
@@ -734,10 +768,10 @@ def test_phi_kernel_at_a_multiple_of_the_scale_gives_the_same_states(seed, k):
     scale, ints = scale_to_integers(b.b)
     runs = []
     for L, B in ((scale, ints), (k * scale, tuple(k * v for v in ints))):
-        f, g, carry, states = p.f, p.g, None, []
+        f, g, carry, states = p.f.pair(), p.g.pair(), None, []
         try:
             for _ in range(3):
-                B, f, g, carry = models._phi_kernel(B, pair_from_coord(f, L), pair_from_coord(g, L), L, carry)
+                B, f, g, carry = models._phi_kernel(B, f, g, L, carry)
                 states.append((tuple(Fraction(v, L) for v in B), f, g))
         except Indeterminate:
             states.append(None)
@@ -845,11 +879,11 @@ def test_map_back_leaves_y_equal_to_b7_to_the_word():
     x, y = Fraction(2472883, 2100675), Fraction(-347229092, 299237523)
     b = b_from_schlesinger_matched(README_THETA)
     scale, ints = scale_to_integers(b.b)
-    f, g = (pair_from_coord(FIN(v), scale) for v in change_of_variables(README_THETA, x, y))
+    f, g = (FIN(v).pair() for v in change_of_variables(README_THETA, x, y))
     new_b, f, g, carry = models._phi_kernel(ints, f, g, scale)
-    assert (f, g) == (FIN(Fraction(7, 3)), FIN(-b.b[0])) and None not in carry
+    assert (f, g) == (FIN(Fraction(7, 3)).pair(), FIN(-b.b[0]).pair()) and None not in carry
     assert models._psi_from_pieces(new_b, scale, f, carry) is None
     params = ParamVector(tuple(Fraction(v, scale) for v in new_b))
-    assert not eval_word(CONJUGATOR_WORD, params, SurfacePoint(f, g))[1].f.is_finite
+    assert not eval_word(CONJUGATOR_WORD, params, SurfacePoint(ProjectiveCoord(*f), ProjectiveCoord(*g)))[1].f.is_finite
     states, error = _assert_psi_orbit_is_iterated_psi_step(README_THETA, x, y, 2)
     assert states == [(README_THETA, x, y)] and str(error) == "psi hit a base point"
