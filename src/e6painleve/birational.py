@@ -20,7 +20,8 @@ integers, so L never changes along the word), the point is a pair of
 integer pairs for L f and L g, and each step reduces each coordinate it
 changes with one gcd.  A zero denominator is infinity, so the lines at
 infinity are ordinary inputs, and 0/0 is a base point of the map and raises
-Indeterminate.  eval_word scales in once and reduces each new pair at exit.
+Indeterminate.  eval_word scales in once and divides each new pair by L at
+exit, reduced with one gcd against L.
 Words run as straight-line code: on first use each Form compiles its term
 tables into one function (f, g, b) -> (num, den) and each step its
 param_rows into one b -> b~ (BirationalStep.kernel), from the library's own
@@ -50,14 +51,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Any, Callable, Iterable
 
-from .periodmap import (
-    ParamVector,
-    params_from_root_variables,
-    root_variable_evolution,
-    root_variables,
-    scale_to_integers,
-)
-from .weylgroup import PicMap, _compile, generator_picmap, SYMBOLS
+from .periodmap import ParamVector, param_values, root_values, scale_to_integers
+from .weylgroup import PicMap, _compile, fold_root_values, generator_picmap, SYMBOLS
 
 
 class Indeterminate(ArithmeticError):
@@ -283,18 +278,13 @@ def param_rows(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Integer rows of a generator's parameter action, 0-based.
 
     Row k lists the nonzero (j, c) with new b_k = sum of c * b_j.  The rows
-    are read off the period-map action (root variables evolved by the
-    generator, then inverted with the same b4) on the eight unit vectors;
-    that action is linear with integer coefficients.
+    are read off the period-map action on the eight unit vectors, on
+    integers: their root values folded by the generator, then param_values
+    with the same b4; that action is linear with integer coefficients.
     """
-    columns = []
-    for j in range(8):
-        unit = ParamVector(tuple(int(i == j) for i in range(8)))
-        a = root_variable_evolution((symbol,), root_variables(unit))
-        columns.append(params_from_root_variables(a, unit.b[3]).b)
-    return tuple(
-        tuple((j, int(col[k])) for j, col in enumerate(columns) if col[k]) for k in range(8)
-    )
+    units = [tuple(int(i == j) for i in range(8)) for j in range(8)]
+    columns = [param_values(fold_root_values((symbol,), root_values(unit)), unit[3]) for unit in units]
+    return tuple(tuple((j, col[k]) for j, col in enumerate(columns) if col[k]) for k in range(8))
 
 
 def apply_rows(rows: tuple[tuple[tuple[int, int], ...], ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -376,11 +366,15 @@ def eval_word(
     f, g = p.f.pair(scale), p.g.pair(scale)
     ints, new_f, new_g = eval_integers(tuple(word), ints, f, g)
     if new_f is not f or new_g is not g:
-        p = SurfacePoint(
-            p.f if new_f is f else ProjectiveCoord(new_f[0], new_f[1] * scale),
-            p.g if new_g is g else ProjectiveCoord(new_g[0], new_g[1] * scale),
-        )
+        p = SurfacePoint(p.f if new_f is f else _unscaled(new_f, scale), p.g if new_g is g else _unscaled(new_g, scale))
     return ParamVector(tuple(Fraction(x, scale) for x in ints)), p
+
+
+def _unscaled(pair: tuple[int, int], scale: int) -> ProjectiveCoord:
+    """The coordinate (num : den scale) of a pair in lowest terms: gcd(num, den scale) is gcd(num, scale)."""
+    num, den = pair
+    common = math.gcd(num, scale)
+    return _coord(num // common, den * scale // common)
 
 
 def word_map(word: Iterable[str]) -> Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]]:

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from operator import add, mul, neg
 
 from .piclattice import CARTAN_TERMS, RootVector
-from .weylgroup import ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, PicMap, Word, simple_root_coords, word_to_picmap
+from .weylgroup import (
+    ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, PicMap, Word, _fold_steps, simple_root_coords, word_to_picmap
+)
 
 #: Hard cap on reduction steps; generous for every element handled here
 #: (the built-in dynamics reduce in 16 steps).
@@ -96,7 +98,7 @@ def simple_root_images(m: PicMap) -> SimpleRootImages:
 
 def _code_reduction(images: list[tuple[int, ...]]) -> Word | None:
     """decompose's word, reduced on the codes of the images; None where that fails."""
-    codes = [sum(map(mul, _CODE_WEIGHTS, v)) for v in images]
+    codes, steps = tuple(sum(map(mul, _CODE_WEIGHTS, v)) for v in images), _fold_steps()
     cancellation: list[int] = []
     for _ in range(MAX_REDUCTION_STEPS):
         for pivot, p in enumerate(codes):
@@ -104,12 +106,11 @@ def _code_reduction(images: list[tuple[int, ...]]) -> Word | None:
                 break
         else:
             break
-        for j, c in CARTAN_TERMS[pivot]:
-            codes[j] += c * p
+        codes = steps[REFLECTION_SYMBOLS[pivot]](codes)  # the fold's w_pivot: v_j gains c_ij v_pivot
         cancellation.append(pivot)
     else:
         return None
-    residual = _RESIDUALS.get(tuple(codes))
+    residual = _RESIDUALS.get(codes)
     return None if residual is None else residual + tuple(REFLECTION_SYMBOLS[i] for i in reversed(cancellation))
 
 

@@ -16,15 +16,17 @@ carried exactly.
 
 Every generator fixes b4, so its action on the parameters is induced through
 the period map: evolve the root variables, then invert the bijection with
-the same b4 (birational.BirationalStep.apply_params).
+the same b4.  birational.param_rows reads that action off on integers: the
+root_values of each unit vector, folded by the generator, then param_values
+(the inverse, which params_from_root_variables wraps) with the same b4.
 
 root_variable_evolution scales the seven values to integers over their
 common denominator (scale_to_integers) and folds the word on those integers
 with the Weyl group's fold on root coordinates (weylgroup.fold_root_values).
 Every letter acts by an integer matrix, so one division at the end gives
-the exact result.  The fold, root_values and delta_period take integers as
-well as rationals, so the sampled checks of verify run on one integer
-scaling per draw.
+the exact result.  The fold, root_values, param_values and delta_period
+take integers as well as rationals, so the sampled checks of verify run on
+one integer scaling per draw.
 """
 
 from __future__ import annotations
@@ -108,22 +110,16 @@ def root_variables(b: ParamVector) -> RootVariables:
     return RootVariables(root_values(b.b))
 
 
+def param_values(a: Sequence, b4) -> tuple:
+    """The eight parameter values with root values a and the stated b4 (integers or rationals)."""
+    a0, a1, a2, a3, a4, a5, a6 = a
+    low = a0 + a1 + a2
+    return (b4 - low, b4 - a0 - a1, b4 - a0, b4, low + a5 - b4, low + a5 + a6 - b4, low + a3 - b4, low + a3 + a4 - b4)
+
+
 def params_from_root_variables(a: RootVariables, b4) -> ParamVector:
     """Exact right-inverse of root_variables with the stated b4."""
-    a0, a1, a2, a3, a4, a5, a6 = a.a
-    b4 = Fraction(b4)
-    return ParamVector(
-        (
-            b4 - a0 - a1 - a2,
-            b4 - a0 - a1,
-            b4 - a0,
-            b4,
-            a0 + a1 + a2 + a5 - b4,
-            a0 + a1 + a2 + a5 + a6 - b4,
-            a0 + a1 + a2 + a3 - b4,
-            a0 + a1 + a2 + a3 + a4 - b4,
-        )
-    )
+    return ParamVector(param_values(a.a, Fraction(b4)))
 
 
 def root_variable_evolution(word: Iterable[str], a: RootVariables) -> RootVariables:

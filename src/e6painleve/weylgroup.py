@@ -25,8 +25,10 @@ columns of m that the +-1 entries of a_i pick.
 fold_root_values is the group's one action on root coordinates: a word
 moves seven integer values, a reflection adding multiples of one value to
 its neighbours and an automorphism permuting indices (ALPHA_PERMUTATIONS,
-read off the matrices).  The period map moves root variables with it, and
-find_conjugator moves the pairings of a vector with the simple roots.
+read off the matrices).  Each generator's move is one straight-line step
+7 values -> 7 values, all twelve compiled together on the first fold.  The
+period map moves root variables with it, find_conjugator the pairings of a
+vector with the simple roots, and decompose's reduction its codes.
 
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
 for all i.  The defining vector alpha of the translation (with
@@ -184,29 +186,6 @@ ALPHA_PERMUTATIONS = {
 }
 
 
-def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
-    """Seven integer root values after applying a word of generators.
-
-    Letters act right to left: w_i sends a_j to a_j + c_ij a_i (c the
-    Cartan pairings), and an automorphism sigma moves the value of a_i to
-    a_sigma(i).  Each letter is an integer matrix, so the fold is exact on
-    any common scaling of the values.
-    """
-    values = list(values)
-    for symbol in reversed(parse_word(word)):
-        if symbol in REFLECTION_SYMBOLS:
-            i = int(symbol[1])
-            pivot = values[i]
-            for j, c in CARTAN_TERMS[i]:
-                values[j] += c * pivot
-        else:
-            moved = values[:]
-            for i, j in ALPHA_PERMUTATIONS[symbol].items():
-                moved[j] = values[i]
-            values = moved
-    return values
-
-
 #: The nonzero entries of each simple root a_i, then of each surface root d_j, as (k,
 #: add or sub), so that m(c) = sum_k c[k] col_k(m) (the entries are +-1, as in _moved_columns).
 _ROOT_TERMS, _SURFACE_TERMS = (
@@ -262,6 +241,45 @@ def _compile(args: str, *body: str) -> Callable:
     namespace: dict = {}
     exec(f"def compiled({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
     return namespace["compiled"]
+
+
+@lru_cache(maxsize=None)
+def _fold_steps() -> dict[str, Callable[[tuple], tuple]]:
+    """Each generator's action on seven root values v = (v0, ..., v6) as straight-line code: w_i returns
+    -v_i at i and v_j + v_i at each neighbour j, an automorphism sigma moves v_i to sigma(i)."""
+    steps = {}
+    for symbol in SYMBOLS:
+        out = [f"v{i}" for i in range(7)]
+        if symbol in REFLECTION_SYMBOLS:
+            i = int(symbol[1])
+            for j, c in CARTAN_TERMS[i]:  # any entry other than -2 or 1 raises KeyError, as _moved_columns
+                out[j] = {-2: f"-v{i}", 1: f"v{j} + v{i}"}[c]
+        else:
+            for i, j in ALPHA_PERMUTATIONS[symbol].items():
+                out[j] = f"v{i}"
+        steps[symbol] = _compile("v", f"{', '.join(f'v{i}' for i in range(7))} = v", f"return {', '.join(out)}")
+    return steps
+
+
+def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
+    """Seven root values (integers or Fractions) after applying a word of generators.
+
+    Letters act right to left, each as its compiled step (_fold_steps), an
+    integer matrix, so the fold is exact on any common scaling of the values.
+    Raises ValueError for an unknown symbol, as parse_word, or unless there
+    are seven values.
+    """
+    word, values = tuple(word), tuple(values)
+    if len(values) != 7:
+        raise ValueError(f"expected 7 root values, got {len(values)}")
+    steps = _fold_steps()
+    try:
+        for symbol in reversed(word):
+            values = steps[symbol](values)
+    except (KeyError, TypeError):
+        parse_word(word)  # names the first unknown symbol
+        raise
+    return list(values)
 
 
 @lru_cache(maxsize=None)

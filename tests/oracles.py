@@ -33,7 +33,10 @@ Fractions, decompose_oracle, the reduction that applies the matrix to each
 simple root and rescans all seven images for the pivot at every step, and
 translation_delta_vector_oracle and translation_norm_oracle, the delta
 vector from those images and the norm as a Fraction pairing of the
-eliminated defining vector, find_conjugator_oracle, the conjugator
+eliminated defining vector, fold_oracle, the letter loop that moves root
+values (the compiled steps' reference, which evolution_oracle runs on
+Fractions), param_rows_oracle, the parameter rows read off ParamVectors
+through the Fraction period map, find_conjugator_oracle, the conjugator
 search on Fraction-valued root variables, and psi_closed_form_oracle, psi's
 closed form written for any field through its division, with
 psi_step_oracle and psi_defined_oracle on it (over Q, and modulo the screen
@@ -86,7 +89,7 @@ from e6painleve.models import (
     phi_step,
     sample_schlesinger,
 )
-from e6painleve.periodmap import RootVariables, root_variable_evolution, root_variables
+from e6painleve.periodmap import RootVariables, params_from_root_variables, root_variable_evolution, root_variables
 from e6painleve.piclattice import (
     CARTAN,
     CARTAN_TERMS,
@@ -98,7 +101,15 @@ from e6painleve.piclattice import (
     from_alpha_coords,
     symmetry_root,
 )
-from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS, NormMismatch, NotTranslation, PicMap, word_to_picmap
+from e6painleve.weylgroup import (
+    REFLECTION_SYMBOLS,
+    SYMBOLS,
+    NormMismatch,
+    NotTranslation,
+    PicMap,
+    parse_word,
+    word_to_picmap,
+)
 
 
 def qrt_oracle(
@@ -591,12 +602,12 @@ def period_checks_oracle(
 
     def chi_delta_fixed(b: ParamVector) -> bool:
         a = root_variables(b)
-        return all(root_variable_evolution((s,), a).chi_delta() == a.chi_delta() for s in SYMBOLS)
+        return all(evolution_oracle((s,), a).chi_delta() == a.chi_delta() for s in SYMBOLS)
 
     def evolution_matches_lattice(word: tuple[str, ...]) -> bool:
         # New a_i on the unit vector e_j is entry (i, j) of the lattice's matrix.
         return all(
-            root_variable_evolution(word, RootVariables(tuple(Fraction(i == j) for i in range(7)))).a
+            evolution_oracle(word, RootVariables(tuple(Fraction(i == j) for i in range(7)))).a
             == tuple(Fraction(row[j]) for row in lattice_rows(word))
             for j in range(7)
         )
@@ -604,7 +615,7 @@ def period_checks_oracle(
     def phi_evolution(a: RootVariables) -> bool:
         d = a.chi_delta()
         expected = (a.a[0], a.a[1], a.a[2], a.a[3] - d, a.a[4], a.a[5] + d, a.a[6])
-        return root_variable_evolution(PHI_WORD, a).a == expected
+        return evolution_oracle(PHI_WORD, a).a == expected
 
     params = [ParamVector(tuple(Fraction(i == j) for i in range(8))) for j in range(8)]
     roots = [RootVariables(tuple(Fraction(i == j) / (j + 2) for i in range(7))) for j in range(7)]
@@ -681,6 +692,39 @@ def translation_norm_oracle(m: PicMap) -> Fraction:
     return -sum(alpha[i] * CARTAN[i][j] * alpha[j] for i in range(7) for j in range(7))
 
 
+def fold_oracle(word, values: Sequence) -> list:
+    """fold_root_values as a letter loop over CARTAN_TERMS and the hand-written ALPHA_PERMUTATIONS."""
+    values = list(values)
+    for symbol in reversed(parse_word(word)):
+        if symbol in REFLECTION_SYMBOLS:
+            i = int(symbol[1])
+            pivot = values[i]
+            for j, c in CARTAN_TERMS[i]:
+                values[j] += c * pivot
+        else:
+            moved = values[:]
+            for i, j in ALPHA_PERMUTATIONS[symbol].items():
+                moved[j] = values[i]
+            values = moved
+    return values
+
+
+def evolution_oracle(word, a: RootVariables) -> RootVariables:
+    """root_variable_evolution as fold_oracle on the Fractions themselves."""
+    return RootVariables(tuple(fold_oracle(word, a.a)))
+
+
+def param_rows_oracle(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """param_rows read off ParamVectors: the root variables of each unit vector
+    evolved by the generator, then params_from_root_variables with its b4."""
+    columns = []
+    for j in range(8):
+        unit = ParamVector(tuple(int(i == j) for i in range(8)))
+        a = root_variable_evolution((symbol,), root_variables(unit))
+        columns.append(params_from_root_variables(a, unit.b[3]).b)
+    return tuple(tuple((j, int(col[k])) for j, col in enumerate(columns) if col[k]) for k in range(8))
+
+
 def find_conjugator_oracle(src: RationalRootVector, dst: RationalRootVector, max_len: int):
     """The conjugator search on Fraction-valued root variables; norms summed over the full Cartan matrix."""
 
@@ -702,7 +746,7 @@ def find_conjugator_oracle(src: RationalRootVector, dst: RationalRootVector, max
         next_frontier = []
         for symbol in REFLECTION_SYMBOLS:
             for n, word in frontier:
-                moved = root_variable_evolution((symbol,), n)
+                moved = evolution_oracle((symbol,), n)
                 if moved == target:
                     return (symbol,) + word
                 if moved not in seen:

@@ -24,7 +24,8 @@ from e6painleve.birational import (
     word_map,
 )
 from e6painleve import birational
-from e6painleve.models import CONJUGATOR_WORD
+from e6painleve.models import CONJUGATOR_WORD, PHI_WORD
+from e6painleve.periodmap import scale_to_integers
 from e6painleve.piclattice import E6_EDGES
 from e6painleve.serialize import decimal_str
 from e6painleve.weylgroup import REFLECTION_SYMBOLS, SYMBOLS
@@ -36,6 +37,7 @@ from oracles import (
     eval_integers_oracle,
     form_oracle,
     param_oracle,
+    param_rows_oracle,
 )
 
 
@@ -153,16 +155,16 @@ def test_eval_word_involution_and_step_index():
 
 def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
     # w3 changes only g, w5 only f, and w1, w2, w4, w6 neither: only the
-    # changed coordinates are reduced to new ProjectiveCoords, the others
-    # pass through as they are.
+    # changed coordinates are wrapped as new ProjectiveCoords (by _coord, on
+    # pairs already in lowest terms), the others pass through as they are.
     calls = []
-    reduce = ProjectiveCoord.__post_init__
+    wrap = birational._coord
 
-    def counting(coord):
-        calls.append((coord.numerator, coord.denominator))
-        reduce(coord)
+    def counting(num, den):
+        calls.append((num, den))
+        return wrap(num, den)
 
-    monkeypatch.setattr(ProjectiveCoord, "__post_init__", counting)
+    monkeypatch.setattr(birational, "_coord", counting)
     b = ParamVector.of(Fraction(1, 2), 2, 3, 4, 5, 6, 7, Fraction(8, 3))
     for p in (
         SurfacePoint.affine(Fraction(17, 5), Fraction(23, 9)),
@@ -179,6 +181,28 @@ def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
             calls.clear()
             assert eval_word((symbol,), b, p)[1] is p
             assert calls == []
+
+
+def test_eval_word_divides_the_scale_out_with_one_gcd_against_it():
+    # A pair leaving eval_integers is coprime, so gcd(num, den L) = gcd(num, L).
+    rng = random.Random(23)
+    pairs = [(1, 0), (0, 1), (-1, 1)] + [
+        birational._lowest_terms(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12)) for _ in range(300)
+    ]
+    for pair in pairs:
+        scale = rng.randint(2, 10**6)
+        assert birational._unscaled(pair, scale) == ProjectiveCoord(pair[0], pair[1] * scale), pair
+    b = ParamVector.of(Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), 4, Fraction(5, 6), 6, Fraction(-7, 8), 8)
+    for p in (
+        SurfacePoint.affine(Fraction(-17, 5), Fraction(23, 9)),
+        SurfacePoint(ProjectiveCoord.infinity(), ProjectiveCoord.finite(Fraction(-3, 7))),
+        SurfacePoint(ProjectiveCoord.finite(Fraction(3, 11)), ProjectiveCoord.infinity()),
+    ):
+        scale, ints = scale_to_integers(b.b)
+        for word in (CONJUGATOR_WORD, PHI_WORD, PHI_WORD * 3, ("w3",), ("w5",), ("m1",), ("r2", "w0")):
+            _, f, g = eval_integers(word, ints, p.f.pair(scale), p.g.pair(scale))
+            q = eval_word(word, b, p)[1]
+            assert q == SurfacePoint(ProjectiveCoord(f[0], f[1] * scale), ProjectiveCoord(g[0], g[1] * scale)), word
 
 
 @pytest.mark.parametrize("text", ("f + h", "f + 0.5", "g*b9", "f + True", "b0*f", "f**2", "f/g/b1", "abs(f)"))
@@ -305,6 +329,13 @@ def test_parameter_rows_match_oracle_tables():
         for row, oracle_row in zip(rows, PARAM_TABLES[s]):
             assert all(type(c) is int and c != 0 for _, c in row), s
             assert dict(row) == {j - 1: c for j, c in oracle_row.items()}, s
+
+
+def test_parameter_rows_match_their_fraction_derivation():
+    # The integer fold and param_values against root_variable_evolution and
+    # params_from_root_variables on the eight unit ParamVectors.
+    for s in SYMBOLS:
+        assert param_rows(s) == param_rows_oracle(s), s
 
 
 def _oracle_step(symbol, b, p):

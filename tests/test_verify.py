@@ -89,7 +89,7 @@ def test_a_fold_that_moves_chi_delta_fails_the_period_checks(monkeypatch):
             moved[0] += values[2]  # a0 gains a2: chi(delta) moves by a2
         return moved
 
-    for module in (periodmap, verify):
+    for module in (birational, periodmap, verify):
         monkeypatch.setattr(module, "fold_root_values", mutant)
     # The parameter rows are derived from the fold, so they take the mutant too.
     birational.param_rows.cache_clear()
@@ -111,7 +111,7 @@ def test_a_fold_that_applies_letters_in_the_wrong_order_fails_evolution_linearit
     def mutant(word, values):
         return original(tuple(reversed(tuple(word))), values)
 
-    for module in (periodmap, verify):
+    for module in (birational, periodmap, verify):
         monkeypatch.setattr(module, "fold_root_values", mutant)
     birational.param_rows.cache_clear()
     try:
@@ -156,13 +156,13 @@ def test_generator_consistency_catches_a_wrong_root_fold(monkeypatch):
     # A fold that ignores w1 gives w1 the identity parameter action.  The
     # parameter rows are derived from the fold, so comparing them with the
     # fold again would pass; the lattice matrices tell them apart.
-    original = periodmap.root_variable_evolution
+    original = periodmap.fold_root_values
 
-    def mutant(word, a):
-        return original(tuple(s for s in word if s != "w1"), a)
+    def mutant(word, values):
+        return original(tuple(s for s in word if s != "w1"), values)
 
     for module in (birational, periodmap, verify):
-        monkeypatch.setattr(module, "root_variable_evolution", mutant)
+        monkeypatch.setattr(module, "fold_root_values", mutant)
     birational.param_rows.cache_clear()
     try:
         checks = {c.name: c for c in verify.period_suite()}

@@ -1,9 +1,12 @@
 """Generator matrices, group relations, translations, and conjugacy search."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from e6painleve.weylgroup import (
     REFLECTION_SYMBOLS,
     SYMBOLS,
     find_conjugator,
+    fold_root_values,
     generator_picmap,
     invert_word,
     kac_vector,
@@ -376,3 +380,66 @@ def test_find_conjugator_matches_the_fraction_oracle(case):
     # The same word, the same None or the same NormMismatch as the search on
     # Fraction-valued root variables.
     assert _conjugator_outcome(find_conjugator, *case) == _conjugator_outcome(oracles.find_conjugator_oracle, *case)
+
+
+_LARGE = st.sampled_from((-(2**80), 2**80))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(SYMBOLS), max_size=64),
+    st.sampled_from((tuple, list, lambda word: (s for s in word))),
+    st.one_of(
+        st.lists(st.integers(-(2**80), 2**80) | _LARGE, min_size=7, max_size=7),
+        st.lists(st.fractions(max_denominator=10**6), min_size=7, max_size=7),
+    ),
+)
+def test_fold_root_values_matches_the_letter_loop(word, container, values):
+    # The compiled steps against the former loop, on a word passed as a
+    # tuple, a list or a generator, on ints and on Fractions.
+    folded = fold_root_values(container(word), tuple(values))
+    expected = oracles.fold_oracle(word, values)
+    assert type(folded) is list
+    assert folded == expected and list(map(type, folded)) == list(map(type, expected))
+
+
+@pytest.mark.parametrize(
+    "word",
+    (("w1", "w9", "w2", "r"), ("x", "w0", "w1"), ("w1", ["w0"], "w2"), ("bad", ["w0"], "m0"), (None,)),
+)
+def test_fold_root_values_rejects_a_word_as_parse_word(word):
+    # The fold runs right to left, so it meets a valid suffix, or an
+    # unhashable symbol, before the first unknown symbol that parse_word names.
+    with pytest.raises(ValueError) as expected:
+        parse_word(word)
+    with pytest.raises(ValueError) as got:
+        fold_root_values(word, range(7))
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n", (0, 6, 8))
+def test_fold_root_values_needs_seven_values(n):
+    for word in ((), ("w0", "r")):
+        with pytest.raises(ValueError, match=f"expected 7 root values, got {n}"):
+            fold_root_values(word, range(n))
+
+
+def test_the_fold_steps_are_compiled_on_the_first_fold_only():
+    # The benchmark's set-up path (import the CLI, build every generator's
+    # matrix and birational step) compiles no fold step: that cost stays
+    # with the first fold.
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parents[1] / 'src')!r})\n"
+        "import e6painleve, e6painleve.cli\n"
+        "from e6painleve.birational import generator_step\n"
+        "from e6painleve.weylgroup import SYMBOLS, _fold_steps, fold_root_values, generator_picmap\n"
+        "for s in SYMBOLS:\n"
+        "    generator_picmap(s)\n"
+        "    generator_step(s)\n"
+        "print(_fold_steps.cache_info().misses)\n"
+        "fold_root_values(SYMBOLS, range(7))\n"
+        "print(_fold_steps.cache_info().misses)\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["0", "1"]
