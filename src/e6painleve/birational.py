@@ -24,7 +24,7 @@ Indeterminate.  eval_word scales in once and divides each new pair by L at
 exit, reduced with one gcd against L.
 Words run as straight-line code: on first use each Form compiles its term
 tables into one function (f, g, b) -> (num, den) and each step its
-param_rows into one b -> b~ (BirationalStep.kernel), from the library's own
+param_rows into one b -> b~ (BirationalStep.rows), from the library's own
 integer coefficients and indices, so no formula or input text reaches
 compile; the objects holding the tables hold the code, so
 generator_step.cache_clear() drops it.
@@ -255,21 +255,23 @@ class BirationalStep:
     picmap: PicMap
 
     def apply_params(self, b: ParamVector) -> ParamVector:
-        """Parameter action induced through the period map (b4 is fixed).
-
-        Applies the generator's integer rows (param_rows) to b.
-        """
+        """Parameter action induced through the period map (b4 is fixed): the compiled rows on L b."""
         scale, ints = scale_to_integers(b.b)
-        return ParamVector(tuple(Fraction(x, scale) for x in apply_rows(param_rows(self.name), ints)))
+        return ParamVector(tuple(Fraction(x, scale) for x in self.rows(ints)))
+
+    @cached_property
+    def rows(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """param_rows as one straight-line function of integer parameters b -> b~."""
+        rows = "".join(f"{_sum_source((c, [f'b[{int(j)}]']) for j, c in row)}, " for row in param_rows(self.name))
+        return _compile("b", f"return ({rows})")
 
     @cached_property
     def kernel(self) -> tuple[Callable | None, Callable | None, Callable]:
-        """The compiled f and g forms (None where the step keeps the coordinate) and param_rows b -> b~."""
-        rows = "".join(f"{_sum_source((c, [f'b[{int(j)}]']) for j, c in row)}, " for row in param_rows(self.name))
+        """The compiled f and g forms (None where the step keeps the coordinate) and rows."""
         return (
             None if self.coord_f.text == "f" else self.coord_f.compiled,
             None if self.coord_g.text == "g" else self.coord_g.compiled,
-            _compile("b", f"return ({rows})"),
+            self.rows,
         )
 
 
@@ -285,17 +287,6 @@ def param_rows(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     units = [tuple(int(i == j) for i in range(8)) for j in range(8)]
     columns = [param_values(fold_root_values((symbol,), root_values(unit)), unit[3]) for unit in units]
     return tuple(tuple((j, col[k]) for j, col in enumerate(columns) if col[k]) for k in range(8))
-
-
-def apply_rows(rows: tuple[tuple[tuple[int, int], ...], ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Integer parameters after one generator's param_rows."""
-    out = []
-    for row in rows:
-        value = 0
-        for j, c in row:
-            value += c * b[j]
-        out.append(value)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

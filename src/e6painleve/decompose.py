@@ -7,13 +7,11 @@ shortens the element (length drops exactly when the image of the reflecting
 root is negative), and the image vector updates cheaply: multiplying on the
 right by w_i replaces each image v_j by v_j + c_ij * v_i: with c_ii = -2 and
 c_ij = +1 on the diagram's edges, v_i is negated and added to its neighbours.
-The loop runs on 7-int tuples; a negative root has no positive and some
-negative entry.  Each image keeps a flag saying whether it is negative, and a
-step re-tests only the images it moves, the pivot and its neighbours; the
-pivot is the first flagged image.  Once every image is positive, an element
-of the extended group sends simple roots to simple roots, the residual
-permutation is matched against the diagram automorphisms, and undoing the
-accumulated cancellation gives the word.
+The step is the fold's w_i (weylgroup._fold_steps) on the seven RootVector
+images, and the pivot is the first image whose root_sign is negative.  Once
+every image is positive, an element of the extended group sends simple roots
+to simple roots, the residual permutation is matched against the diagram
+automorphisms, and undoing the accumulated cancellation gives the word.
 
 Without a trace, a pre-pass first runs this reduction on one integer code
 sum_i x_i 8^i per image.  A group element sends every simple root to a real
@@ -27,9 +25,9 @@ and failure messages, rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul, neg
+from operator import mul
 
-from .piclattice import CARTAN_TERMS, RootVector
+from .piclattice import RootVector, Sign, root_sign
 from .weylgroup import (
     ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, PicMap, Word, _fold_steps, simple_root_coords, word_to_picmap
 )
@@ -126,24 +124,21 @@ def decompose(m: PicMap, trace: bool = False):
         word = _code_reduction(images)
         if word is not None and word_to_picmap(word) == m:
             return word
-    negative = [max(v) <= 0 and min(v) < 0 for v in images]
+    vectors, fold_steps = tuple(map(RootVector, images)), _fold_steps()
     cancellation: list[int] = []
     steps: list[ReductionStep] = []
     for _ in range(MAX_REDUCTION_STEPS):
-        if True not in negative:
+        pivot = next((i for i, v in enumerate(vectors) if root_sign(v) is Sign.NEGATIVE), None)
+        if pivot is None:
             break
-        pivot = negative.index(True)
-        p = images[pivot]
-        for j, c in CARTAN_TERMS[pivot]:
-            images[j] = v = tuple(map(add, images[j], p)) if c == 1 else tuple(map(neg, p))
-            negative[j] = max(v) <= 0 and min(v) < 0
+        vectors = fold_steps[REFLECTION_SYMBOLS[pivot]](vectors)
         cancellation.append(pivot)
         if trace:
-            steps.append(ReductionStep(pivot, tuple(map(RootVector, images))))
+            steps.append(ReductionStep(pivot, vectors))
     else:
         raise NotInGroup("reduction did not terminate; map is outside the group")
     try:
-        residual = match_automorphism(tuple(map(RootVector, images)))
+        residual = match_automorphism(vectors)
     except NoAutomorphismMatch as exc:
         raise NotInGroup(str(exc)) from exc
     symbols = ([residual] if residual else []) + [f"w{i}" for i in reversed(cancellation)]

@@ -61,13 +61,14 @@ and w5, at w3's parameters, gives
 whose numerator shares with W what W holds of the first half-step's c_2.
 Each pair is then reduced with one gcd of a few bits.  Where a piece does
 not divide, it stays in the denominator; where the second half-step is
-not generic, or y = b~7, eval_word maps the state back.  Each step is
-screened exactly, by psi's closed form modulo 2^61 - 1 and, where that
-meets a zero residue, modulo 2^89 - 1, with psi_step as the fallback, so
-the orbit is that of iterated psi_step.  psi_step stays the independent
-closed form the checks compare with the words and with phi.  It is written
-once, fraction-free, over any commutative ring: on integers for psi_step
-and the checks, modulo the primes for the screen.
+not generic, or y = b~7, the step runs psi_step and the next step
+re-enters the chart.  Each step is screened exactly, by psi's closed form
+modulo 2^61 - 1 and, where that meets a zero residue, modulo 2^89 - 1, with
+psi_step as the fallback, so the orbit is that of iterated psi_step.
+psi_step stays the independent closed form the checks compare with the
+words and with phi.  It is written once, fraction-free, over any
+commutative ring: on integers for psi_step and the checks, modulo the
+primes for the screen.
 """
 
 from __future__ import annotations
@@ -659,7 +660,7 @@ def _psi_from_pieces(b: Sequence[int], scale: int, f: tuple[int, int], carry: tu
     pairs are the module docstring's formulas for w5 o w3 at b.  Where W
     does not divide K = X' a_2 a_3 a_4 - c_1 c_2 s_1 S', K stays whole and W
     moves into y's denominator.  None where the second half-step was not
-    generic or y = b~7 (K = 0): there the generic forms of the word decide.
+    generic or y = b~7 (K = 0): there psi_orbit runs psi_step.
     """
     first, second = carry
     if second is None:
@@ -685,13 +686,12 @@ def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
     Runs in phi's chart (see the module docstring): the matched b scaled to
     integers once per chart entry, one phi kernel step per step, with the
     pieces carried as in phi_orbit, each state mapped back through w5, w3 at
-    the chart's own b, from the step's pieces (_psi_from_pieces) or, off
-    them, by eval_word.  A step runs psi_step itself unless psi's closed
-    form modulo one of the screen primes proves it defined (no denominator
-    has a zero residue) and the conjugated path yields a finite point; the
-    chart and its pieces are then dropped, and the next step re-enters the
-    chart.  The states, the failing step and the partial trace carried by
-    the raised error are those of iterated psi_step.
+    the chart's own b, from the step's pieces (_psi_from_pieces).  A step
+    runs psi_step itself unless psi's closed form modulo one of the screen
+    primes proves it defined (no denominator has a zero residue) and the
+    pieces yield a state; the chart and its pieces are then dropped, and the
+    next step re-enters the chart.  The states, the failing step and the
+    partial trace carried by the raised error are those of iterated psi_step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -713,11 +713,6 @@ def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
                 pairs = _psi_from_pieces(b, scale, f, carry)
                 if pairs is not None:
                     state = t.shifted(), Fraction(*pairs[0]), Fraction(*pairs[1])
-                else:
-                    params = ParamVector(tuple(Fraction(v, scale) for v in b))
-                    _, point = eval_word(CONJUGATOR_WORD, params, SurfacePoint(_coord(*f), _coord(*g)))
-                    if point.is_finite:
-                        state = t.shifted(), point.f.as_fraction(), point.g.as_fraction()
             except Indeterminate:
                 pass
         if state is None:

@@ -23,10 +23,9 @@ from .birational import (
     ParamVector,
     _lowest_terms,
     _scaled_state_draw,
-    apply_rows,
     eval_integers,
+    generator_step,
     integer_maps_equal,
-    param_rows,
     sample_check,
     sample_fraction,
     words_equal,
@@ -150,7 +149,7 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000, draw=
         total = sum(ints)
         return all(
             new[3] == ints[3] and sum(new) == total
-            for new in (apply_rows(param_rows(s), ints) for s in SYMBOLS)
+            for new in (generator_step(s).rows(ints) for s in SYMBOLS)
         )
 
     params = lambda _: ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
@@ -188,7 +187,7 @@ def period_suite() -> list[CheckResult]:
         a = root_values(ints)
         for s in SYMBOLS:
             predicted = [sum(c * x for c, x in zip(row, a)) for row in _lattice_root_evolution((s,))]
-            if list(root_values(apply_rows(param_rows(s), ints))) != predicted:
+            if list(root_values(generator_step(s).rows(ints))) != predicted:
                 return False
         return True
 

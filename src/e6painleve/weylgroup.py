@@ -28,7 +28,8 @@ its neighbours and an automorphism permuting indices (ALPHA_PERMUTATIONS,
 read off the matrices).  Each generator's move is one straight-line step
 7 values -> 7 values, all twelve compiled together on the first fold.  The
 period map moves root variables with it, find_conjugator the pairings of a
-vector with the simple roots, and decompose's reduction its codes.
+vector with the simple roots, and decompose's reduction its codes or, for
+traces and failures, its seven RootVector images.
 
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
 for all i.  The defining vector alpha of the translation (with
@@ -187,7 +188,7 @@ ALPHA_PERMUTATIONS = {
 
 
 #: The nonzero entries of each simple root a_i, then of each surface root d_j, as (k,
-#: add or sub), so that m(c) = sum_k c[k] col_k(m) (the entries are +-1, as in _moved_columns).
+#: add or sub), so that m(c) = sum_k c[k] col_k(m); every entry is +-1 (any other raises KeyError).
 _ROOT_TERMS, _SURFACE_TERMS = (
     tuple(tuple((k, {1: add, -1: sub}[x]) for k, x in enumerate(c.coeffs) if x) for c in classes)
     for classes in (_SIMPLE_ROOTS, map(surface_root, range(3)))
@@ -222,20 +223,6 @@ def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
     return perm if len(set(perm)) == 3 else None
 
 
-@lru_cache(maxsize=None)
-def _moved_columns(symbol: str) -> tuple[tuple[int, int, Callable, tuple[tuple[int, Callable], ...]], ...]:
-    """The columns j a generator G moves, each as (j, k, op, rest).
-
-    Column j of M G is sum_k G[k][j] col_k(M), every G[k][j] being +-1, kept as
-    op = add or sub: (k, op) is the column's first nonzero entry and rest the
-    others.  A column of G equal to e_j is left out: M G keeps col_j(M).
-    """
-    rows = generator_picmap(symbol).rows
-    sign_op = {1: add, -1: sub}  # any other entry raises KeyError here, as the table is built
-    columns = ((j, tuple((k, sign_op[rows[k][j]]) for k in range(RANK) if rows[k][j])) for j in range(RANK))
-    return tuple((j, *terms[0], terms[1:]) for j, terms in columns if terms != ((j, add),))
-
-
 def _compile(args: str, *body: str) -> Callable:
     """A function of args with the given body lines, built from the library's own tables."""
     namespace: dict = {}
@@ -252,7 +239,7 @@ def _fold_steps() -> dict[str, Callable[[tuple], tuple]]:
         out = [f"v{i}" for i in range(7)]
         if symbol in REFLECTION_SYMBOLS:
             i = int(symbol[1])
-            for j, c in CARTAN_TERMS[i]:  # any entry other than -2 or 1 raises KeyError, as _moved_columns
+            for j, c in CARTAN_TERMS[i]:  # any entry other than -2 or 1 raises KeyError, as in _column_step
                 out[j] = {-2: f"-v{i}", 1: f"v{j} + v{i}"}[c]
         else:
             for i, j in ALPHA_PERMUTATIONS[symbol].items():
@@ -284,17 +271,18 @@ def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _column_step(symbol: str) -> Callable[..., tuple[tuple[int, ...], ...]]:
-    """_moved_columns as straight-line code from the ten columns of M to those of M G: a moved
-    column is one old column or ten signed sums of entries x{k}_{i} of the columns it reads."""
-    cols, read = [f"c{j}" for j in range(RANK)], set()
-    for j, k, op, rest in _moved_columns(symbol):
-        terms = ((k, op),) + rest
-        if terms == ((k, add),):
-            cols[j] = f"c{k}"
+    """Column j of M G, sum_k G[k][j] col_k(M), as straight-line code from the ten columns of M to
+    those of M G.  Every G[k][j] is +-1 (any other entry raises KeyError): a column of G equal to
+    e_k passes col_k(M) through, any other is ten signed sums of entries x{k}_{i} of the columns it reads."""
+    rows, cols, read = generator_picmap(symbol).rows, [], set()
+    for j in range(RANK):
+        terms = [(k, {1: "+", -1: "-"}[rows[k][j]]) for k in range(RANK) if rows[k][j]]
+        if len(terms) == 1 and terms[0][1] == "+":
+            cols.append(f"c{terms[0][0]}")
             continue
         read.update(k for k, _ in terms)
-        entries = ("".join(f"{'+' if op is add else '-'}x{k}_{i}" for k, op in terms).lstrip("+") for i in range(RANK))
-        cols[j] = f"({', '.join(entries)})"
+        entries = ("".join(f"{sign}x{k}_{i}" for k, sign in terms).lstrip("+") for i in range(RANK))
+        cols.append(f"({', '.join(entries)})")
     unpack = (f"{', '.join(f'x{k}_{i}' for i in range(RANK))} = c{k}" for k in sorted(read))
     return _compile(", ".join(f"c{j}" for j in range(RANK)), *unpack, f"return {', '.join(cols)}")
 

@@ -21,8 +21,9 @@ cross-checked against a general exact linear solve (solve_linear_system).
 
 Former library routines stay here as references for their faster
 replacements: form_oracle, a Form evaluated by walking its term tables, and
-eval_integers_oracle, words evaluated on it and on the generic apply_rows
-(both replaced by straight-line code compiled from the same tables),
+eval_integers_oracle, words evaluated on it and on apply_rows, the generic
+loop over a generator's param_rows (both replaced by straight-line code
+compiled from the same tables),
 cancel_pieces_oracle, the two-division seeded cancellation of
 phi's confined factors, decimal_str_oracle, Decimal division of the
 numerator by the denominator, to_alpha_coords_oracle, membership in Q
@@ -70,7 +71,6 @@ from e6painleve.birational import (
     ProjectiveCoord,
     SurfacePoint,
     _lowest_terms,
-    apply_rows,
     eval_word,
     generator_step,
     maps_equal,
@@ -445,6 +445,17 @@ def _coefficient_value(coefficient: Coefficient, b: Sequence) -> int:
             c *= b[k]
         value += c
     return value
+
+
+def apply_rows(rows: tuple[tuple[tuple[int, int], ...], ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Integer parameters after one generator's param_rows."""
+    out = []
+    for row in rows:
+        value = 0
+        for j, c in row:
+            value += c * b[j]
+        out.append(value)
+    return tuple(out)
 
 
 def eval_integers_oracle(word: tuple[str, ...], b: tuple[int, ...], f: tuple, g: tuple) -> tuple:

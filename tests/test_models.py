@@ -846,29 +846,29 @@ def test_psi_orbit_maps_states_back_from_the_pieces(monkeypatch):
             assert (x_k, y_k) == (point.f.as_fraction(), point.g.as_fraction())
 
 
-def test_psi_orbit_maps_back_through_the_word_off_the_generic_pieces(monkeypatch):
-    # The second half-step of step 1 is not generic: the state maps back
-    # through eval_word, and the orbit is that of iterated psi_step.
-    images, calls = [], []
-    pieces = models._psi_from_pieces
+def test_psi_orbit_runs_psi_step_off_the_generic_pieces(monkeypatch):
+    # The second half-step of step 1 is not generic: the pieces give no
+    # state, step 1 runs psi_step, and the orbit is that of iterated psi_step.
+    calls, starts = [], []
+    pieces, step = models._psi_from_pieces, models.psi_step
 
     def spy_pieces(b, scale, f, carry):
         pairs = pieces(b, scale, f, carry)
         calls.append((carry[1] is not None, pairs is not None))
         return pairs
 
-    def spy_word(*args):
-        images.append(eval_word(*args)[1])
-        return eval_word(*args)
+    def spy_step(*state):
+        starts.append(state)
+        return step(*state)
 
-    monkeypatch.setattr(models, "eval_word", spy_word)
     monkeypatch.setattr(models, "_psi_from_pieces", spy_pieces)
+    monkeypatch.setattr(models, "psi_step", spy_step)
     t = SchlesingerParams(
         Fraction(1), Fraction(-1), Fraction(0), Fraction(4, 3), Fraction(0), Fraction(1, 2), Fraction(-11, 6)
     )
     states, _ = _assert_psi_orbit_is_iterated_psi_step(t, Fraction(2), Fraction(1), 2)
     assert len(states) == 3
-    assert calls[0] == (False, False) and images[0].is_finite
+    assert calls[0] == (False, False) and starts[0] == states[0]
 
 
 def test_map_back_leaves_y_equal_to_b7_to_the_word():

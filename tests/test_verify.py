@@ -1,7 +1,9 @@
 """The verify suites: one sampling loop, first-failure reports, independent checks."""
 
+import contextlib
 import functools
 import random
+import sys
 
 import pytest
 
@@ -49,7 +51,29 @@ def test_a_perturbed_psi_word_check_reports_its_first_failing_sample(monkeypatch
     assert all(c.passed for name, c in checks.items() if name != "psi_formula_equals_word")
 
 
-def test_a_perturbed_gauge_check_reports_its_first_failing_sample(monkeypatch):
+@contextlib.contextmanager
+def library_bound(name, value):
+    """value bound to name in every e6painleve module whose globals hold it.
+
+    The parameter rows and the steps that compile them are cached, so both
+    caches are cleared on entry and on exit: no row read or compiled under
+    the mutant outlives it, and none read before reaches the mutant's run.
+    """
+    clear = (birational.param_rows.cache_clear, birational.generator_step.cache_clear)
+    with pytest.MonkeyPatch.context() as patch:
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "e6painleve" and name in vars(module):
+                patch.setattr(module, name, value)
+        try:
+            for cache_clear in clear:
+                cache_clear()
+            yield
+        finally:
+            for cache_clear in clear:
+                cache_clear()
+
+
+def test_a_perturbed_gauge_check_reports_its_first_failing_sample():
     original = birational.param_rows
 
     def moves_b4(symbol):
@@ -58,13 +82,33 @@ def test_a_perturbed_gauge_check_reports_its_first_failing_sample(monkeypatch):
             return rows
         return rows[:3] + (rows[3] + ((0, 1),),) + rows[4:]  # r's b4 gains b1
 
-    monkeypatch.setattr(verify, "param_rows", moves_b4)
-    gauge = verify.birational_suite(trials=3, seed=2)[-1]
+    with library_bound("param_rows", moves_b4):
+        gauge = verify.birational_suite(trials=3, seed=2)[-1]
     assert gauge.name == "gauge_fixes_b4_and_chi_delta"
     assert (gauge.passed, gauge.samples, gauge.rejected) == (False, 1, 0)
     rng = random.Random("gauge:2")
     first = ParamVector(tuple(sample_fraction(rng) for _ in range(8)))
     assert gauge.counterexample == {"b": first.to_json()}
+
+
+def test_a_compiled_rows_mutant_fails_the_gauge_and_generator_checks():
+    # r's compiled rows, which words run, gain b1 in b4; param_rows stays right.
+    birational.generator_step.cache_clear()
+    try:
+        step = birational.generator_step("r")
+        rows = step.rows
+
+        def mutant(b):
+            new = rows(b)
+            return new[:3] + (new[3] + b[0],) + new[4:]
+
+        vars(step)["rows"] = mutant
+        checks = {c.name: c for c in verify.birational_suite(trials=3, seed=2) + verify.period_suite()}
+    finally:
+        birational.generator_step.cache_clear()
+    assert not checks["gauge_fixes_b4_and_chi_delta"].passed
+    assert not checks["generator_consistency"].passed
+    assert checks["chi_delta_invariance"].passed and checks["evolution_linearity"].passed
 
 
 def test_a_perturbed_coordinate_formula_fails_its_involution(monkeypatch):
@@ -80,7 +124,7 @@ def test_a_perturbed_coordinate_formula_fails_its_involution(monkeypatch):
     assert checks["involution_w5"].passed and checks["gauge_fixes_b4_and_chi_delta"].passed
 
 
-def test_a_fold_that_moves_chi_delta_fails_the_period_checks(monkeypatch):
+def test_a_fold_that_moves_chi_delta_fails_the_period_checks():
     original = periodmap.fold_root_values
 
     def mutant(word, values):
@@ -89,21 +133,16 @@ def test_a_fold_that_moves_chi_delta_fails_the_period_checks(monkeypatch):
             moved[0] += values[2]  # a0 gains a2: chi(delta) moves by a2
         return moved
 
-    for module in (birational, periodmap, verify):
-        monkeypatch.setattr(module, "fold_root_values", mutant)
     # The parameter rows are derived from the fold, so they take the mutant too.
-    birational.param_rows.cache_clear()
-    try:
+    with library_bound("fold_root_values", mutant):
         checks = {c.name: c for c in verify.period_suite()}
-    finally:
-        birational.param_rows.cache_clear()
     assert not checks["chi_delta_invariance"].passed
     assert not checks["phi_word_root_evolution"].passed
     assert not checks["generator_consistency"].passed
     assert not checks["evolution_linearity"].passed  # linear, but not the lattice's matrix
 
 
-def test_a_fold_that_applies_letters_in_the_wrong_order_fails_evolution_linearity(monkeypatch):
+def test_a_fold_that_applies_letters_in_the_wrong_order_fails_evolution_linearity():
     # Single letters fold as before, so the per-generator checks pass; the
     # fold's matrix of a whole word is the lattice's only in the right order.
     original = periodmap.fold_root_values
@@ -111,13 +150,8 @@ def test_a_fold_that_applies_letters_in_the_wrong_order_fails_evolution_linearit
     def mutant(word, values):
         return original(tuple(reversed(tuple(word))), values)
 
-    for module in (birational, periodmap, verify):
-        monkeypatch.setattr(module, "fold_root_values", mutant)
-    birational.param_rows.cache_clear()
-    try:
+    with library_bound("fold_root_values", mutant):
         checks = {c.name: c for c in verify.period_suite()}
-    finally:
-        birational.param_rows.cache_clear()
     check = checks["evolution_linearity"]
     assert (check.passed, check.samples) == (False, 1)
     assert check.counterexample == {"word": list(models.PHI_WORD)}
@@ -152,7 +186,7 @@ def test_relation_draws_are_scaled_once_per_suite(monkeypatch):
     assert len(calls) == max(c.samples + c.rejected for c in checks) >= 10
 
 
-def test_generator_consistency_catches_a_wrong_root_fold(monkeypatch):
+def test_generator_consistency_catches_a_wrong_root_fold():
     # A fold that ignores w1 gives w1 the identity parameter action.  The
     # parameter rows are derived from the fold, so comparing them with the
     # fold again would pass; the lattice matrices tell them apart.
@@ -161,13 +195,8 @@ def test_generator_consistency_catches_a_wrong_root_fold(monkeypatch):
     def mutant(word, values):
         return original(tuple(s for s in word if s != "w1"), values)
 
-    for module in (birational, periodmap, verify):
-        monkeypatch.setattr(module, "fold_root_values", mutant)
-    birational.param_rows.cache_clear()
-    try:
+    with library_bound("fold_root_values", mutant):
         checks = {c.name: c for c in verify.period_suite()}
-    finally:
-        birational.param_rows.cache_clear()
     assert not checks["generator_consistency"].passed
     assert checks["chi_delta_invariance"].passed
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -319,26 +318,11 @@ def test_word_to_picmap_rejects_unknown_symbols():
     assert str(excinfo.value) == "unknown generator symbol 'w7'"
 
 
-def test_moved_columns_are_plus_minus_one_operators():
-    # Every nonzero entry of the 12 generators is +-1, kept as add or sub;
-    # the columns left out are the basis columns.
-    sign = {add: 1, sub: -1}
-    for symbol in SYMBOLS:
-        rows = generator_picmap(symbol).rows
-        moved = {j: ((k, op),) + rest for j, k, op, rest in weylgroup._moved_columns(symbol)}
-        for j in range(10):
-            entries = tuple((k, rows[k][j]) for k in range(10) if rows[k][j])
-            if j in moved:
-                assert tuple((k, sign[op]) for k, op in moved[j]) == entries != ((j, 1),)
-            else:
-                assert entries == ((j, 1),)
-
-
-def test_moved_columns_rejects_other_entries(monkeypatch):
+def test_column_step_rejects_other_entries(monkeypatch):
     doubled = PicMap(tuple(tuple(2 * x for x in row) for row in IDENTITY.rows))
     monkeypatch.setattr(weylgroup, "generator_picmap", lambda symbol: doubled)
     with pytest.raises(KeyError):
-        weylgroup._moved_columns.__wrapped__("w0")
+        weylgroup._column_step.__wrapped__("w0")
 
 
 def test_picmap_application_matches_dense_matvec():
