@@ -7,25 +7,24 @@ shortens the element (length drops exactly when the image of the reflecting
 root is negative), and the image vector updates cheaply: multiplying on the
 right by w_i replaces each image v_j by v_j + c_ij * v_i: with c_ii = -2 and
 c_ij = +1 on the diagram's edges, v_i is negated and added to its neighbours.
-The step is the fold's w_i (weylgroup._fold_steps) on the seven RootVector
-images, and the pivot is the first image whose root_sign is negative.  Once
-every image is positive, an element of the extended group sends simple roots
-to simple roots, the residual permutation is matched against the diagram
-automorphisms, and undoing the accumulated cancellation gives the word.
-
-Without a trace, a pre-pass first runs this reduction on one integer code
-sum_i x_i 8^i per image.  A group element sends every simple root to a real
-root, whose entries share one sign, so the code's sign is the root's, the
-pivots are the full loop's, and a_k ends with code 8^k.  The word is verified
-against the input by exact matrix equality; where the pre-pass fails in any
-way the map is outside the group, and the full loop, the one source of traces
-and failure messages, rejects it.
+The step is the fold's w_i (weylgroup._fold_steps) on one integer code
+sum_i x_i 8^i per image, and the pivot is the first negative code: a group
+element sends every simple root to a real root, whose entries share one sign,
+so the code's sign is the root's.  Once every image is positive, the images
+are simple roots (a_k ends with code 8^k), the residual permutation is matched
+against the diagram automorphisms, and undoing the accumulated cancellation
+gives the word, verified against the input by exact matrix equality.  This
+one pass writes every word; a trace replays its pivots on the seven RootVector
+images.  A map the pass or the check rejects is outside the group; its images
+are reduced as root vectors (pivot: the first negative root_sign) only to name
+the failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import NoReturn
 
 from .piclattice import RootVector, Sign, root_sign
 from .weylgroup import (
@@ -94,8 +93,8 @@ def simple_root_images(m: PicMap) -> SimpleRootImages:
     return tuple(map(RootVector, _root_images(m)))
 
 
-def _code_reduction(images: list[tuple[int, ...]]) -> Word | None:
-    """decompose's word, reduced on the codes of the images; None where that fails."""
+def _code_reduction(images: list[tuple[int, ...]]) -> tuple[Word | None, list[int]]:
+    """decompose's word, None where that fails, and its pivots, reduced on the codes of the images."""
     codes, steps = tuple(sum(map(mul, _CODE_WEIGHTS, v)) for v in images), _fold_steps()
     cancellation: list[int] = []
     for _ in range(MAX_REDUCTION_STEPS):
@@ -107,9 +106,27 @@ def _code_reduction(images: list[tuple[int, ...]]) -> Word | None:
         codes = steps[REFLECTION_SYMBOLS[pivot]](codes)  # the fold's w_pivot: v_j gains c_ij v_pivot
         cancellation.append(pivot)
     else:
-        return None
+        return None, cancellation
     residual = _RESIDUALS.get(codes)
-    return None if residual is None else residual + tuple(REFLECTION_SYMBOLS[i] for i in reversed(cancellation))
+    word = None if residual is None else residual + tuple(REFLECTION_SYMBOLS[i] for i in reversed(cancellation))
+    return word, cancellation
+
+
+def _reject(images: list[tuple[int, ...]]) -> NoReturn:
+    """Name why a map whose code reduction fails is outside the group, reducing its seven root vectors."""
+    vectors, steps = tuple(map(RootVector, images)), _fold_steps()
+    for _ in range(MAX_REDUCTION_STEPS):
+        pivot = next((i for i, v in enumerate(vectors) if root_sign(v) is Sign.NEGATIVE), None)
+        if pivot is None:
+            break
+        vectors = steps[REFLECTION_SYMBOLS[pivot]](vectors)
+    else:
+        raise NotInGroup("reduction did not terminate; map is outside the group")
+    try:
+        match_automorphism(vectors)
+    except NoAutomorphismMatch as exc:
+        raise NotInGroup(str(exc)) from exc
+    raise NotInGroup("reduced word does not reproduce the map on the full lattice")
 
 
 def decompose(m: PicMap, trace: bool = False):
@@ -120,29 +137,13 @@ def decompose(m: PicMap, trace: bool = False):
     NotInGroup for maps outside the extended affine Weyl group.
     """
     images = _root_images(m)
+    word, pivots = _code_reduction(images)
+    if word is None or word_to_picmap(word) != m:
+        _reject(images)
     if not trace:
-        word = _code_reduction(images)
-        if word is not None and word_to_picmap(word) == m:
-            return word
-    vectors, fold_steps = tuple(map(RootVector, images)), _fold_steps()
-    cancellation: list[int] = []
-    steps: list[ReductionStep] = []
-    for _ in range(MAX_REDUCTION_STEPS):
-        pivot = next((i for i, v in enumerate(vectors) if root_sign(v) is Sign.NEGATIVE), None)
-        if pivot is None:
-            break
+        return word
+    vectors, fold_steps, steps = tuple(map(RootVector, images)), _fold_steps(), []
+    for pivot in pivots:
         vectors = fold_steps[REFLECTION_SYMBOLS[pivot]](vectors)
-        cancellation.append(pivot)
-        if trace:
-            steps.append(ReductionStep(pivot, vectors))
-    else:
-        raise NotInGroup("reduction did not terminate; map is outside the group")
-    try:
-        residual = match_automorphism(vectors)
-    except NoAutomorphismMatch as exc:
-        raise NotInGroup(str(exc)) from exc
-    symbols = ([residual] if residual else []) + [f"w{i}" for i in reversed(cancellation)]
-    word: Word = tuple(symbols)
-    if word_to_picmap(word) != m:
-        raise NotInGroup("reduced word does not reproduce the map on the full lattice")
-    return (word, tuple(steps)) if trace else word
+        steps.append(ReductionStep(pivot, vectors))
+    return word, tuple(steps)

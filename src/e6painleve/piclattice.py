@@ -70,9 +70,6 @@ class DivisorClass:
     def __rmul__(self, k: int) -> "DivisorClass":
         return DivisorClass(tuple(k * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 

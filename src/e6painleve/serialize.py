@@ -8,6 +8,7 @@ integer (so states past 4300 digits need no raised limit).
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,7 +16,16 @@ from .birational import ParamVector, ProjectiveCoord, SurfacePoint
 from .models import SchlesingerParams
 
 
+#: The longest digit run (CPython's int-to-str limit) and exponent a rational literal may have, in digits.
+MAX_LITERAL_DIGITS, MAX_EXPONENT_DIGITS = 4300, 4
+
+
 def parse_fraction(text: str) -> Fraction:
+    """A rational literal, bounded on its text before Fraction computes anything."""
+    mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
+    longest = max(map(len, re.findall(r"\d+", mantissa)), default=0)
+    if longest > MAX_LITERAL_DIGITS or len(exponent.lstrip("+-").lstrip("0")) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"rational literal past {MAX_LITERAL_DIGITS} digits in a run or {MAX_EXPONENT_DIGITS} in its exponent")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

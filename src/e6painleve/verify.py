@@ -51,7 +51,7 @@ from .periodmap import (
     root_variable_evolution,
     scale_to_integers,
 )
-from .piclattice import E6_EDGES, surface_root, symmetry_root, to_alpha_coords
+from .piclattice import E6_EDGES
 from .weylgroup import (
     ALPHA_PERMUTATIONS,
     AUTOMORPHISM_SYMBOLS,
@@ -64,6 +64,7 @@ from .weylgroup import (
     generator_picmap,
     invert_word,
     kac_vector,
+    simple_root_coords,
     surface_root_permutation,
     translation_delta_vector,
     translation_norm,
@@ -161,8 +162,7 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000, draw=
 @lru_cache(maxsize=None)
 def _lattice_root_evolution(word: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     """Row i: the simple-root coordinates of w^-1(a_i), read off the lattice matrix."""
-    inverse = word_to_picmap(invert_word(word))
-    return tuple(to_alpha_coords(inverse(symmetry_root(i))).coeffs for i in range(7))
+    return tuple(simple_root_coords(word_to_picmap(invert_word(word))))
 
 
 def period_suite() -> list[CheckResult]:
@@ -248,15 +248,7 @@ def equivalence_suite(
             and translation_norm(PSI_PIC_ACTION) == Fraction(4, 3),
         )
     )
-    checks.append(
-        CheckResult(
-            "phi_cycles_surface_roots",
-            all(
-                PHI_PIC_ACTION(surface_root(j)) == surface_root((j + 1) % 3)
-                for j in range(3)
-            ),
-        )
-    )
+    checks.append(CheckResult("phi_cycles_surface_roots", surface_root_permutation(PHI_PIC_ACTION) == (1, 2, 0)))
 
     src = kac_vector(PSI_PIC_ACTION)
     dst = kac_vector(PHI_PIC_ACTION)

@@ -30,7 +30,11 @@ numerator by the denominator, to_alpha_coords_oracle, membership in Q
 decided by rebuilding the class from its root coordinates, and
 birational_checks_oracle and period_checks_oracle, verify's sampled
 relation and gauge checks and its period checks on their bases, compared on
-Fractions, decompose_oracle, the reduction that applies the matrix to each
+Fractions, decompose_oracle, the former reduction loop that picked each
+pivot by root_sign on the seven RootVector images, traced its steps, and
+wrote its word from those pivots (decompose now writes every word from its
+integer-code pass and replays the pivots for a trace),
+decompose_scanning_oracle, the reduction that applies the matrix to each
 simple root and rescans all seven images for the pivot at every step, and
 translation_delta_vector_oracle and translation_norm_oracle, the delta
 vector from those images and the norm as a Fraction pairing of the
@@ -79,7 +83,14 @@ from e6painleve.birational import (
     sample_fraction,
     word_map,
 )
-from e6painleve.decompose import NoAutomorphismMatch, NotInGroup, ReductionStep, match_automorphism
+from e6painleve.decompose import (
+    MAX_REDUCTION_STEPS,
+    NoAutomorphismMatch,
+    NotInGroup,
+    ReductionStep,
+    match_automorphism,
+    simple_root_images,
+)
 from e6painleve.models import (
     CONJUGATOR_WORD,
     PHI_WORD,
@@ -98,7 +109,9 @@ from e6painleve.piclattice import (
     NotInSymmetryLattice,
     RationalRootVector,
     RootVector,
+    Sign,
     from_alpha_coords,
+    root_sign,
     symmetry_root,
 )
 from e6painleve.weylgroup import (
@@ -107,6 +120,7 @@ from e6painleve.weylgroup import (
     NormMismatch,
     NotTranslation,
     PicMap,
+    _fold_steps,
     parse_word,
     word_to_picmap,
 )
@@ -653,7 +667,7 @@ def _images_oracle(m: PicMap) -> list[tuple[int, ...] | None]:
     return images
 
 
-def decompose_oracle(m: PicMap, trace: bool = False):
+def decompose_scanning_oracle(m: PicMap, trace: bool = False):
     """decompose with a full scan for the first negative image at every step."""
     images = _images_oracle(m)
     if None in images:
@@ -674,6 +688,31 @@ def decompose_oracle(m: PicMap, trace: bool = False):
         raise NotInGroup("reduction did not terminate; map is outside the group")
     try:
         residual = match_automorphism(tuple(map(RootVector, images)))
+    except NoAutomorphismMatch as exc:
+        raise NotInGroup(str(exc)) from exc
+    word = tuple(([residual] if residual else []) + [f"w{i}" for i in reversed(cancellation)])
+    if word_to_picmap(word) != m:
+        raise NotInGroup("reduced word does not reproduce the map on the full lattice")
+    return (word, tuple(steps)) if trace else word
+
+
+def decompose_oracle(m: PicMap, trace: bool = False):
+    """decompose as the reduction loop on the seven RootVector images, pivot by root_sign, with its trace."""
+    vectors, fold_steps = simple_root_images(m), _fold_steps()
+    cancellation: list[int] = []
+    steps: list[ReductionStep] = []
+    for _ in range(MAX_REDUCTION_STEPS):
+        pivot = next((i for i, v in enumerate(vectors) if root_sign(v) is Sign.NEGATIVE), None)
+        if pivot is None:
+            break
+        vectors = fold_steps[REFLECTION_SYMBOLS[pivot]](vectors)
+        cancellation.append(pivot)
+        if trace:
+            steps.append(ReductionStep(pivot, vectors))
+    else:
+        raise NotInGroup("reduction did not terminate; map is outside the group")
+    try:
+        residual = match_automorphism(vectors)
     except NoAutomorphismMatch as exc:
         raise NotInGroup(str(exc)) from exc
     word = tuple(([residual] if residual else []) + [f"w{i}" for i in reversed(cancellation)])

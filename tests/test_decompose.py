@@ -1,8 +1,11 @@
 """Word decomposition by the negative-image reduction procedure."""
 
+import collections
 import hashlib
+import importlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +18,11 @@ from e6painleve.decompose import (
     simple_root_images,
 )
 from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
-from e6painleve.piclattice import CARTAN, RootVector, Sign, root_sign
+from e6painleve.piclattice import CARTAN, RootVector, Sign, root_sign, symmetry_root
 from oracles import (
     ALPHA_PERMUTATIONS,
     decompose_oracle,
+    decompose_scanning_oracle,
     translation_delta_vector_oracle,
     translation_norm_oracle,
 )
@@ -237,7 +241,8 @@ def _perturbed(draw):
 def test_decompose_and_translation_norm_match_the_scanning_oracles(m):
     # The same word and trace, or the same exception and message, as the
     # reduction that rescans every image and applies m to each simple root.
-    assert _outcome(lambda m: decompose(m, trace=True), m) == _outcome(lambda m: decompose_oracle(m, trace=True), m)
+    traced = _outcome(lambda m: decompose_scanning_oracle(m, trace=True), m)
+    assert _outcome(lambda m: decompose(m, trace=True), m) == traced
     assert _outcome(translation_delta_vector, m) == _outcome(translation_delta_vector_oracle, m)
     assert _outcome(translation_norm, m) == _outcome(translation_norm_oracle, m)
 
@@ -245,15 +250,71 @@ def test_decompose_and_translation_norm_match_the_scanning_oracles(m):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(_element, _perturbed(), st.sampled_from([m for m, _ in OUTSIDE_GROUP])))
 def test_decompose_without_trace_matches_the_scanning_oracle(m):
-    # Without a trace decompose reduces on one code per image first; it must
+    # Without a trace decompose skips only the replay of its pivots; it must
     # give the oracle's word, or its exception and message.
-    assert _outcome(decompose, m) == _outcome(decompose_oracle, m)
+    assert _outcome(decompose, m) == _outcome(decompose_scanning_oracle, m)
 
 
 @pytest.mark.parametrize("word, residual", [(("m0",) + PHI_WORD, "m1"), (PHI_WORD * 2, "r2")])
 def test_decompose_without_trace_matches_the_oracle_on_residual_automorphisms(word, residual):
     m = word_to_picmap(word)
     out = decompose(m)
-    assert out == decompose_oracle(m) == decompose(m, trace=True)[0]
+    assert out == decompose_scanning_oracle(m) == decompose(m, trace=True)[0]
     assert out[0] == residual
     assert word_to_picmap(out) == m
+
+
+def _seeded_elements():
+    """1,009 group elements: 15 seeded words of each length 0-64 over all 12 symbols, phi^n and psi^n, n <= 16."""
+    rng = random.Random(24)
+    words = [tuple(rng.choices(SYMBOLS, k=n)) for n in range(65) for _ in range(15)]
+    return [word_to_picmap(w) for w in words + [base * n for base in (PHI_WORD, PSI_WORD) for n in range(17)]]
+
+
+def _perturbed_copy(m, i, rng):
+    """m made non-group in one of three ways, taken in turn by i."""
+    rows = [list(r) for r in m.rows]
+    if i % 3 == 0:  # one entry moved: the images mostly leave the symmetry sublattice
+        rows[rng.randrange(10)][rng.randrange(10)] += rng.choice((-1, 1))
+    elif i % 3 == 1:  # a simple root added to a column: the images stay in it but stop being roots
+        j, sign, root = rng.randrange(10), rng.choice((-1, 1)), symmetry_root(rng.randrange(7)).coeffs
+        for k in range(10):
+            rows[k][j] += sign * root[k]
+    else:  # m (I + e_k v^T), v = Hf + E7 + E8: the simple-root images stay m's, only the matrix check fails
+        k = rng.randrange(10)
+        for r in rows:
+            r[0], r[8], r[9] = r[0] + r[k], r[8] + r[k], r[9] + r[k]
+    return _picmap(rows)
+
+
+def test_decompose_matches_the_root_vector_loop_on_seeded_elements_and_perturbations():
+    # The loop that chose every pivot by root_sign on the seven root vectors
+    # and wrote the word and trace from them: decompose must give its words,
+    # traces and messages, traced or not, and drop only the steps untraced.
+    rng = random.Random(25)
+    elements = _seeded_elements()
+    outside = [_perturbed_copy(m, i, rng) for i, m in enumerate(elements)]
+    outside += [_picmap([[-x for x in r] for r in m.rows]) for m in elements[::101]]  # reductions that never end
+    outside += [m for m, _ in OUTSIDE_GROUP[:2]]
+    messages = collections.Counter()
+    for m, in_group in [(m, True) for m in elements] + [(m, False) for m in outside]:
+        traced, plain = _outcome(lambda m: decompose(m, trace=True), m), _outcome(decompose, m)
+        assert traced == _outcome(lambda m: decompose_oracle(m, trace=True), m)
+        assert plain == _outcome(decompose_oracle, m)
+        assert (plain[:1] != (NotInGroup,)) == in_group
+        if in_group:
+            assert plain == traced[0]
+        else:
+            assert plain == traced
+            messages[re.sub(r"a_\d", "a_i", plain[1])] += 1
+    # Every failure message of the reduction, each on at least ten inputs.
+    assert len(messages) == 4 and min(messages.values()) >= 10, messages
+
+
+def test_untraced_decompose_builds_no_root_vector(monkeypatch):
+    def forbidden(coeffs):
+        raise AssertionError("RootVector built without a trace")
+
+    monkeypatch.setattr(importlib.import_module("e6painleve.decompose"), "RootVector", forbidden)
+    for m in _seeded_elements()[::20]:
+        assert word_to_picmap(decompose(m)) == m

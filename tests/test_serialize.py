@@ -1,14 +1,43 @@
-"""CSV decimals: decimal_str against Decimal division."""
+"""Rational literals bounded on their text; CSV decimals: decimal_str against Decimal division."""
 
 import sys
 from decimal import ROUND_DOWN, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from e6painleve.serialize import decimal_str
+from e6painleve.serialize import decimal_str, parse_fraction
 
 from oracles import decimal_str_oracle
+
+_REPUNIT = (10**4300 - 1) // 9  # 4300 ones
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1" * 4300, _REPUNIT),
+        ("-" + "1" * 4300 + "." + "2" * 4300, -_REPUNIT - Fraction(2 * _REPUNIT, 10**4300)),
+        ("7/" + "3" * 4300, Fraction(7, 3 * _REPUNIT)),
+        ("1e9999", 10**9999),
+        ("2.5E-0009999", Fraction(25, 10**10000)),
+    ],
+    ids=["integer", "decimal", "denominator", "exponent", "negative-exponent"],
+)
+def test_literals_within_the_bounds_parse(text, value):
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 4301, "0." + "0" * 4301, "1/" + "1" * 4301, "1e10000", "1e-10000", "1e+1000000", "2.5e" + "9" * 5000],
+    ids=["integer", "decimal", "denominator", "exponent", "negative-exponent", "exponent-1e6", "exponent-digits"],
+)
+def test_literals_past_the_bounds_are_rejected(text):
+    with pytest.raises(ValueError, match="rational literal past 4300 digits in a run or 4 in its exponent"):
+        parse_fraction(text)
+
 
 _digits = st.integers(1, 30)
 _general = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
