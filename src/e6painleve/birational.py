@@ -20,7 +20,7 @@ integers, so L never changes along the word), the point is a pair of
 integer pairs for L f and L g, and each step reduces each coordinate it
 changes with one gcd.  A zero denominator is infinity, so the lines at
 infinity are ordinary inputs, and 0/0 is a base point of the map and raises
-Indeterminate.  eval_word scales in once and divides each new pair by L at
+Indeterminate.  eval_word scales in once and divides each pair by L at
 exit, reduced with one gcd against L.
 Words run as straight-line code: on first use each Form compiles its term
 tables into one function (f, g, b) -> (num, den) and each step its
@@ -340,7 +340,7 @@ def _lowest_terms(num: int, den: int) -> tuple[int, int]:
     if not den:
         if not num:
             raise Indeterminate("0/0 is not a point of P1")
-        return 1, den  # a new tuple: eval_word tells changed pairs from unchanged ones by identity
+        return 1, 0
     common = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
     return num // common, den // common
 
@@ -348,21 +348,18 @@ def _lowest_terms(num: int, den: int) -> tuple[int, int]:
 def eval_word(
     word: Iterable[str], b: ParamVector, p: SurfacePoint
 ) -> tuple[ParamVector, SurfacePoint]:
-    """Apply a word of generators (rightmost symbol first): eval_integers on L b.
-
-    A coordinate that no letter of the word changes passes through as the
-    same object, and so does a point that no letter moves.
-    """
+    """Apply a word of generators (rightmost symbol first): eval_integers on L b, each coordinate unscaled once."""
     scale, ints = scale_to_integers(b.b)
-    f, g = p.f.pair(scale), p.g.pair(scale)
-    ints, new_f, new_g = eval_integers(tuple(word), ints, f, g)
-    if new_f is not f or new_g is not g:
-        p = SurfacePoint(p.f if new_f is f else _unscaled(new_f, scale), p.g if new_g is g else _unscaled(new_g, scale))
-    return ParamVector(tuple(Fraction(x, scale) for x in ints)), p
+    ints, f, g = eval_integers(tuple(word), ints, p.f.pair(scale), p.g.pair(scale))
+    return ParamVector(tuple(Fraction(x, scale) for x in ints)), SurfacePoint(_unscaled(f, scale), _unscaled(g, scale))
 
 
 def _unscaled(pair: tuple[int, int], scale: int) -> ProjectiveCoord:
-    """The coordinate (num : den scale) of a pair in lowest terms: gcd(num, den scale) is gcd(num, scale)."""
+    """The coordinate (num : den scale) of a pair from eval_integers, with one gcd against scale.
+
+    The pair is in lowest terms, or is (scale n : d) for a coordinate (n : d)
+    that no letter changed; either way gcd(num, den scale) is gcd(num, scale).
+    """
     num, den = pair
     common = math.gcd(num, scale)
     return _coord(num // common, den * scale // common)

@@ -4,11 +4,12 @@ Subcommands: gens, decompose, act, period, orbit, verify.  All output is
 JSON (or CSV for orbits) with exact rationals encoded as strings; given the
 same seed and flags the output is byte-identical.  Exit codes: 0 success,
 1 input error (malformed arguments, a flag the subcommand does not read,
-more than MAX_STEPS orbit steps or MAX_TRIALS trials, or a verification
-whose samples were almost all degenerate at the given --bound), 2 domain
-error (element outside the group, norm mismatch, or a failed
-verification), 3 indeterminate evaluation.  Every nonzero exit but a
-failed verification writes one JSON error line to stderr.
+more than MAX_STEPS orbit steps or MAX_TRIALS trials, a --bound above
+MAX_BOUND, or a verification whose samples were almost all degenerate at
+the given --bound), 2 domain error (element outside the group, norm
+mismatch, or a failed verification), 3 indeterminate evaluation.  Every
+nonzero exit but a failed verification writes one JSON error line to
+stderr.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ import json
 import sys
 
 from . import __version__
-from .birational import Indeterminate, TooManyDegenerateSamples, eval_word, generator_step, param_rows
+from .birational import (
+    Indeterminate, ProjectiveCoord, TooManyDegenerateSamples, eval_word, generator_step, param_rows
+)
 from .decompose import NotInGroup, decompose
 from .models import (
     CONJUGATOR_WORD,
     OrbitTrace,
     PHI_PIC_ACTION,
     PSI_PIC_ACTION,
+    SchlesingerParams,
+    _indices,
     phi_orbit,
     psi_orbit,
 )
@@ -42,6 +47,7 @@ EXIT_INDETERMINATE = 3
 
 MAX_STEPS = 10_000  # step 28 of the README phi orbit already holds about 46,000 bits
 MAX_TRIALS = 100_000
+MAX_BOUND = 10**18  # a draw's cost grows with the bound's digits: verify all --trials 1 takes 1 s at 10**1000
 
 NAMED_ELEMENTS = {
     "phi": lambda: PHI_PIC_ACTION,
@@ -207,45 +213,23 @@ def cmd_period(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _orbit_json_lines(trace: OrbitTrace) -> None:
-    with _exact_output():
-        for entry in trace.entries:
-            if trace.kind == "phi":
-                f, g = entry.point
-                _print({"step": entry.step, "b": entry.params.to_json(), "f": f.to_json(), "g": g.to_json()})
-            else:
-                x, y = entry.point
-                _print({"step": entry.step, "theta": entry.params.to_json(), "x": str(x), "y": str(y)})
-
-
-def _orbit_csv(trace: OrbitTrace) -> None:
-    if trace.kind == "phi":
-        header = ["step"] + [f"b{i}" for i in range(1, 9)] + ["f", "g"]
-        sys.stdout.write(",".join(header) + "\n")
-        for entry in trace.entries:
-            cells = [str(entry.step)]
-            cells += [decimal_str(x) for x in entry.params.b]
-            cells += [coord_decimal(c) for c in entry.point]
-            sys.stdout.write(",".join(cells) + "\n")
-    else:
-        header = ["step", "theta01", "theta02", "theta11", "theta12", "kappa1", "kappa2", "kappa3", "x", "y"]
-        sys.stdout.write(",".join(header) + "\n")
-        for entry in trace.entries:
-            t = entry.params
-            cells = [str(entry.step)]
-            cells += [
-                decimal_str(v)
-                for v in (t.theta01, t.theta02, t.theta11, t.theta12, t.kappa1, t.kappa2, t.kappa3)
-            ]
-            cells += [decimal_str(v) for v in entry.point]
-            sys.stdout.write(",".join(cells) + "\n")
-
-
 def _emit_orbit(trace: OrbitTrace, fmt: str) -> None:
-    if fmt == "csv":
-        _orbit_csv(trace)
+    """Write an orbit as JSON lines or CSV, with its map's parameter and point columns."""
+    if trace.kind == "phi":
+        key, columns, values = "b", [f"b{i}" for i in range(1, 9)], lambda b: b.b
+        point, point_json, point_decimal = ("f", "g"), ProjectiveCoord.to_json, coord_decimal
     else:
-        _orbit_json_lines(trace)
+        key, columns, values = "theta", list(SchlesingerParams.__dataclass_fields__), _indices
+        point, point_json, point_decimal = ("x", "y"), str, decimal_str
+    with _exact_output():
+        if fmt == "csv":
+            sys.stdout.write(",".join(["step", *columns, *point]) + "\n")
+        for entry in trace.entries:
+            if fmt == "csv":
+                cells = [str(entry.step), *map(decimal_str, values(entry.params)), *map(point_decimal, entry.point)]
+                sys.stdout.write(",".join(cells) + "\n")
+            else:
+                _print({"step": entry.step, key: entry.params.to_json(), **dict(zip(point, map(point_json, entry.point)))})
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
@@ -282,11 +266,11 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag in ("trials", "bound"):
+    for flag, cap in (("trials", MAX_TRIALS), ("bound", MAX_BOUND)):
         if getattr(args, flag) <= 0:
             raise InputError(f"--{flag} must be positive")
-    if args.trials > MAX_TRIALS:
-        raise InputError(f"--trials must be at most {MAX_TRIALS}")
+        if getattr(args, flag) > cap:
+            raise InputError(f"--{flag} must be at most {cap}")
     if args.max_word_length < 0:
         raise InputError("--max-word-length must be nonnegative")
     checks = run_suite(

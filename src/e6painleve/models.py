@@ -63,12 +63,11 @@ Each pair is then reduced with one gcd of a few bits.  Where a piece does
 not divide, it stays in the denominator; where the second half-step is
 not generic, or y = b~7, the step runs psi_step and the next step
 re-enters the chart.  Each step is screened exactly, by psi's closed form
-modulo 2^61 - 1 and, where that meets a zero residue, modulo 2^89 - 1, with
-psi_step as the fallback, so the orbit is that of iterated psi_step.
-psi_step stays the independent closed form the checks compare with the
-words and with phi.  It is written once, fraction-free, over any
-commutative ring: on integers for psi_step and the checks, modulo the
-primes for the screen.
+modulo 2^61 - 1, with psi_step as the fallback wherever a residue is zero,
+so the orbit is that of iterated psi_step.  psi_step stays the independent
+closed form the checks compare with the words and with phi.  It is written
+once, fraction-free, over any commutative ring: on integers for psi_step
+and the checks, modulo the prime for the screen.
 """
 
 from __future__ import annotations
@@ -164,29 +163,21 @@ class SchlesingerParams:
     kappa3: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("theta01", "theta02", "theta11", "theta12", "kappa1", "kappa2", "kappa3"):
+        for name in self.__dataclass_fields__:
             if type(value := getattr(self, name)) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
         if self.fuchs_sum() != 0:
             raise ValueError("Fuchs relation violated: the seven indices must sum to zero")
 
     def fuchs_sum(self) -> Fraction:
-        return (
-            self.theta01 + self.theta02 + self.theta11 + self.theta12
-            + self.kappa1 + self.kappa2 + self.kappa3
-        )
+        return sum(_indices(self))
 
     def shifted(self) -> "SchlesingerParams":
         """Index evolution of one Schlesinger step (_shifted)."""
         return SchlesingerParams(*_shifted(_indices(self), 1))
 
     def to_json(self) -> dict[str, str]:
-        return {
-            "theta01": str(self.theta01), "theta02": str(self.theta02),
-            "theta11": str(self.theta11), "theta12": str(self.theta12),
-            "kappa1": str(self.kappa1), "kappa2": str(self.kappa2),
-            "kappa3": str(self.kappa3),
-        }
+        return {name: str(getattr(self, name)) for name in self.__dataclass_fields__}
 
 
 class _Pieces(NamedTuple):
@@ -385,29 +376,28 @@ def _psi_closed_form(values: Sequence, one, nonzero: Callable) -> tuple:
     return (D * (An * x * d12 + (one + t02) * H * Ad), Ad * x_den), (D * (y * xs - t12 * x), y_den)
 
 
-#: The primes of the exact screen in psi_orbit, tried in turn.
-_SCREEN_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1)
+#: The prime of the exact screen in psi_orbit.
+_SCREEN_PRIME = 2 ** 61 - 1
 
 
 def _psi_defined(values: Sequence[Fraction]) -> bool:
     """True if psi's closed form is defined at values (theta01..kappa3, x, y).
 
-    That holds when, modulo one of the screen primes, no denominator of the
-    inputs or of the map has a zero residue.  False means only that every
-    prime failed, not that the map is undefined over Q.
+    That holds when, modulo _SCREEN_PRIME, no denominator of the inputs or of
+    the map has a zero residue.  False means only that the screen failed,
+    not that the map is undefined over Q.
     """
-    for prime in _SCREEN_PRIMES:
-        try:
-            residues = [v.numerator * pow(v.denominator, -1, prime) % prime for v in values]
-            _psi_closed_form(residues, 1, lambda v: v % prime)
-            return True
-        except (ValueError, Indeterminate):
-            pass
-    return False
+    try:
+        residues = [v.numerator * pow(v.denominator, -1, _SCREEN_PRIME) % _SCREEN_PRIME for v in values]
+        _psi_closed_form(residues, 1, lambda v: v % _SCREEN_PRIME)
+        return True
+    except (ValueError, Indeterminate):
+        return False
 
 
 def _indices(t: SchlesingerParams) -> tuple[Fraction, ...]:
-    return (t.theta01, t.theta02, t.theta11, t.theta12, t.kappa1, t.kappa2, t.kappa3)
+    """The seven indices theta01..kappa3 of t, in field order."""
+    return tuple(getattr(t, name) for name in t.__dataclass_fields__)
 
 
 def _shifted(indices: Sequence, one) -> tuple:
@@ -687,8 +677,8 @@ def psi_orbit(t: SchlesingerParams, x, y, steps: int) -> OrbitTrace:
     integers once per chart entry, one phi kernel step per step, with the
     pieces carried as in phi_orbit, each state mapped back through w5, w3 at
     the chart's own b, from the step's pieces (_psi_from_pieces).  A step
-    runs psi_step itself unless psi's closed form modulo one of the screen
-    primes proves it defined (no denominator has a zero residue) and the
+    runs psi_step itself unless psi's closed form modulo _SCREEN_PRIME
+    proves it defined (no denominator has a zero residue) and the
     pieces yield a state; the chart and its pieces are then dropped, and the
     next step re-enters the chart.  The states, the failing step and the
     partial trace carried by the raised error are those of iterated psi_step.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 RANK = 10
 BASIS_LABELS = ("Hf", "Hg", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -43,35 +43,43 @@ class NotInSymmetryLattice(ValueError):
 
 
 @dataclass(frozen=True)
-class DivisorClass:
-    """Integer vector in the basis (Hf, Hg, E1, ..., E8)."""
+class _IntegerVector:
+    """A frozen vector of `length` integers; a subclass sets length and kind (named in errors)."""
 
+    length: ClassVar[int]
+    kind: ClassVar[str]
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != RANK:
-            raise ValueError(f"expected {RANK} coefficients, got {len(self.coeffs)}")
+        if len(self.coeffs) != self.length:
+            raise ValueError(f"expected {self.length} coefficients, got {len(self.coeffs)}")
         if not all(isinstance(c, int) for c in self.coeffs):
-            raise TypeError("divisor class coefficients must be integers")
+            raise TypeError(f"{self.kind} coefficients must be integers")
 
     @classmethod
-    def of(cls, *coeffs: int) -> "DivisorClass":
+    def of(cls, *coeffs: int):
         return cls(tuple(int(c) for c in coeffs))
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coeffs))
 
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(tuple(k * a for a in self.coeffs))
+    def __rmul__(self, k: int):
+        return type(self)(tuple(k * a for a in self.coeffs))
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
+
+
+class DivisorClass(_IntegerVector):
+    """Integer vector in the basis (Hf, Hg, E1, ..., E8)."""
+
+    length, kind = RANK, "divisor class"
 
 
 ZERO_CLASS = DivisorClass((0,) * RANK)
@@ -157,36 +165,10 @@ CARTAN = cartan_matrix()
 CARTAN_TERMS = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in CARTAN)
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(_IntegerVector):
     """Integer coordinates on the symmetry simple roots a0..a6."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != 7:
-            raise ValueError(f"expected 7 coefficients, got {len(self.coeffs)}")
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise TypeError("root vector coefficients must be integers")
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "RootVector":
-        return cls(tuple(int(c) for c in coeffs))
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k: int) -> "RootVector":
-        return RootVector(tuple(k * a for a in self.coeffs))
-
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
+    length, kind = 7, "root vector"
 
 
 @dataclass(frozen=True)

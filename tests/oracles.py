@@ -45,7 +45,7 @@ through the Fraction period map, find_conjugator_oracle, the conjugator
 search on Fraction-valued root variables, and psi_closed_form_oracle, psi's
 closed form written for any field through its division, with
 psi_step_oracle and psi_defined_oracle on it (over Q, and modulo the screen
-primes), and equivalence_checks_oracle, the four sampled checks of verify's
+prime), and equivalence_checks_oracle, the four sampled checks of verify's
 equivalence suite on Fractions with the Fraction dictionaries and change of
 variables.
 
@@ -96,7 +96,7 @@ from e6painleve.models import (
     PHI_WORD,
     PSI_WORD,
     SchlesingerParams,
-    _SCREEN_PRIMES,
+    _SCREEN_PRIME,
     phi_step,
     sample_schlesinger,
 )
@@ -849,20 +849,19 @@ def psi_step_oracle(t: SchlesingerParams, x, y) -> tuple[SchlesingerParams, Frac
 
 
 def psi_defined_oracle(values: Sequence[Fraction]) -> bool:
-    """The psi_orbit screen: the closed form run modulo each screen prime, inverting every denominator."""
-    for prime in _SCREEN_PRIMES:
-        def divide(num: int, den: int) -> int:
-            den %= prime
-            if not den:
-                raise Indeterminate("psi hit a base point", symbol="psi")
-            return num * pow(den, -1, prime) % prime
+    """The psi_orbit screen: the closed form run modulo the screen prime, inverting every denominator."""
 
-        try:
-            psi_closed_form_oracle([divide(v.numerator, v.denominator) for v in values], divide)
-            return True
-        except Indeterminate:
-            pass
-    return False
+    def divide(num: int, den: int) -> int:
+        den %= _SCREEN_PRIME
+        if not den:
+            raise Indeterminate("psi hit a base point", symbol="psi")
+        return num * pow(den, -1, _SCREEN_PRIME) % _SCREEN_PRIME
+
+    try:
+        psi_closed_form_oracle([divide(v.numerator, v.denominator) for v in values], divide)
+        return True
+    except Indeterminate:
+        return False
 
 
 def chart_dictionary_oracle(t: SchlesingerParams) -> ParamVector:

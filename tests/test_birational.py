@@ -1,5 +1,6 @@
 """Projective coordinates and the elementary birational maps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -154,9 +155,9 @@ def test_eval_word_involution_and_step_index():
 
 
 def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
-    # w3 changes only g, w5 only f, and w1, w2, w4, w6 neither: only the
-    # changed coordinates are wrapped as new ProjectiveCoords (by _coord, on
-    # pairs already in lowest terms), the others pass through as they are.
+    # w3 changes only g, w5 only f, and w1, w2, w4, w6 neither: every
+    # coordinate is unscaled once, by one _coord on a pair already in lowest
+    # terms, and one that no letter changes comes back equal to the input.
     calls = []
     wrap = birational._coord
 
@@ -170,17 +171,12 @@ def test_eval_word_passes_unchanged_coordinates_through(monkeypatch):
         SurfacePoint.affine(Fraction(17, 5), Fraction(23, 9)),
         SurfacePoint(ProjectiveCoord.infinity(), ProjectiveCoord.finite(Fraction(3))),
     ):
-        calls.clear()
-        eval_word(CONJUGATOR_WORD, b, p)
-        assert len(calls) == 2
-        calls.clear()
-        assert eval_word(("w3",), b, p)[1].f is p.f and len(calls) == 1
-        calls.clear()
-        assert eval_word(("w5",), b, p)[1].g is p.g and len(calls) == 1
-        for symbol in ("w1", "w2", "w4", "w6"):
+        cases = [(CONJUGATOR_WORD, ""), (("w3",), "f"), (("w5",), "g")] + [((s,), "fg") for s in ("w1", "w2", "w4", "w6")]
+        for word, unchanged in cases:
             calls.clear()
-            assert eval_word((symbol,), b, p)[1] is p
-            assert calls == []
+            point = eval_word(word, b, p)[1]
+            assert len(calls) == 2 and all(math.gcd(*pair) == 1 for pair in calls), word
+            assert all(getattr(point, c) == getattr(p, c) for c in unchanged), word
 
 
 def test_eval_word_divides_the_scale_out_with_one_gcd_against_it():

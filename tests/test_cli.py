@@ -350,8 +350,9 @@ def test_verify_rejects_nonpositive_trials(capsys):
 
 
 def test_orbit_and_verify_refuse_runs_past_their_caps(capsys, monkeypatch):
-    # More than 10,000 orbit steps or 100,000 verify trials is an input
-    # error raised before any work starts; the caps themselves run.
+    # More than 10,000 orbit steps or 100,000 verify trials, or a verify
+    # bound above 10^18, is an input error raised before any work starts;
+    # the caps themselves run.
     started = []
     monkeypatch.setattr(cli, "phi_orbit", lambda *args: started.append("phi") or OrbitTrace("phi", ()))
     monkeypatch.setattr(cli, "psi_orbit", lambda *args: started.append("psi") or OrbitTrace("psi", ()))
@@ -361,6 +362,8 @@ def test_orbit_and_verify_refuse_runs_past_their_caps(capsys, monkeypatch):
         (("orbit", "--map", "psi", "--steps", "10001", *README_PSI), "--steps must be at most 10000"),
         (("verify", "all", "--trials", "100000000000"), "--trials must be at most 100000"),
         (("verify", "equivalence", "--trials", "100001"), "--trials must be at most 100000"),
+        (("verify", "all", "--bound", str(10**4299)), "--bound must be at most 1000000000000000000"),
+        (("verify", "birational", "--bound", str(10**18 + 1)), "--bound must be at most 1000000000000000000"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, json.loads(err)) == (1, "", {"error": "input", "message": message}), argv
@@ -369,9 +372,10 @@ def test_orbit_and_verify_refuse_runs_past_their_caps(capsys, monkeypatch):
         ("orbit", "--map", "phi", "--steps", "10000", *README_PHI),
         ("orbit", "--map", "psi", "--steps", "10000", *README_PSI),
         ("verify", "all", "--trials", "100000"),
+        ("verify", "all", "--bound", str(10**18)),
     ):
         assert run_cli(capsys, *argv)[0] == 0, argv
-    assert started == ["phi", "psi", "verify"]
+    assert started == ["phi", "psi", "verify", "verify"]
 
 
 def test_verify_rejects_nonpositive_bound(capsys):

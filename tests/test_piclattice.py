@@ -1,5 +1,6 @@
 """Lattice arithmetic, root bases, and coordinate conversions."""
 
+import pickle
 import random
 
 import pytest
@@ -86,13 +87,19 @@ def test_cartan_matrix_matches_diagram():
 
 
 def test_intersection_bilinear_symmetric():
+    # On classes, and on root vectors through from_alpha_coords: both types
+    # run the operators of one integer-vector base, and keep their own type.
     rng = random.Random(0)
-    for _ in range(1000):
-        a = DivisorClass(tuple(rng.randint(-9, 9) for _ in range(10)))
-        b = DivisorClass(tuple(rng.randint(-9, 9) for _ in range(10)))
-        c = DivisorClass(tuple(rng.randint(-9, 9) for _ in range(10)))
-        assert intersection(a, b) == intersection(b, a)
-        assert intersection(a + b, c) == intersection(a, c) + intersection(b, c)
+    on_roots = lambda x, y: intersection(from_alpha_coords(x), from_alpha_coords(y))
+    for cls, form in ((DivisorClass, intersection), (RootVector, on_roots)):
+        for _ in range(1000):
+            a, b, c = (cls(tuple(rng.randint(-9, 9) for _ in range(cls.length))) for _ in range(3))
+            k = rng.randint(-9, 9)
+            assert form(a, b) == form(b, a)
+            assert form(a + b, c) == form(a, c) + form(b, c)
+            assert form(a - k * b, c) == form(a, c) - k * form(b, c)
+            assert form(-a, c) == -form(a, c)
+            assert {type(a + b), type(a - b), type(-a), type(k * a)} == {cls}
 
 
 def test_to_alpha_coords():
@@ -145,7 +152,19 @@ def test_root_sign():
 
 
 def test_divisor_class_validation():
-    with pytest.raises(ValueError):
-        DivisorClass((1, 2, 3))
-    with pytest.raises(TypeError):
-        DivisorClass((1.0,) * 10)
+    for cls, kind in ((DivisorClass, "divisor class"), (RootVector, "root vector")):
+        with pytest.raises(ValueError) as length:
+            cls((1, 2, 3))
+        assert str(length.value) == f"expected {cls.length} coefficients, got 3"
+        with pytest.raises(TypeError) as entries:
+            cls((1.0,) * cls.length)
+        assert str(entries.value) == f"{kind} coefficients must be integers"
+
+
+def test_integer_vectors_keep_repr_equality_hash_and_pickling():
+    for v in (H_F, RootVector.of(1, 2, 3, 2, 1, 2, 1)):
+        name = type(v).__name__
+        assert repr(v) == f"{name}(coeffs={v.coeffs!r})"
+        assert pickle.loads(pickle.dumps(v)) == v == type(v).of(*v.coeffs)
+        assert hash(type(v).of(*v.coeffs)) == hash(v) and v.to_json() == list(v.coeffs)
+    assert DivisorClass.of(*[0] * 7, 1, 2, 3) != RootVector.of(*[0] * 4, 1, 2, 3)

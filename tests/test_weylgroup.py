@@ -238,6 +238,19 @@ def test_kac_vector_matches_elimination_oracle():
         assert kac_vector(m).coeffs == expected
 
 
+def test_kac_vector_needs_only_the_null_root_test():
+    # _scaled_kac_vector tests only sum delta_i n_i = 0: the adjugate of the
+    # finite block C_f solves rows 1-6 exactly, and row 0 then holds since
+    # CARTAN delta = 0.
+    assert [sum(c * w for c, w in zip(row, DELTA_WEIGHTS)) for row in CARTAN] == [0] * 7
+    det, adjugate = weylgroup._finite_cartan_adjugate()
+    block = [row[1:] for row in CARTAN[1:]]
+    assert det == 3
+    assert [[sum(block[i][k] * adjugate[k][j] for k in range(6)) for j in range(6)] for i in range(6)] == [
+        [det * (i == j) for j in range(6)] for i in range(6)
+    ]
+
+
 def test_kac_vector_rejects_inconsistent_translation(monkeypatch):
     ns = (1, 0, 0, 0, 0, 0, 0)  # sum delta_i n_i = 1: no solution
     assert oracles.kac_vector_oracle(CARTAN, ns, DELTA_WEIGHTS) is None
