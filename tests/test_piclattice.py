@@ -2,10 +2,15 @@
 
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e6painleve.birational import BirationalStep, Form, MapComparison, ProjectiveCoord, SurfacePoint
+from e6painleve.decompose import ReductionStep
+from e6painleve.models import CheckResult, EquivalenceReport, OrbitEntry, OrbitTrace, SchlesingerParams
+from e6painleve.periodmap import ParamVector, RootVariables
 from e6painleve.piclattice import (
     CARTAN,
     DELTA_WEIGHTS,
@@ -14,6 +19,7 @@ from e6painleve.piclattice import (
     H_F,
     H_G,
     NotInSymmetryLattice,
+    RationalRootVector,
     RootVector,
     Sign,
     anticanonical,
@@ -25,6 +31,7 @@ from e6painleve.piclattice import (
     symmetry_root,
     to_alpha_coords,
 )
+from e6painleve.weylgroup import PicMap, generator_picmap
 from oracles import to_alpha_coords_oracle
 
 
@@ -168,3 +175,80 @@ def test_integer_vectors_keep_repr_equality_hash_and_pickling():
         assert pickle.loads(pickle.dumps(v)) == v == type(v).of(*v.coeffs)
         assert hash(type(v).of(*v.coeffs)) == hash(v) and v.to_json() == list(v.coeffs)
     assert DivisorClass.of(*[0] * 7, 1, 2, 3) != RootVector.of(*[0] * 4, 1, 2, 3)
+
+
+def _value_objects():
+    """One (build, field names, repr) per value class: build() makes a fresh equal object each call."""
+    half = "ProjectiveCoord(numerator=1, denominator=2)"
+    inf = "ProjectiveCoord(numerator=1, denominator=0)"
+    indices = ("1/2", "1/3", "1/5", "1/7", "2/3", "3/5", "-171/70")
+    theta_repr = (
+        "SchlesingerParams(theta01=Fraction(1, 2), theta02=Fraction(1, 3), theta11=Fraction(1, 5), "
+        "theta12=Fraction(1, 7), kappa1=Fraction(2, 3), kappa2=Fraction(3, 5), kappa3=Fraction(-171, 70))"
+    )
+    b_repr = ", ".join(f"Fraction({k}, 1)" for k in range(1, 9))
+    check = "CheckResult(name='conjugation', passed=True, samples=3, rejected=1, note='', counterexample=None)"
+    entry = f"OrbitEntry(step=0, params=ParamVector(b=({b_repr})), point=({half}, {inf}))"
+    start = lambda: OrbitEntry(0, ParamVector.of(*range(1, 9)), (ProjectiveCoord(1, 2), ProjectiveCoord(1, 0)))
+    form = Form.parse("(f*g + (b1 + b7)*f + b7*g)/(f - b1)")
+    identity, w3 = PicMap.identity(), generator_picmap("w3")
+    root = RootVector.of(1, 0, 0, 0, 0, 0, 0)
+    theta = ", ".join(f"Fraction({Fraction(x).numerator}, {Fraction(x).denominator})" for x in indices)
+    return [
+        (lambda: DivisorClass.of(1, *[0] * 9), ("coeffs",), f"DivisorClass(coeffs={(1, *[0] * 9)!r})"),
+        (lambda: RootVector.of(1, 2, 3, 2, 1, 2, 1), ("coeffs",), "RootVector(coeffs=(1, 2, 3, 2, 1, 2, 1))"),
+        (
+            lambda: RationalRootVector.of(1, "1/2", 0, 0, 0, 0, -3),
+            ("coeffs",),
+            "RationalRootVector(coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(0, 1), Fraction(-3, 1)))",
+        ),
+        (lambda: PicMap.identity(), ("rows",), f"PicMap(rows={identity.rows!r})"),
+        (lambda: ProjectiveCoord(-3, -6), ("numerator", "denominator"), half),
+        (lambda: SurfacePoint(ProjectiveCoord.finite("1/2"), ProjectiveCoord.infinity()), ("f", "g"),
+         f"SurfacePoint(f={half}, g={inf})"),
+        (
+            lambda: Form.parse(form.text),
+            ("text", "degree", "num", "den"),
+            f"Form(text={form.text!r}, degree=(1, 1), num={form.num!r}, den={form.den!r})",
+        ),
+        (
+            lambda: BirationalStep("w3", Form.parse("f"), Form.parse(form.text), generator_picmap("w3")),
+            ("name", "coord_f", "coord_g", "picmap"),
+            f"BirationalStep(name='w3', coord_f={Form.parse('f')!r}, coord_g={form!r}, picmap={w3!r})",
+        ),
+        (lambda: MapComparison(True, 3, 1), ("equal", "samples", "rejected", "counterexample"),
+         "MapComparison(equal=True, samples=3, rejected=1, counterexample=None)"),
+        (lambda: ReductionStep(2, (root,)), ("index", "images"), f"ReductionStep(index=2, images=({root!r},))"),
+        (
+            lambda: SchlesingerParams(*map(Fraction, indices)),
+            ("theta01", "theta02", "theta11", "theta12", "kappa1", "kappa2", "kappa3"),  # the psi CSV header
+            theta_repr,
+        ),
+        (lambda: CheckResult("conjugation", True, 3, 1),
+         ("name", "passed", "samples", "rejected", "note", "counterexample"), check),
+        (lambda: EquivalenceReport((CheckResult("conjugation", True, 3, 1),)), ("checks",),
+         f"EquivalenceReport(checks=({check},))"),
+        (start, ("step", "params", "point"), entry),
+        (lambda: OrbitTrace("phi", (start(),)), ("kind", "entries"), f"OrbitTrace(kind='phi', entries=({entry},))"),
+        (lambda: ParamVector.of(*range(1, 9)), ("b",), f"ParamVector(b=({b_repr}))"),
+        (lambda: RootVariables.of(*indices), ("a",), f"RootVariables(a=({theta}))"),
+    ]
+
+
+def test_value_classes_keep_repr_equality_hash_pickling_and_frozen_fields():
+    for build, fields, text in _value_objects():
+        v, w = build(), build()
+        assert repr(v) == text
+        assert v is not w and v == w and not v != w and hash(v) == hash(w)
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert type(v)(**{name: getattr(v, name) for name in fields}) == v
+        with pytest.raises(AttributeError):
+            setattr(v, fields[0], getattr(w, fields[0]))
+    assert CheckResult(name="gauge", passed=False) == CheckResult("gauge", False, 0, 0, "", None)
+    assert CheckResult("gauge", True, note="n").to_json() == {
+        "name": "gauge", "passed": True, "samples": 0, "rejected": 0, "note": "n"
+    }
+    assert MapComparison(equal=True, samples=2, rejected=0).counterexample is None
+    assert MapComparison(False, 1, 0, counterexample=(1, 2)) != MapComparison(False, 1, 0)
+    assert RootVariables.of(*range(7)) != RationalRootVector.of(*range(7))
