@@ -43,16 +43,15 @@ and shared), on pairs of maps on integers (words, or phi) at one scale.
 
 from __future__ import annotations
 
-import ast
 import math
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, Iterable
 
 from .periodmap import ParamVector, param_values, root_values, scale_to_integers
-from .weylgroup import PicMap, _compile, fold_root_values, generator_picmap, SYMBOLS
+from .piclattice import _compile, _Value
+from .weylgroup import fold_root_values, generator_picmap, SYMBOLS
 
 
 class Indeterminate(ArithmeticError):
@@ -68,12 +67,10 @@ class TooManyDegenerateSamples(RuntimeError):
     """Random sampling rejected more than 90 percent of its draws."""
 
 
-@dataclass(frozen=True)
-class ProjectiveCoord:
+class ProjectiveCoord(_Value):
     """Point (numerator : denominator) of P1, an integer pair reduced by _lowest_terms."""
 
-    numerator: int
-    denominator: int
+    _fields = ("numerator", "denominator")
 
     def __post_init__(self) -> None:
         num, den = _lowest_terms(self.numerator, self.denominator)
@@ -124,12 +121,10 @@ def _scaled(pair: tuple[int, int], scale: int) -> tuple[int, int]:
     return (scale * num, den) if den else (1, 0)
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Point (f, g) of P1 x P1, each coordinate projective."""
+class SurfacePoint(_Value):
+    """Point (f, g) of P1 x P1, each coordinate a ProjectiveCoord."""
 
-    f: ProjectiveCoord
-    g: ProjectiveCoord
+    _fields = ("f", "g")
 
     @classmethod
     def affine(cls, f, g) -> "SurfacePoint":
@@ -166,8 +161,10 @@ Coefficient = tuple[tuple[int, tuple[int, ...]], ...]
 _NAMES = frozenset(("f", "g", *(f"b{k}" for k in range(1, 9))))  # the variables of a formula
 
 
-def _expand(node: ast.expr) -> dict[tuple[str, ...], int]:
-    """A +, -, * expression over f, g, b1..b8 and int literals as {sorted names: coefficient}."""
+def _expand(node) -> dict[tuple[str, ...], int]:
+    """A +, -, * expression (an ast node) over f, g, b1..b8 and int literals as {sorted names: coefficient}."""
+    import ast
+
     if isinstance(node, ast.Name) and node.id in _NAMES:
         return {(node.id,): 1}
     if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -194,22 +191,21 @@ def _sum_source(terms: Iterable[tuple[int, list[str]]]) -> str:
     return " + ".join(parts).replace(" + -", " - ") or "0"
 
 
-@dataclass(frozen=True)
-class Form:
-    """One coordinate map num / den of P1 x P1, both forms of bidegree (df, dg).
+class Form(_Value):
+    """One coordinate map num / den of P1 x P1, both forms of bidegree degree = (df, dg).
 
-    A term (i, j, c) is the monomial f0^i f1^(df - i) g0^j g1^(dg - j) with
-    coefficient c, an integer polynomial in b1..b8.  str() is the affine
-    formula the form was expanded from.
+    num and den are tuples of terms.  A term (i, j, c) is the monomial
+    f0^i f1^(df - i) g0^j g1^(dg - j) with coefficient c, an integer
+    polynomial in b1..b8 (a Coefficient).  str() is the affine formula text
+    the form was expanded from.
     """
 
-    text: str
-    degree: tuple[int, int]
-    num: tuple[tuple[int, int, Coefficient], ...]
-    den: tuple[tuple[int, int, Coefficient], ...]
+    _fields = ("text", "degree", "num", "den")
 
     @classmethod
     def parse(cls, text: str) -> "Form":
+        import ast
+
         node = ast.parse(text, mode="eval").body
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
             polys = (_expand(node.left), _expand(node.right))
@@ -245,14 +241,10 @@ class Form:
         return _compile("f, g, b", "(f0, f1), (g0, g1) = f, g", f"return {num}, {den}")
 
 
-@dataclass(frozen=True)
-class BirationalStep:
-    """One elementary map: lattice action plus coordinate forms."""
+class BirationalStep(_Value):
+    """One elementary map: the generator's name, its coordinate Forms and its lattice action (a PicMap)."""
 
-    name: str
-    coord_f: Form
-    coord_g: Form
-    picmap: PicMap
+    _fields = ("name", "coord_f", "coord_g", "picmap")
 
     def apply_params(self, b: ParamVector) -> ParamVector:
         """Parameter action induced through the period map (b4 is fixed): the compiled rows on L b."""
@@ -392,18 +384,15 @@ def _per_sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-@dataclass(frozen=True)
-class MapComparison:
-    """Outcome of a randomized check: the first failing sample, if any."""
+class MapComparison(_Value):
+    """Outcome of a randomized check: equal, the samples accepted and rejected, and the first failing sample, if any."""
 
-    equal: bool
-    samples: int
-    rejected: int
-    counterexample: Any = None
+    _fields = ("equal", "samples", "rejected", "counterexample")
+    _defaults = (None,)
 
 
 def sample_check(
-    trials: int, draw: Callable[[int], Any], holds: Callable[[Any], bool | None], what: str
+    trials: int, draw: Callable[[int], object], holds: Callable[[object], bool | None], what: str
 ) -> MapComparison:
     """The sampling loop behind every randomized check.
 
@@ -493,7 +482,7 @@ def integer_maps_equal(
         return b1 == b2 and _lowest_terms(*f1) == _lowest_terms(*f2) and _lowest_terms(*g1) == _lowest_terms(*g2)
 
     result = sample_check(trials, draw, holds, "sampled inputs")
-    return result if result.equal else replace(result, counterexample=result.counterexample[0])
+    return result if result.equal else MapComparison(False, result.samples, result.rejected, result.counterexample[0])
 
 
 def words_equal(lhs: Iterable[str], rhs: Iterable[str], trials: int, draw: Callable[[int], tuple]) -> MapComparison:

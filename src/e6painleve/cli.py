@@ -219,7 +219,7 @@ def _emit_orbit(trace: OrbitTrace, fmt: str) -> None:
         key, columns, values = "b", [f"b{i}" for i in range(1, 9)], lambda b: b.b
         point, point_json, point_decimal = ("f", "g"), ProjectiveCoord.to_json, coord_decimal
     else:
-        key, columns, values = "theta", list(SchlesingerParams.__dataclass_fields__), _indices
+        key, columns, values = "theta", list(SchlesingerParams._fields), _indices
         point, point_json, point_decimal = ("x", "y"), str, decimal_str
     with _exact_output():
         if fmt == "csv":

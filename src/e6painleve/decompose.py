@@ -22,11 +22,9 @@ the failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import NoReturn
 
-from .piclattice import RootVector, Sign, root_sign
+from .piclattice import RootVector, Sign, _Value, root_sign
 from .weylgroup import (
     ALPHA_PERMUTATIONS, REFLECTION_SYMBOLS, PicMap, Word, _fold_steps, simple_root_coords, word_to_picmap
 )
@@ -47,12 +45,10 @@ class NoAutomorphismMatch(ValueError):
 SimpleRootImages = tuple[RootVector, ...]
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """One reduction step: the chosen reflection index and the images after it."""
+class ReductionStep(_Value):
+    """One reduction step: the chosen reflection index and the images after it (SimpleRootImages)."""
 
-    index: int
-    images: SimpleRootImages
+    _fields = ("index", "images")
 
 
 #: The symbol of each permutation (sigma(0), ..., sigma(6)) of the simple roots that the group realizes.
@@ -112,8 +108,8 @@ def _code_reduction(images: list[tuple[int, ...]]) -> tuple[Word | None, list[in
     return word, cancellation
 
 
-def _reject(images: list[tuple[int, ...]]) -> NoReturn:
-    """Name why a map whose code reduction fails is outside the group, reducing its seven root vectors."""
+def _reject(images: list[tuple[int, ...]]):
+    """Raise NotInGroup naming why a map whose code reduction fails is outside the group, from its root vectors."""
     vectors, steps = tuple(map(RootVector, images)), _fold_steps()
     for _ in range(MAX_REDUCTION_STEPS):
         pivot = next((i for i, v in enumerate(vectors) if root_sign(v) is Sign.NEGATIVE), None)

@@ -74,10 +74,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
 
 from .birational import (
     SAMPLE_BOUND,
@@ -96,6 +96,7 @@ from .birational import (
     sample_fraction,
 )
 from .periodmap import scale_to_integers
+from .piclattice import _Value
 from .weylgroup import PicMap, Word, parse_word
 
 #: Generator word of the QRT-deautonomization step (rightmost symbol first).
@@ -145,25 +146,18 @@ PSI_PIC_ACTION = PicMap(
 )
 
 
-@dataclass(frozen=True)
-class SchlesingerParams:
-    """Characteristic indices of the rank-3 Fuchsian system.
+class SchlesingerParams(_Value):
+    """Characteristic indices of the rank-3 Fuchsian system, exact rationals.
 
     theta01, theta02 are the nonzero indices at the pole z = 0, theta11,
     theta12 those at z = 1, and kappa1..kappa3 the indices at infinity.
     The seven values must satisfy the Fuchs relation (sum zero).
     """
 
-    theta01: Fraction
-    theta02: Fraction
-    theta11: Fraction
-    theta12: Fraction
-    kappa1: Fraction
-    kappa2: Fraction
-    kappa3: Fraction
+    _fields = ("theta01", "theta02", "theta11", "theta12", "kappa1", "kappa2", "kappa3")
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
+        for name in self._fields:
             if type(value := getattr(self, name)) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
         if self.fuchs_sum() != 0:
@@ -177,18 +171,14 @@ class SchlesingerParams:
         return SchlesingerParams(*_shifted(_indices(self), 1))
 
     def to_json(self) -> dict[str, str]:
-        return {name: str(getattr(self, name)) for name in self.__dataclass_fields__}
+        return {name: str(getattr(self, name)) for name in self._fields}
 
 
-class _Pieces(NamedTuple):
-    """The pieces of one generic half-step (see _solve_qrt_relation)."""
-
-    x: list[int]  # x_j, the confined factors of X in q_j
-    c: list[int]  # c_j = q_j / x_j
-    X: int  # X', what is left of X
-    s: list[int]  # s_i, the confined factors of S in A_i
-    a: list[int]  # a_i = A_i / s_i
-    S: int  # S', what is left of S
+#: The pieces of one generic half-step (see _solve_qrt_relation): x_j, the
+#: confined factors of X in q_j; c_j = q_j / x_j; X', what is left of X;
+#: s_i, the confined factors of S in A_i; a_i = A_i / s_i; S', what is left
+#: of S.  X' and S' are integers, the others lists of integers.
+_Pieces = namedtuple("_Pieces", "x c X s a S")
 
 
 def _solve_qrt_relation(
@@ -397,7 +387,7 @@ def _psi_defined(values: Sequence[Fraction]) -> bool:
 
 def _indices(t: SchlesingerParams) -> tuple[Fraction, ...]:
     """The seven indices theta01..kappa3 of t, in field order."""
-    return tuple(getattr(t, name) for name in t.__dataclass_fields__)
+    return tuple(getattr(t, name) for name in t._fields)
 
 
 def _shifted(indices: Sequence, one) -> tuple:
@@ -492,14 +482,11 @@ def sample_schlesinger(rng: random.Random, bound: int = 100) -> SchlesingerParam
     return SchlesingerParams(vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], kappa3)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    samples: int = 0
-    rejected: int = 0
-    note: str = ""
-    counterexample: dict | None = None
+class CheckResult(_Value):
+    """One named check: whether it passed, its accepted and rejected samples, a note and a counterexample dict."""
+
+    _fields = ("name", "passed", "samples", "rejected", "note", "counterexample")
+    _defaults = (0, 0, "", None)
 
     @classmethod
     def sampled(
@@ -539,9 +526,10 @@ def _sample_json(value):
     return list(value) if isinstance(value, tuple) else str(value)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    checks: tuple[CheckResult, ...]
+class EquivalenceReport(_Value):
+    """The CheckResults of verify_equivalence."""
+
+    _fields = ("checks",)
 
     @property
     def passed(self) -> bool:
@@ -603,17 +591,16 @@ def verify_equivalence(
     )
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
-    step: int
-    params: object
-    point: tuple
+class OrbitEntry(_Value):
+    """One state of an orbit: its step, parameters (ParamVector or SchlesingerParams) and point pair."""
+
+    _fields = ("step", "params", "point")
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
-    kind: str
-    entries: tuple[OrbitEntry, ...]
+class OrbitTrace(_Value):
+    """An orbit of the map kind ("phi" or "psi") as a tuple of OrbitEntry."""
+
+    _fields = ("kind", "entries")
 
     def __len__(self) -> int:
         return len(self.entries)

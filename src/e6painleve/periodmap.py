@@ -32,19 +32,17 @@ one integer scaling per draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .piclattice import DELTA_WEIGHTS
+from .piclattice import DELTA_WEIGHTS, _Value
 from .weylgroup import fold_root_values
 
 
-@dataclass(frozen=True)
-class ParamVector:
+class ParamVector(_Value):
     """The eight blowup-position parameters (b1, ..., b8), exact rationals."""
 
-    b: tuple[Fraction, ...]
+    _fields = ("b",)
 
     def __post_init__(self) -> None:
         if len(self.b) != 8:
@@ -64,11 +62,10 @@ class ParamVector:
         return [str(x) for x in self.b]
 
 
-@dataclass(frozen=True)
-class RootVariables:
+class RootVariables(_Value):
     """The seven root variables (a0, ..., a6), exact rationals."""
 
-    a: tuple[Fraction, ...]
+    _fields = ("a",)
 
     def __post_init__(self) -> None:
         if len(self.a) != 7:

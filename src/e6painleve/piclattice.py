@@ -24,9 +24,8 @@ membership in Q by closed forms, with no linear solve.  Every value is immutable
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import ClassVar, Iterable
 
 RANK = 10
 BASIS_LABELS = ("Hf", "Hg", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
@@ -42,13 +41,65 @@ class NotInSymmetryLattice(ValueError):
     """The class does not lie in the span of the symmetry simple roots."""
 
 
-@dataclass(frozen=True)
-class _IntegerVector:
+def _compile(args: str, *body: str) -> Callable:
+    """A function of args with the given body lines, built from the library's own tables."""
+    namespace: dict = {}
+    exec(f"def compiled({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["compiled"]
+
+
+class _Value:
+    """Base of the frozen value classes: a subclass names its fields in _fields, the last ones defaulting to _defaults.
+
+    Creating such a class compiles its __init__ (ending with __post_init__ where the class has one), __eq__
+    (NotImplemented against any other class) and __hash__ as straight-line code; subclasses adding no fields
+    inherit them.  Assignment raises AttributeError, so fields are set by object.__setattr__ (writing
+    self.__dict__ would materialize it and slow every later read); pickling is object's.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            return
+        fields = cls._fields
+        own = [f"self.{name}" for name in fields]
+        init, eq, hash_ = _compile(
+            "",
+            "set_field = object.__setattr__",
+            f"def __init__(self, {', '.join(fields)}):",
+            *(f"    set_field(self, {name!r}, {name})" for name in fields),
+            *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+            "def __eq__(self, other):",
+            "    if other.__class__ is not self.__class__:",
+            "        return NotImplemented",
+            f"    return {' and '.join(f'{x} == other.{name}' for x, name in zip(own, fields))}",
+            "def __hash__(self):",
+            f"    return hash(({', '.join(own)},))",
+            "return __init__, __eq__, __hash__",
+        )()
+        init.__defaults__ = cls._defaults
+        for method in (init, eq, hash_):
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _IntegerVector(_Value):
     """A frozen vector of `length` integers; a subclass sets length and kind (named in errors)."""
 
-    length: ClassVar[int]
-    kind: ClassVar[str]
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.length:
@@ -171,11 +222,10 @@ class RootVector(_IntegerVector):
     length, kind = 7, "root vector"
 
 
-@dataclass(frozen=True)
-class RationalRootVector:
+class RationalRootVector(_Value):
     """Rational coordinates on the symmetry simple roots (element of Q tensor QQ)."""
 
-    coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != 7:

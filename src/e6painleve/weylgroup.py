@@ -41,11 +41,10 @@ conjugating words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, neg, sub
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .piclattice import (
     CARTAN,
@@ -61,6 +60,8 @@ from .piclattice import (
     H_G,
     intersection,
     _alpha_coords,
+    _compile,
+    _Value,
     surface_root,
     symmetry_root,
 )
@@ -95,11 +96,10 @@ _IDENTITY_ROWS = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RA
 _CANONICAL = tuple(-x for x in anticanonical().coeffs)
 
 
-@dataclass(frozen=True)
-class PicMap:
-    """Lattice automorphism as a 10x10 integer matrix on column vectors."""
+class PicMap(_Value):
+    """Lattice automorphism as a 10x10 integer matrix on column vectors (rows, a tuple of ten integer tuples)."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
     def __post_init__(self) -> None:
         if len(self.rows) != RANK or any(len(r) != RANK for r in self.rows):
@@ -221,13 +221,6 @@ def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
         return None
     perm = tuple(roots.index(x) for x in images)
     return perm if len(set(perm)) == 3 else None
-
-
-def _compile(args: str, *body: str) -> Callable:
-    """A function of args with the given body lines, built from the library's own tables."""
-    namespace: dict = {}
-    exec(f"def compiled({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
-    return namespace["compiled"]
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -639,3 +640,16 @@ def test_fuzzed_command_lines_exit_with_a_code_and_one_json_error(data):
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and "error" in json.loads(lines[0]), (argv, err)
+
+
+def test_cli_import_leaves_dataclasses_inspect_ast_and_typing_unloaded():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import e6painleve.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))\n"
+        "from e6painleve.birational import generator_step; generator_step('w3')\n"
+        "print('ast' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]  # Form.parse imports ast on first use
