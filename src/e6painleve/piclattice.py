@@ -54,7 +54,8 @@ class _Value:
     Creating such a class compiles its __init__ (ending with __post_init__ where the class has one), __eq__
     (NotImplemented against any other class) and __hash__ as straight-line code; subclasses adding no fields
     inherit them.  Assignment raises AttributeError, so fields are set by object.__setattr__ (writing
-    self.__dict__ would materialize it and slow every later read); pickling is object's.
+    self.__dict__ would materialize it and slow every later read), as are the memos some classes keep on an
+    instance; a pickle holds the fields only.
     """
 
     _fields: tuple[str, ...] = ()
@@ -88,6 +89,9 @@ class _Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

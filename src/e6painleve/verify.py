@@ -162,7 +162,7 @@ def birational_suite(trials: int = 25, seed: int = 0, bound: int = 10_000, draw=
 @lru_cache(maxsize=None)
 def _lattice_root_evolution(word: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     """Row i: the simple-root coordinates of w^-1(a_i), read off the lattice matrix."""
-    return tuple(simple_root_coords(word_to_picmap(invert_word(word))))
+    return simple_root_coords(word_to_picmap(invert_word(word)))
 
 
 def period_suite() -> list[CheckResult]:

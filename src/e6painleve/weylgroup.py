@@ -15,20 +15,23 @@ word_to_picmap is the left-to-right matrix product.  That
 product is kept as the 10 integer columns of the running matrix M: a letter
 G acts on the right as a column operation, column j of M G being
 sum_k G[k][j] col_k(M), which adds or subtracts at most four old columns.
-Each generator's step is straight-line code compiled on its first product:
-it passes through the columns G leaves alone or permutes, and builds the
-others entry by entry from the unpacked entries of the columns they read.
+Each generator's step is straight-line code: it passes through the columns
+G leaves alone or permutes, and builds the others entry by entry from the
+unpacked entries of the columns they read.  All twelve are compiled together
+on the first product, and a product reads each letter's step from their dict.
 
 The image m(a_i) of a simple root is a signed sum of the two to four
-columns of m that the +-1 entries of a_i pick.
+columns of m that the +-1 entries of a_i pick.  simple_root_coords reads the
+seven images once per matrix and keeps them on it, outside its fields.
 
 fold_root_values is the group's one action on root coordinates: a word
 moves seven integer values, a reflection adding multiples of one value to
 its neighbours and an automorphism permuting indices (ALPHA_PERMUTATIONS,
-read off the matrices).  Each generator's move is one straight-line step
-7 values -> 7 values, all twelve compiled together on the first fold.  The
-period map moves root variables with it, find_conjugator the pairings of a
-vector with the simple roots, and decompose's reduction its codes or, for
+read off the matrices).  Each generator's move (_fold_moves) is one
+straight-line step 7 values -> 7 values, all twelve compiled together on the
+first fold.  The period map moves root variables with it, find_conjugator
+the pairings of a vector with the simple roots, and decompose's reduction
+its codes (the same moves as the branches of one compiled loop) or, for
 traces and failures, its seven RootVector images.
 
 Translations: an element m is a translation when m(a_i) = a_i + n_i * delta
@@ -100,6 +103,8 @@ class PicMap(_Value):
     """Lattice automorphism as a 10x10 integer matrix on column vectors (rows, a tuple of ten integer tuples)."""
 
     _fields = ("rows",)
+    #: simple_root_coords' memo of the images of the simple roots.
+    _root_coords = None
 
     def __post_init__(self) -> None:
         if len(self.rows) != RANK or any(len(r) != RANK for r in self.rows):
@@ -205,9 +210,13 @@ def _column_sums(m: PicMap, terms: tuple) -> Iterator[Iterator[int]]:
         yield image
 
 
-def simple_root_coords(m: PicMap) -> Iterator[tuple[int, ...] | None]:
-    """Root coordinates of m(a_0), ..., m(a_6), each computed when asked for; None outside Q."""
-    return map(_alpha_coords, _column_sums(m, _ROOT_TERMS))
+def simple_root_coords(m: PicMap) -> tuple[tuple[int, ...] | None, ...]:
+    """Root coordinates of m(a_0), ..., m(a_6), None outside Q; computed once per matrix and kept on it."""
+    coords = m._root_coords
+    if coords is None:
+        coords = tuple(map(_alpha_coords, _column_sums(m, _ROOT_TERMS)))
+        object.__setattr__(m, "_root_coords", coords)  # not a field: equality, hash and repr ignore it
+    return coords
 
 
 def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
@@ -223,21 +232,23 @@ def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
     return perm if len(set(perm)) == 3 else None
 
 
+def _fold_moves(symbol: str) -> dict[int, str]:
+    """A generator's action on seven root values v0..v6, as the new expression of each value it moves: w_i
+    gives -v_i at i and v_j + v_i at each neighbour j, an automorphism sigma moves v_i to sigma(i)."""
+    if symbol in REFLECTION_SYMBOLS:
+        i = int(symbol[1])
+        # any entry other than -2 or 1 raises KeyError, as in _column_step
+        return {j: {-2: f"-v{i}", 1: f"v{j} + v{i}"}[c] for j, c in CARTAN_TERMS[i]}
+    return {j: f"v{i}" for i, j in ALPHA_PERMUTATIONS[symbol].items() if i != j}
+
+
 @lru_cache(maxsize=None)
 def _fold_steps() -> dict[str, Callable[[tuple], tuple]]:
-    """Each generator's action on seven root values v = (v0, ..., v6) as straight-line code: w_i returns
-    -v_i at i and v_j + v_i at each neighbour j, an automorphism sigma moves v_i to sigma(i)."""
-    steps = {}
+    """Each generator's _fold_moves as straight-line code from seven root values to seven."""
+    values, steps = ", ".join(f"v{i}" for i in range(7)), {}
     for symbol in SYMBOLS:
-        out = [f"v{i}" for i in range(7)]
-        if symbol in REFLECTION_SYMBOLS:
-            i = int(symbol[1])
-            for j, c in CARTAN_TERMS[i]:  # any entry other than -2 or 1 raises KeyError, as in _column_step
-                out[j] = {-2: f"-v{i}", 1: f"v{j} + v{i}"}[c]
-        else:
-            for i, j in ALPHA_PERMUTATIONS[symbol].items():
-                out[j] = f"v{i}"
-        steps[symbol] = _compile("v", f"{', '.join(f'v{i}' for i in range(7))} = v", f"return {', '.join(out)}")
+        moves = _fold_moves(symbol)
+        steps[symbol] = _compile("v", f"{values} = v", f"return {', '.join(moves.get(i, f'v{i}') for i in range(7))}")
     return steps
 
 
@@ -262,7 +273,6 @@ def fold_root_values(word: Iterable[str], values: Sequence[int]) -> list[int]:
     return list(values)
 
 
-@lru_cache(maxsize=None)
 def _column_step(symbol: str) -> Callable[..., tuple[tuple[int, ...], ...]]:
     """Column j of M G, sum_k G[k][j] col_k(M), as straight-line code from the ten columns of M to
     those of M G.  Every G[k][j] is +-1 (any other entry raises KeyError): a column of G equal to
@@ -280,11 +290,24 @@ def _column_step(symbol: str) -> Callable[..., tuple[tuple[int, ...], ...]]:
     return _compile(", ".join(f"c{j}" for j in range(RANK)), *unpack, f"return {', '.join(cols)}")
 
 
+@lru_cache(maxsize=None)
+def _column_steps() -> dict[str, Callable[..., tuple[tuple[int, ...], ...]]]:
+    """Every generator's _column_step, compiled together on the first product."""
+    return {symbol: _column_step(symbol) for symbol in SYMBOLS}
+
+
 def word_to_picmap(word: Iterable[str]) -> PicMap:
-    """Product of generator matrices; the rightmost symbol acts first."""
-    cols = _IDENTITY_ROWS  # the identity's rows are its columns
-    for symbol in word:
-        cols = _column_step(symbol)(*cols)
+    """Product of generator matrices; the rightmost symbol acts first.
+
+    Raises ValueError for an unknown symbol, as parse_word.
+    """
+    cols, steps = _IDENTITY_ROWS, _column_steps()  # the identity's rows are its columns
+    try:
+        for symbol in word:
+            cols = steps[symbol](*cols)
+    except KeyError:
+        parse_word((symbol,))  # names the unknown symbol
+        raise
     return PicMap(tuple(zip(*cols)))
 
 

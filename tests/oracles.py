@@ -667,6 +667,10 @@ def _images_oracle(m: PicMap) -> list[tuple[int, ...] | None]:
     return images
 
 
+#: Raised by both reduction oracles when an image is still negative after 4096 pivots.
+_CAP_MESSAGE = "reduction did not finish within 4096 steps; map is outside the group or longer than 4096 letters"
+
+
 def decompose_scanning_oracle(m: PicMap, trace: bool = False):
     """decompose with a full scan for the first negative image at every step."""
     images = _images_oracle(m)
@@ -674,18 +678,18 @@ def decompose_scanning_oracle(m: PicMap, trace: bool = False):
         raise NotInGroup("map does not preserve the symmetry sublattice")
     cancellation: list[int] = []
     steps: list[ReductionStep] = []
-    for _ in range(4096):
+    while True:
         pivot = next((i for i, v in enumerate(images) if max(v) <= 0 and min(v) < 0), None)
         if pivot is None:
             break
+        if len(cancellation) == 4096:
+            raise NotInGroup(_CAP_MESSAGE)
         p = images[pivot]
         for j, c in CARTAN_TERMS[pivot]:
             images[j] = tuple(map(add, images[j], p)) if c == 1 else tuple(map(neg, p))
         cancellation.append(pivot)
         if trace:
             steps.append(ReductionStep(pivot, tuple(map(RootVector, images))))
-    else:
-        raise NotInGroup("reduction did not terminate; map is outside the group")
     try:
         residual = match_automorphism(tuple(map(RootVector, images)))
     except NoAutomorphismMatch as exc:
@@ -701,16 +705,16 @@ def decompose_oracle(m: PicMap, trace: bool = False):
     vectors, fold_steps = simple_root_images(m), _fold_steps()
     cancellation: list[int] = []
     steps: list[ReductionStep] = []
-    for _ in range(MAX_REDUCTION_STEPS):
+    while True:
         pivot = next((i for i, v in enumerate(vectors) if root_sign(v) is Sign.NEGATIVE), None)
         if pivot is None:
             break
+        if len(cancellation) == MAX_REDUCTION_STEPS:
+            raise NotInGroup(_CAP_MESSAGE)
         vectors = fold_steps[REFLECTION_SYMBOLS[pivot]](vectors)
         cancellation.append(pivot)
         if trace:
             steps.append(ReductionStep(pivot, vectors))
-    else:
-        raise NotInGroup("reduction did not terminate; map is outside the group")
     try:
         residual = match_automorphism(vectors)
     except NoAutomorphismMatch as exc:

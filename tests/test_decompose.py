@@ -10,6 +10,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from e6painleve import weylgroup
 from e6painleve.decompose import (
     NoAutomorphismMatch,
     NotInGroup,
@@ -53,7 +54,10 @@ def _swapped(i, j):
 # Matrices outside the group, each with the NotInGroup message decompose gives.
 OUTSIDE_GROUP = (
     (_picmap([[2 * x for x in r] for r in IDENTITY_ROWS]), "image of a_0 is not a simple root"),
-    (_picmap([[-x for x in r] for r in IDENTITY_ROWS]), "reduction did not terminate; map is outside the group"),
+    (
+        _picmap([[-x for x in r] for r in IDENTITY_ROWS]),
+        "reduction did not finish within 4096 steps; map is outside the group or longer than 4096 letters",
+    ),
     (_swapped(0, 2), "map does not preserve the symmetry sublattice"),
     # I + e_0 v^T with v = Hf + E7 + E8 coefficientwise orthogonal to every
     # a_i: it fixes every simple root, so only the final matrix check fails.
@@ -134,6 +138,38 @@ def test_decompose_output_is_unchanged_on_the_words_mix():
         trace = [[s.index, [list(v.coeffs) for v in s.images]] for s in steps]
         digest.update(json.dumps([list(out), trace]).encode())
     assert digest.hexdigest() == "ec7b406c053b46ae221c50af097db44c9520cbac6bb899d2d34d5df90944693d"
+
+
+def test_decompose_reduces_up_to_the_cap_and_names_the_cap_past_it():
+    # phi^n reduces to r and 16n reflections: phi^256 takes exactly MAX_REDUCTION_STEPS pivots.
+    m = word_to_picmap(PHI_WORD * 256)
+    word = decompose(m)
+    assert len(word) == 4097 and word[0] == "r"
+    assert word_to_picmap(word) == m
+    m = word_to_picmap(PHI_WORD * 257)
+    message = "reduction did not finish within 4096 steps; map is outside the group or longer than 4096 letters"
+    for trace in (False, True):
+        with pytest.raises(NotInGroup) as excinfo:
+            decompose(m, trace=trace)
+        assert str(excinfo.value) == message
+    assert _outcome(decompose_oracle, m) == (NotInGroup, message)
+
+
+def test_decompose_then_translation_norm_read_the_root_images_once(monkeypatch):
+    calls, alpha_coords = [], weylgroup._alpha_coords
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return alpha_coords(coeffs)
+
+    monkeypatch.setattr(weylgroup, "_alpha_coords", spy)
+    m = word_to_picmap(PHI_WORD * 4)
+    fresh = PicMap(m.rows)
+    decompose(m)
+    translation_norm(m)
+    assert len(calls) == 7
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert translation_norm(fresh) == translation_norm(m) and len(calls) == 14
 
 
 def test_decompose_trace():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from e6painleve.birational import BirationalStep, Form, MapComparison, ProjectiveCoord, SurfacePoint
-from e6painleve.decompose import ReductionStep
-from e6painleve.models import CheckResult, EquivalenceReport, OrbitEntry, OrbitTrace, SchlesingerParams
+from e6painleve.decompose import ReductionStep, decompose
+from e6painleve.models import PHI_WORD, CheckResult, EquivalenceReport, OrbitEntry, OrbitTrace, SchlesingerParams
 from e6painleve.periodmap import ParamVector, RootVariables
 from e6painleve.piclattice import (
     CARTAN,
@@ -31,7 +31,7 @@ from e6painleve.piclattice import (
     symmetry_root,
     to_alpha_coords,
 )
-from e6painleve.weylgroup import PicMap, generator_picmap
+from e6painleve.weylgroup import PicMap, generator_picmap, word_to_picmap
 from oracles import to_alpha_coords_oracle
 
 
@@ -245,6 +245,14 @@ def test_value_classes_keep_repr_equality_hash_pickling_and_frozen_fields():
         assert type(v)(**{name: getattr(v, name) for name in fields}) == v
         with pytest.raises(AttributeError):
             setattr(v, fields[0], getattr(w, fields[0]))
+    # A pickle holds only the fields, not what use has kept on the instance: compiled code, root images.
+    text = "(f*g + (b1 + b7)*f + b7*g)/(f - b1)"
+    step = lambda: BirationalStep("w3", Form.parse("f"), Form.parse(text), generator_picmap("w3"))
+    used_step, used_form, used_map = step(), Form.parse(text), word_to_picmap(PHI_WORD * 4)
+    used_step.kernel, used_form.compiled, decompose(used_map)
+    for used, fresh in ((used_step, step()), (used_form, Form.parse(text)), (used_map, PicMap(used_map.rows))):
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == fresh and vars(copy) == vars(fresh)
     assert CheckResult(name="gauge", passed=False) == CheckResult("gauge", False, 0, 0, "", None)
     assert CheckResult("gauge", True, note="n").to_json() == {
         "name": "gauge", "passed": True, "samples": 0, "rejected": 0, "note": "n"
