@@ -47,7 +47,7 @@ import math
 import random
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache
 
 from .periodmap import ParamVector, param_values, root_values, scale_to_integers
 from .piclattice import _compile, _Value
@@ -429,8 +429,13 @@ MapLike = Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]
 
 
 def _scaled_state_draw(seed: int, bound: int) -> Callable[[int], tuple]:
-    """maps_equal's samples (b, p), each paired with its integer form (L b; L f, L g)."""
+    """maps_equal's samples (b, p), each paired with its integer form (L b; L f, L g).
 
+    The draw keeps every sample it made, so comparisons that share it draw
+    and scale each sample once, for as long as the caller holds the draw.
+    """
+
+    @cache
     def draw(index: int) -> tuple:
         b, p = sample = sample_state(_per_sample_rng(seed, index), bound)
         scale, ints = scale_to_integers(b.b)
@@ -483,8 +488,3 @@ def integer_maps_equal(
 
     result = sample_check(trials, draw, holds, "sampled inputs")
     return result if result.equal else MapComparison(False, result.samples, result.rejected, result.counterexample[0])
-
-
-def words_equal(lhs: Iterable[str], rhs: Iterable[str], trials: int, draw: Callable[[int], tuple]) -> MapComparison:
-    """integer_maps_equal of two words, each run through eval_integers."""
-    return integer_maps_equal(partial(eval_integers, tuple(lhs)), partial(eval_integers, tuple(rhs)), trials, draw)

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .birational import (
-    Indeterminate, ProjectiveCoord, TooManyDegenerateSamples, eval_word, generator_step, param_rows
+    SAMPLE_BOUND, Indeterminate, ProjectiveCoord, TooManyDegenerateSamples, eval_word, generator_step, param_rows
 )
 from .decompose import NotInGroup, decompose
 from .models import (
@@ -37,7 +37,7 @@ from .models import (
 )
 from .periodmap import root_variables
 from .serialize import coord_decimal, decimal_str, parse_fraction_list, parse_params, parse_point, parse_schlesinger
-from .verify import SUITES, run_suite
+from .verify import MAX_WORD_LENGTH, SCHLESINGER_BOUND, SUITES, TRIALS, run_suite
 from .weylgroup import NormMismatch, PicMap, SYMBOLS, parse_word, word_to_picmap
 
 EXIT_OK = 0
@@ -106,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("suite", choices=SUITES)
     p_ver.add_argument("--seed", type=int, default=0, help="seed for all randomized behavior")
-    p_ver.add_argument("--trials", type=int, default=25, help="draws per randomized check")
+    p_ver.add_argument("--trials", type=int, default=TRIALS, help="draws per randomized check")
     p_ver.add_argument(
-        "--max-word-length", type=int, default=12, dest="max_word_length",
+        "--max-word-length", type=int, default=MAX_WORD_LENGTH, dest="max_word_length",
         help="search depth bound for conjugator search",
     )
     p_ver.add_argument(
-        "--bound", type=int, default=10_000,
+        "--bound", type=int, default=SAMPLE_BOUND,
         help="numerator/denominator bound for random samples (the period suite draws nothing; "
-        "the Schlesinger samples of the psi-word and transport checks keep bound 100)",
+        f"the Schlesinger samples of the psi-word and transport checks keep bound {SCHLESINGER_BOUND})",
     )
 
     return parser

@@ -1,4 +1,4 @@
-"""The two built-in discrete dynamics and their exact equivalence.
+"""The two built-in discrete dynamics, the dictionaries and the change of variables between them.
 
 phi is the deautonomized QRT map on the canonical chart (f, g) with
 parameters b1..b8.  Writing d for the parameter sum, one step solves
@@ -42,8 +42,9 @@ Two parameter dictionaries translate the indices into canonical
 b-parameters: one straight from psi's own blowup-point positions, and one
 (the first composed with the conjugating reflection pair w5, w3) under which
 psi becomes phi exactly; the same conjugation produces the explicit change
-of variables (x, y) -> (f, g).  verify_equivalence checks both identities
-pointwise at seeded generic rational samples, exactly, on integers.
+of variables (x, y) -> (f, g).  e6painleve.verify checks both identities
+pointwise at seeded generic rational samples, exactly, on integers
+(verify_equivalence, kept here as a wrapper).
 
 psi_orbit uses that identity to run on phi's integer kernel: it changes
 chart once, steps phi, and maps each state back through w5, w3, built from
@@ -73,27 +74,18 @@ and the checks, modulo the prime for the screen.
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import partial
 
 from .birational import (
-    SAMPLE_BOUND,
     Indeterminate,
-    MapComparison,
     ParamVector,
     SurfacePoint,
     _coord,
     _lowest_terms,
     _scaled,
-    _scaled_state_draw,
-    eval_integers,
     eval_word,
-    integer_maps_equal,
-    sample_check,
-    sample_fraction,
 )
 from .periodmap import scale_to_integers
 from .piclattice import _Value
@@ -475,120 +467,16 @@ def change_of_variables_inverse(t: SchlesingerParams, f, g) -> tuple[Fraction, F
     return point.f.as_fraction(), point.g.as_fraction()
 
 
-def sample_schlesinger(rng: random.Random, bound: int = 100) -> SchlesingerParams:
-    """Random indices satisfying the Fuchs relation (kappa3 balances the sum)."""
-    vals = [sample_fraction(rng, bound) for _ in range(6)]
-    kappa3 = -sum(vals, Fraction(0))
-    return SchlesingerParams(vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], kappa3)
+def verify_equivalence(*args, **kwargs):
+    """e6painleve.verify.verify_equivalence, the pointwise check that phi and psi are the same map.
 
-
-class CheckResult(_Value):
-    """One named check: whether it passed, its accepted and rejected samples, a note and a counterexample dict."""
-
-    _fields = ("name", "passed", "samples", "rejected", "note", "counterexample")
-    _defaults = (0, 0, "", None)
-
-    @classmethod
-    def sampled(
-        cls, name: str, comparison: MapComparison, fields: tuple[str, ...] = ("b", "point")
-    ) -> "CheckResult":
-        """The result of a randomized check.
-
-        fields name the parts of a sample, or the sample itself when there
-        is one field; the first failing sample becomes the counterexample.
-        """
-        counterexample = None
-        if comparison.counterexample is not None:
-            parts = comparison.counterexample if len(fields) > 1 else (comparison.counterexample,)
-            counterexample = {field: _sample_json(v) for field, v in zip(fields, parts)}
-        return cls(
-            name, comparison.equal, comparison.samples, comparison.rejected,
-            counterexample=counterexample,
-        )
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "passed": self.passed,
-            "samples": self.samples,
-            "rejected": self.rejected,
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
-
-
-def _sample_json(value):
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    return list(value) if isinstance(value, tuple) else str(value)
-
-
-class EquivalenceReport(_Value):
-    """The CheckResults of verify_equivalence."""
-
-    _fields = ("checks",)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
-
-def verify_equivalence(
-    trials: int = 25,
-    seed: int = 0,
-    bound: int = SAMPLE_BOUND,
-    draw: Callable[[int], tuple] | None = None,
-) -> EquivalenceReport:
-    """Pointwise verification that the two dynamics are the same map.
-
-    Two checks, both exact at seeded generic rational samples:
-
-    1. conjugation: phi equals w5 o w3 o psi o (w5 o w3)^-1, with psi
-       realized as its generator word on the canonical chart;
-    2. transported dynamics: the change of variables intertwines one psi
-       step (in (x, y)) with one phi step (in (f, g)) under the matched
-       dictionary, including the parameter evolution.
-
-    Both compare on integers, each sample scaled once (every map involved is
-    homogeneous of degree 1).  The conjugation samples, from draw (by default
-    _scaled_state_draw(seed, bound)), have numerators and denominators up to
-    bound, the Schlesinger samples of the transport check up to 100.  Raises
-    ValueError when trials is below 1, since neither check would then
-    compare a sample.
+    The check lives in verify; this name stays for callers of models, for the
+    package export and for perfbench/spans.py, which traces it.  verify
+    imports this module, so the import runs on call.
     """
-    conjugated = CONJUGATOR_WORD + PSI_WORD + tuple(reversed(CONJUGATOR_WORD))
-    word = partial(eval_integers, conjugated)
-    conjugation = integer_maps_equal(phi_integers, word, trials, draw or _scaled_state_draw(seed, bound))
+    from .verify import verify_equivalence
 
-    def draw_schlesinger(index: int) -> tuple[SchlesingerParams, Fraction, Fraction]:
-        rng = random.Random(f"equivalence:{seed}:{index}")
-        return sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
-
-    def transported(sample: tuple[SchlesingerParams, Fraction, Fraction]) -> bool | None:
-        t, x, y = sample
-        one, values = scale_to_integers((*_indices(t), x, y))
-        indices, new_indices = values[:7], _shifted(values[:7], one)
-        f_new, g_new = _change_of_variables(new_indices, *_psi_closed_form(values, one, bool))
-        f, g = _change_of_variables(indices, (values[7], 1), (values[8], 1))
-        b_phi, f_phi, g_phi = phi_integers(_matched_dictionary(indices, one), f, g)
-        if not (f_phi[1] and g_phi[1]):
-            return None
-        expected = _matched_dictionary(new_indices, one), _lowest_terms(*f_new), _lowest_terms(*g_new)
-        return (b_phi, f_phi, g_phi) == expected
-
-    transport = sample_check(trials, draw_schlesinger, transported, "Schlesinger samples")
-    return EquivalenceReport(
-        (
-            CheckResult.sampled("conjugation", conjugation),
-            CheckResult.sampled("transported_dynamics", transport, ("theta", "x", "y")),
-        )
-    )
+    return verify_equivalence(*args, **kwargs)
 
 
 class OrbitEntry(_Value):

@@ -98,9 +98,9 @@ from e6painleve.models import (
     SchlesingerParams,
     _SCREEN_PRIME,
     phi_step,
-    sample_schlesinger,
 )
 from e6painleve.periodmap import RootVariables, params_from_root_variables, root_variable_evolution, root_variables
+from e6painleve.verify import sample_schlesinger
 from e6painleve.piclattice import (
     CARTAN,
     CARTAN_TERMS,

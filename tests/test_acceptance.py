@@ -28,10 +28,10 @@ from e6painleve.models import (
     change_of_variables,
     phi_step,
     psi_step,
-    sample_schlesinger,
 )
 from e6painleve.periodmap import root_variable_evolution, root_variables
 from e6painleve.piclattice import E6_EDGES, surface_root
+from e6painleve.verify import sample_schlesinger
 from e6painleve.weylgroup import (
     AUTOMORPHISM_SYMBOLS,
     PicMap,

@@ -397,10 +397,10 @@ def test_verify_rejects_negative_max_word_length(capsys):
 def test_verify_draws_with_bound_except_schlesinger_samples(capsys, monkeypatch):
     # --bound reaches every draw of parameters and points;
     # the Schlesinger samples (psi-word and transport checks) keep bound 100.
-    from e6painleve import birational, models, verify
+    from e6painleve import birational, verify
 
     bounds, draw = set(), birational.sample_fraction
-    for module in (birational, models, verify):
+    for module in (birational, verify):
         def spy(rng, bound=birational.SAMPLE_BOUND, _name=module.__name__.rsplit(".", 1)[1]):
             bounds.add((_name, bound))
             return draw(rng, bound)
@@ -408,7 +408,7 @@ def test_verify_draws_with_bound_except_schlesinger_samples(capsys, monkeypatch)
         monkeypatch.setattr(module, "sample_fraction", spy)
     code, out, _ = run_cli(capsys, "verify", "all", "--trials", "2", "--bound", "77")
     assert code == 0, out
-    assert bounds == {("birational", 77), ("verify", 77), ("verify", 100), ("models", 100)}
+    assert bounds == {("birational", 77), ("verify", 77), ("verify", 100)}
 
 
 def test_verify_with_almost_all_draws_degenerate_is_input_error(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e6painleve import models
+from e6painleve import models, verify
 from e6painleve.birational import (
     Indeterminate,
     ParamVector,
@@ -36,10 +36,10 @@ from e6painleve.models import (
     phi_step,
     psi_orbit,
     psi_step,
-    sample_schlesinger,
     verify_equivalence,
 )
 from e6painleve.periodmap import root_variable_evolution, root_variables, scale_to_integers
+from e6painleve.verify import sample_schlesinger
 from e6painleve.weylgroup import word_to_picmap
 
 from oracles import (
@@ -469,13 +469,9 @@ def test_verify_equivalence_zero_trials_is_flagged():
 def test_sampling_loops_share_the_rejection_cap(monkeypatch):
     # With psi undefined everywhere, the transport loop and the psi-word loop
     # of the equivalence suite both stop after 10 straight rejections.
-    import e6painleve.models as models
-    import e6painleve.verify as verify
-
     def undefined(values, one, nonzero):
         raise Indeterminate("forced")
 
-    monkeypatch.setattr(models, "_psi_closed_form", undefined)
     monkeypatch.setattr(verify, "_psi_closed_form", undefined)
     with pytest.raises(TooManyDegenerateSamples, match="rejected 10 of 10 Schlesinger samples"):
         verify_equivalence(trials=3, seed=1)
@@ -485,12 +481,24 @@ def test_sampling_loops_share_the_rejection_cap(monkeypatch):
 
 def test_verify_equivalence_detects_perturbed_dictionary(monkeypatch):
     # b1 + 1 in the matched dictionary: on L theta with one = L, the first entry + one.
+    # The transport check runs in verify, on verify's binding of the dictionary.
     perturbed = mutant_of(models._matched_dictionary, "(-k1 - t01 - t11,", "(-k1 - t01 - t11 + one,")
-    monkeypatch.setattr(models, "_matched_dictionary", perturbed)
+    monkeypatch.setattr(verify, "_matched_dictionary", perturbed)
     report = verify_equivalence(trials=5, seed=23)
     transported = report.checks[1]
     assert not transported.passed
     assert transported.counterexample is not None
+
+
+def test_models_keeps_only_the_dynamics():
+    # The check types, samplers and sampling loops live in verify and birational;
+    # models.verify_equivalence is verify's, reached through a wrapper.
+    checks = {
+        "CheckResult", "EquivalenceReport", "_sample_json", "sample_check", "integer_maps_equal",
+        "MapComparison", "_scaled_state_draw", "sample_fraction", "sample_schlesinger", "random",
+    }
+    assert not checks & set(vars(models))
+    assert verify_equivalence(trials=2, seed=3) == verify.verify_equivalence(trials=2, seed=3)
 
 
 def test_orbit_lengths_and_invariants():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from e6painleve.birational import BirationalStep, Form, MapComparison, ProjectiveCoord, SurfacePoint
 from e6painleve.decompose import ReductionStep, decompose
-from e6painleve.models import PHI_WORD, CheckResult, EquivalenceReport, OrbitEntry, OrbitTrace, SchlesingerParams
+from e6painleve.models import PHI_WORD, OrbitEntry, OrbitTrace, SchlesingerParams
 from e6painleve.periodmap import ParamVector, RootVariables
 from e6painleve.piclattice import (
     CARTAN,
@@ -31,6 +31,7 @@ from e6painleve.piclattice import (
     symmetry_root,
     to_alpha_coords,
 )
+from e6painleve.verify import CheckResult, EquivalenceReport
 from e6painleve.weylgroup import PicMap, generator_picmap, word_to_picmap
 from oracles import to_alpha_coords_oracle
 

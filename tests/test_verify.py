@@ -1,15 +1,17 @@
 """The verify suites: one sampling loop, first-failure reports, independent checks."""
 
 import contextlib
-import functools
+import importlib.util
+import pathlib
 import random
 import sys
+from functools import partial
 
 import pytest
 
 from e6painleve import birational, models, periodmap, verify
 from e6painleve.birational import ParamVector, TooManyDegenerateSamples, sample_check, sample_fraction
-from e6painleve.models import CheckResult, sample_schlesinger
+from e6painleve.verify import CheckResult, sample_schlesinger
 import oracles
 from oracles import (
     birational_checks_oracle,
@@ -27,7 +29,7 @@ def test_every_sampled_check_runs_one_sample_check(monkeypatch):
         calls.append(args)
         return sample_check(*args, **kwargs)
 
-    for module in (birational, models, verify):
+    for module in (birational, verify):
         monkeypatch.setattr(module, "sample_check", spy)
     checks = verify.run_suite("all", trials=2, seed=1)
     assert len(calls) == sum(1 for c in checks if c.samples) == 29
@@ -48,7 +50,10 @@ def test_a_perturbed_psi_word_check_reports_its_first_failing_sample(monkeypatch
     for _ in range(check.rejected + 1):
         t, x, y = sample_schlesinger(rng), sample_fraction(rng, 100), sample_fraction(rng, 100)
     assert check.counterexample == {"theta": t.to_json(), "x": str(x), "y": str(y)}
-    assert all(c.passed for name, c in checks.items() if name != "psi_formula_equals_word")
+    # The transport check runs the same closed form, so the mutant fails it too.
+    assert not checks["transported_dynamics"].passed
+    psi_checks = ("psi_formula_equals_word", "transported_dynamics")
+    assert all(c.passed for name, c in checks.items() if name not in psi_checks)
 
 
 @contextlib.contextmanager
@@ -162,7 +167,7 @@ def test_relation_checks_report_the_counterexample():
     comparison = birational.maps_equal(
         birational.word_map(("w3",)), birational.word_map(("w5",)), trials=5, seed=10
     )
-    check = models.CheckResult.sampled("w3_is_w5", comparison)
+    check = CheckResult.sampled("w3_is_w5", comparison)
     b, p = comparison.counterexample
     assert check.to_json()["counterexample"] == {"b": b.to_json(), "point": p.to_json()}
 
@@ -170,8 +175,9 @@ def test_relation_checks_report_the_counterexample():
 def test_words_equal_reports_the_drawn_sample():
     # On scaled draws, the same result as maps_equal, and the counterexample
     # is the drawn (b, p), not its integer form.
-    draw = functools.cache(birational._scaled_state_draw(10, 10_000))
-    comparison = birational.words_equal(("w3",), ("w5",), 5, draw)
+    draw = birational._scaled_state_draw(10, 10_000)
+    words = [partial(birational.eval_integers, word) for word in (("w3",), ("w5",))]
+    comparison = birational.integer_maps_equal(*words, 5, draw)
     assert comparison == birational.maps_equal(
         birational.word_map(("w3",)), birational.word_map(("w5",)), trials=5, seed=10
     )
@@ -179,11 +185,20 @@ def test_words_equal_reports_the_drawn_sample():
 
 
 def test_relation_draws_are_scaled_once_per_suite(monkeypatch):
+    # Within a suite, and across the suites of "all": the 20 relations, the
+    # phi-word check and the conjugation check share one draw per call.
     calls = []
     scale = birational.scale_to_integers
     monkeypatch.setattr(birational, "scale_to_integers", lambda values: calls.append(values) or scale(values))
-    checks = verify.birational_suite(trials=10, seed=1)[: len(verify.RELATIONS)]
-    assert len(calls) == max(c.samples + c.rejected for c in checks) >= 10
+    shared = {name for name, _, _ in verify.RELATIONS} | {"phi_formula_equals_word", "conjugation"}
+    for run, count in (
+        (lambda: verify.birational_suite(trials=10, seed=1), len(verify.RELATIONS)),
+        (lambda: verify.run_suite("all", trials=10, seed=1), len(shared)),
+    ):
+        calls.clear()
+        checks = [c for c in run() if c.name in shared]
+        assert len(checks) == count
+        assert len(calls) == max(c.samples + c.rejected for c in checks) >= 10
 
 
 def test_generator_consistency_catches_a_wrong_root_fold():
@@ -250,7 +265,7 @@ def test_integer_psi_checks_match_their_fraction_forms_on_small_samples(monkeypa
     # rejections the seeded ones (up to 100) almost never do: the word or phi
     # at a base point, and the change of variables undefined.
     small = lambda rng, bound: sample_fraction(rng, 2)
-    for module in (models, verify, oracles):
+    for module in (verify, oracles):
         monkeypatch.setattr(module, "sample_fraction", small)
     psi_checks = ("psi_formula_equals_word", "transported_dynamics")
     reports = [c for seed in range(1, 6) for c in _equivalence_reports(seed, 10_000)]
@@ -260,14 +275,14 @@ def test_integer_psi_checks_match_their_fraction_forms_on_small_samples(monkeypa
 def test_a_perturbed_matched_dictionary_reports_the_fraction_forms_counterexample(monkeypatch):
     # b1 + 1 in the matched dictionary: on L theta with one = L, the first entry + one.
     perturbed = mutant_of(models._matched_dictionary, "(-k1 - t01 - t11,", "(-k1 - t01 - t11 + one,")
-    monkeypatch.setattr(models, "_matched_dictionary", perturbed)
+    monkeypatch.setattr(verify, "_matched_dictionary", perturbed)
 
     def perturbed_oracle(t):
         b = matched_dictionary_oracle(t)
         return ParamVector((b.b[0] + 1,) + b.b[1:])
 
     for seed in range(1, 6):
-        report = models.verify_equivalence(trials=10, seed=seed)
+        report = verify.verify_equivalence(trials=10, seed=seed)
         oracle = equivalence_checks_oracle(10, seed, 10_000, matched_dictionary=perturbed_oracle)
         expected = [CheckResult.sampled(*check).to_json() for check in oracle[2:]]
         assert [c.to_json() for c in report.checks] == expected, seed
@@ -279,8 +294,7 @@ def test_a_perturbed_matched_dictionary_reports_the_fraction_forms_counterexampl
 def test_a_psi_ring_form_mutant_fails_the_psi_checks(monkeypatch):
     # One coefficient of x~'s denominator: (t11 + one) -> (t11 + 2 one).
     mutant = mutant_of(models._psi_closed_form, "An * (t11 + one)", "An * (t11 + 2 * one)")
-    for module in (models, verify):
-        monkeypatch.setattr(module, "_psi_closed_form", mutant)
+    monkeypatch.setattr(verify, "_psi_closed_form", mutant)
     checks = {c.name: c for c in verify.equivalence_suite(trials=5, seed=1)}
     assert not checks["psi_formula_equals_word"].passed
     assert not checks["transported_dynamics"].passed
@@ -294,3 +308,14 @@ def test_a_phi_kernel_mutant_fails_the_phi_checks(monkeypatch):
     assert not checks["phi_formula_equals_word"].passed
     assert not checks["conjugation"].passed
     assert checks["psi_formula_equals_word"].passed
+
+
+def test_every_tracer_target_resolves():
+    # The benchmark's tracer reads each (module, function) of its TARGETS with a bare getattr.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, function_name, *_ in spans.TARGETS:
+        module = importlib.import_module(f"e6painleve.{module_name}")
+        assert callable(getattr(module, function_name, None)), (module_name, function_name)
