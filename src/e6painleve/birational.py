@@ -32,8 +32,8 @@ generator_step.cache_clear() drops it.
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
 (randomized polynomial identity testing), and every agreement check here is
-exact, never approximate.  Every randomized check, here and in models and
-verify, runs through the one sampling loop sample_check: it draws, rejects
+exact, never approximate.  Every randomized check, here and in verify,
+runs through the one sampling loop sample_check: it draws, rejects
 degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
 rejected.  maps_equal is that loop on pairs of maps, and integer_maps_equal,

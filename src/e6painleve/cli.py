@@ -32,8 +32,7 @@ from .models import (
     PSI_PIC_ACTION,
     SchlesingerParams,
     _indices,
-    phi_orbit,
-    psi_orbit,
+    orbit,
 )
 from .periodmap import root_variables
 from .serialize import coord_decimal, decimal_str, parse_fraction_list, parse_params, parse_point, parse_schlesinger
@@ -244,18 +243,13 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         raise InputError(f"--map {args.map} does not take --{other}")
     try:
         if args.map == "phi":
-            b = parse_params(args.b)
-            point = parse_point(args.point)
+            state = (parse_params(args.b), parse_point(args.point))
         else:
-            t = parse_schlesinger(args.theta)
-            x, y = parse_fraction_list(args.point, 2)
+            state = (parse_schlesinger(args.theta), *parse_fraction_list(args.point, 2))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     try:
-        if args.map == "phi":
-            trace = phi_orbit(b, point, args.steps)
-        else:
-            trace = psi_orbit(t, x, y, args.steps)
+        trace = orbit(args.map, state, args.steps)
     except Indeterminate as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None:

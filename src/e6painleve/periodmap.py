@@ -35,54 +35,28 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .piclattice import DELTA_WEIGHTS, _Value
+from .piclattice import DELTA_WEIGHTS, _RationalVector
 from .weylgroup import fold_root_values
 
 
-class ParamVector(_Value):
+class ParamVector(_RationalVector):
     """The eight blowup-position parameters (b1, ..., b8), exact rationals."""
 
-    _fields = ("b",)
-
-    def __post_init__(self) -> None:
-        if len(self.b) != 8:
-            raise ValueError(f"expected 8 parameters, got {len(self.b)}")
-        if type(self.b) is not tuple or not all(type(x) is Fraction for x in self.b):
-            object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-
-    @classmethod
-    def of(cls, *values) -> "ParamVector":
-        return cls(tuple(Fraction(v) for v in values))
+    _fields, length, noun = ("b",), 8, "parameters"
 
     def chi_delta(self) -> Fraction:
         """The parameter sum b1 + ... + b8 (value of the period map on delta)."""
         return sum(self.b, Fraction(0))
 
-    def to_json(self) -> list[str]:
-        return [str(x) for x in self.b]
 
-
-class RootVariables(_Value):
+class RootVariables(_RationalVector):
     """The seven root variables (a0, ..., a6), exact rationals."""
 
-    _fields = ("a",)
-
-    def __post_init__(self) -> None:
-        if len(self.a) != 7:
-            raise ValueError(f"expected 7 root variables, got {len(self.a)}")
-        if type(self.a) is not tuple or not all(type(x) is Fraction for x in self.a):
-            object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-
-    @classmethod
-    def of(cls, *values) -> "RootVariables":
-        return cls(tuple(Fraction(v) for v in values))
+    _fields, length, noun = ("a",), 7, "root variables"
 
     def chi_delta(self) -> Fraction:
         """Period of the null root: a0 + 2a1 + 3a2 + 2a3 + a4 + 2a5 + a6."""
         return delta_period(self.a)
-
-    def to_json(self) -> list[str]:
-        return [str(x) for x in self.a]
 
 
 def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:

@@ -131,6 +131,28 @@ class _IntegerVector(_Value):
         return list(self.coeffs)
 
 
+class _RationalVector(_Value):
+    """A frozen vector of `length` exact rationals in its one field; a subclass sets _fields, length and noun (named in errors).
+
+    Entries convert to Fraction, and a tuple holding only Fractions is kept as given.
+    """
+
+    def __post_init__(self) -> None:
+        name = self._fields[0]
+        values = getattr(self, name)
+        if len(values) != self.length:
+            raise ValueError(f"expected {self.length} {self.noun}, got {len(values)}")
+        if type(values) is not tuple or not all(type(x) is Fraction for x in values):
+            object.__setattr__(self, name, tuple(Fraction(x) for x in values))
+
+    @classmethod
+    def of(cls, *values):
+        return cls(tuple(Fraction(v) for v in values))
+
+    def to_json(self) -> list[str]:
+        return [str(x) for x in getattr(self, self._fields[0])]
+
+
 class DivisorClass(_IntegerVector):
     """Integer vector in the basis (Hf, Hg, E1, ..., E8)."""
 
@@ -226,22 +248,10 @@ class RootVector(_IntegerVector):
     length, kind = 7, "root vector"
 
 
-class RationalRootVector(_Value):
+class RationalRootVector(_RationalVector):
     """Rational coordinates on the symmetry simple roots (element of Q tensor QQ)."""
 
-    _fields = ("coeffs",)
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != 7:
-            raise ValueError(f"expected 7 coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def of(cls, *coeffs) -> "RationalRootVector":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+    _fields, length, noun = ("coeffs",), 7, "coefficients"
 
 
 class Sign(enum.Enum):

@@ -355,8 +355,7 @@ def test_orbit_and_verify_refuse_runs_past_their_caps(capsys, monkeypatch):
     # bound above 10^18, is an input error raised before any work starts;
     # the caps themselves run.
     started = []
-    monkeypatch.setattr(cli, "phi_orbit", lambda *args: started.append("phi") or OrbitTrace("phi", ()))
-    monkeypatch.setattr(cli, "psi_orbit", lambda *args: started.append("psi") or OrbitTrace("psi", ()))
+    monkeypatch.setattr(cli, "orbit", lambda kind, *args: started.append(kind) or OrbitTrace(kind, ()))
     monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: started.append("verify") or [])
     for argv, message in (
         (("orbit", "--map", "phi", "--steps", "99999999999999999999", *README_PHI), "--steps must be at most 10000"),

@@ -169,6 +169,26 @@ def test_divisor_class_validation():
         assert str(entries.value) == f"{kind} coefficients must be integers"
 
 
+def test_rational_vector_validation():
+    for cls, message in (
+        (ParamVector, "expected 8 parameters, got 3"),
+        (RootVariables, "expected 7 root variables, got 3"),
+        (RationalRootVector, "expected 7 coefficients, got 3"),
+    ):
+        field, n = cls._fields[0], cls.length
+        with pytest.raises(ValueError) as length:
+            cls((1, 2, 3))
+        assert str(length.value) == message
+        entries = [1, "-1/2", *range(2, n)]
+        expected = (Fraction(1), Fraction(-1, 2), *map(Fraction, range(2, n)))
+        for v in (cls(entries), cls(tuple(entries)), cls.of(*entries)):
+            values = getattr(v, field)
+            assert type(values) is tuple and all(type(x) is Fraction for x in values) and values == expected
+            assert v.to_json() == ["1", "-1/2", *map(str, range(2, n))]
+        # A tuple already holding only Fractions is kept as given.
+        assert getattr(cls(expected), field) is expected
+
+
 def test_integer_vectors_keep_repr_equality_hash_and_pickling():
     for v in (H_F, RootVector.of(1, 2, 3, 2, 1, 2, 1)):
         name = type(v).__name__
