@@ -27,7 +27,8 @@ tables into one function (f, g, b) -> (num, den) and each step its
 param_rows into one b -> b~ (BirationalStep.rows), from the library's own
 integer coefficients and indices, so no formula or input text reaches
 compile; the objects holding the tables hold the code, so
-generator_step.cache_clear() drops it.
+generator_step.cache_clear() drops it, and with it the one table from which
+eval_integers reads each letter's code (BirationalStep.kernel).
 
 Equality of composed maps is decided by seeded random evaluation: two chains
 agreeing at generic rational samples are equal with overwhelming probability
@@ -37,8 +38,10 @@ runs through the one sampling loop sample_check: it draws, rejects
 degenerate draws, stops at the first failing sample, and raises
 TooManyDegenerateSamples once more than 90 percent of its draws were
 rejected.  maps_equal is that loop on pairs of maps, and integer_maps_equal,
-on draws its caller passes (maps_equal's, each with its integer form, cached
-and shared), on pairs of maps on integers (words, or phi) at one scale.
+on draws its caller passes (maps_equal's, cached and shared), on pairs of
+maps on integers (words, or phi) at one scale.  Samples are drawn as integer
+pairs (sample_integers, which the Fraction samplers wrap) and scaled once;
+the Fraction sample is built only to report a counterexample.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import cache, cached_property, lru_cache
 
 from .periodmap import ParamVector, param_values, root_values, scale_to_integers
 from .piclattice import _compile, _Value
-from .weylgroup import fold_root_values, generator_picmap, SYMBOLS
+from .weylgroup import fold_root_values, generator_picmap, parse_word, SYMBOLS
 
 
 class Indeterminate(ArithmeticError):
@@ -281,13 +284,30 @@ def param_rows(symbol: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, col[k]) for j, col in enumerate(columns) if col[k]) for k in range(8))
 
 
-@lru_cache(maxsize=None)
+#: The steps built so far, and the twelve steps' kernels by symbol, which eval_integers reads on its first word.
+_STEPS: dict[str, BirationalStep] = {}
+_KERNELS: dict[str, tuple] = {}
+
+
 def generator_step(symbol: str) -> BirationalStep:
-    """The elementary birational map attached to a generator symbol."""
-    if symbol not in SYMBOLS:
-        raise ValueError(f"unknown generator symbol {symbol!r}")
-    coord_f, coord_g = _FORMULAS[symbol]
-    return BirationalStep(symbol, Form.parse(coord_f), Form.parse(coord_g), generator_picmap(symbol))
+    """The elementary birational map attached to a generator symbol, built once.
+
+    generator_step.cache_clear() drops every step, the code compiled on it and its kernel.
+    """
+    if symbol not in _STEPS:
+        if symbol not in SYMBOLS:
+            raise ValueError(f"unknown generator symbol {symbol!r}")
+        coord_f, coord_g = _FORMULAS[symbol]
+        _STEPS[symbol] = BirationalStep(symbol, Form.parse(coord_f), Form.parse(coord_g), generator_picmap(symbol))
+    return _STEPS[symbol]
+
+
+def _clear_steps() -> None:
+    _STEPS.clear()
+    _KERNELS.clear()
+
+
+generator_step.cache_clear = _clear_steps
 
 
 def eval_step(
@@ -309,8 +329,14 @@ def eval_integers(
     back as given, unreduced.  Raises Indeterminate, with the step index and
     symbol, when the point is a base point of a step.
     """
+    if not _KERNELS:
+        _KERNELS.update((s, generator_step(s).kernel) for s in SYMBOLS)
     for pos, symbol in enumerate(reversed(word)):
-        coord_f, coord_g, rows = generator_step(symbol).kernel
+        try:
+            coord_f, coord_g, rows = _KERNELS[symbol]
+        except KeyError:
+            parse_word((symbol,))  # names the unknown symbol
+            raise
         if coord_f or coord_g:
             try:
                 f, g = (
@@ -369,14 +395,38 @@ def word_map(word: Iterable[str]) -> Callable[[ParamVector, SurfacePoint], tuple
 SAMPLE_BOUND = 10_000
 
 
+def sample_integers(rng: random.Random, count: int, bound: int = SAMPLE_BOUND) -> tuple[int, tuple[int, ...], list]:
+    """count seeded rationals x as integers: (L, L x, pairs), L the lcm of their denominators.
+
+    Each x is rng.randint(-bound, bound) over rng.randint(1, bound), kept as
+    its pair (n, d) in lowest terms (0 is (0, 1), as in Fraction): (L, L x)
+    is scale_to_integers of the Fractions x, which only a report builds.
+    """
+    randint, pairs = rng.randint, []
+    for _ in range(count):
+        num, den = randint(-bound, bound), randint(1, bound)
+        common = math.gcd(num, den)
+        pairs.append((num // common, den // common))
+    scale = math.lcm(*[den for _, den in pairs])
+    return scale, tuple([num * (scale // den) for num, den in pairs]), pairs
+
+
 def sample_fraction(rng: random.Random, bound: int = SAMPLE_BOUND) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    return Fraction(*sample_integers(rng, 1, bound)[2][0])
 
 
 def sample_state(rng: random.Random, bound: int = SAMPLE_BOUND) -> tuple[ParamVector, SurfacePoint]:
-    b = ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
-    p = SurfacePoint.affine(sample_fraction(rng, bound), sample_fraction(rng, bound))
-    return b, p
+    return _state(sample_integers(rng, 10, bound)[2])
+
+
+def _fractions(pairs: list[tuple[int, int]]) -> list[Fraction]:
+    return [Fraction(n, d) for n, d in pairs]
+
+
+def _state(pairs: list[tuple[int, int]]) -> tuple[ParamVector, SurfacePoint]:
+    """The sample (b, p) of ten drawn pairs: b1..b8, then f and g."""
+    *b, f, g = _fractions(pairs)
+    return ParamVector(tuple(b)), SurfacePoint.affine(f, g)
 
 
 def _per_sample_rng(seed: int, index: int) -> random.Random:
@@ -429,17 +479,17 @@ MapLike = Callable[[ParamVector, SurfacePoint], tuple[ParamVector, SurfacePoint]
 
 
 def _scaled_state_draw(seed: int, bound: int) -> Callable[[int], tuple]:
-    """maps_equal's samples (b, p), each paired with its integer form (L b; L f, L g).
+    """maps_equal's samples drawn as integers: each sample's pairs, with (L b; (L f : 1), (L g : 1)).
 
-    The draw keeps every sample it made, so comparisons that share it draw
-    and scale each sample once, for as long as the caller holds the draw.
+    L is the lcm of all ten denominators.  The draw keeps every sample it
+    made, so comparisons that share it draw each sample once, for as long as
+    the caller holds the draw; _state rebuilds the sample (b, p).
     """
 
     @cache
     def draw(index: int) -> tuple:
-        b, p = sample = sample_state(_per_sample_rng(seed, index), bound)
-        scale, ints = scale_to_integers(b.b)
-        return sample, (ints, p.f.pair(scale), p.g.pair(scale))
+        _, ints, pairs = sample_integers(_per_sample_rng(seed, index), 10, bound)
+        return pairs, (ints[:8], (ints[8], 1), (ints[9], 1))
 
     return draw
 
@@ -474,17 +524,18 @@ def integer_maps_equal(
     """maps_equal of two maps on integers, on draw's samples: the same rejections and result.
 
     Each map takes the draw's one scaling (L b; L f, L g), as eval_integers
-    does, and returns (L b~; L f~, L g~), compared with the coordinates as
-    pairs in lowest terms.  The caller passes the draw, so several
+    does, and returns (L b~; L f~, L g~), the coordinates compared as points
+    of P1 by cross-multiplication: neither map returns (0 : 0), since both
+    raise Indeterminate there.  The caller passes the draw, so several
     comparisons can share one cached stream (of _scaled_state_draw(seed,
-    bound): maps_equal's draws, each scaled once); a counterexample is the
-    drawn (b, p).
+    bound): maps_equal's draws, as integers); a counterexample is the drawn
+    (b, p), built from its pairs.
     """
 
     def holds(drawn: tuple) -> bool:
-        b1, f1, g1 = map_a(*drawn[1])
-        b2, f2, g2 = map_b(*drawn[1])
-        return b1 == b2 and _lowest_terms(*f1) == _lowest_terms(*f2) and _lowest_terms(*g1) == _lowest_terms(*g2)
+        b1, (f1, f1_den), (g1, g1_den) = map_a(*drawn[1])
+        b2, (f2, f2_den), (g2, g2_den) = map_b(*drawn[1])
+        return b1 == b2 and f1 * f2_den == f2 * f1_den and g1 * g2_den == g2 * g1_den
 
-    result = sample_check(trials, draw, holds, "sampled inputs")
-    return result if result.equal else MapComparison(False, result.samples, result.rejected, result.counterexample[0])
+    found = sample_check(trials, draw, holds, "sampled inputs")
+    return found if found.equal else MapComparison(False, found.samples, found.rejected, _state(found.counterexample[0]))

@@ -5,11 +5,13 @@ CheckResults; a suite passes when every check does.  The exact rows are
 matrix-level identities.  The basis rows, the period checks, are linear
 identities proved on fixed bases: they draw nothing, so --trials, --seed
 and --bound do not change them.  The sampled rows draw seeded generic
-rational samples, scale each draw once to integers (by the lcm L of its
-denominators) and compare integers, which is exact because every map they
-compare is homogeneous in that scaling: words through eval_integers, phi
-through phi_integers, and psi's closed form and the dictionaries with
-one = L.  The shared rows (the 20 relations, phi_formula_equals_word and
+rational samples as integer pairs (sample_integers), scaled once by the lcm
+L of their denominators, and compare integers, which is exact because every
+map they compare is homogeneous in that scaling: words through
+eval_integers, phi through phi_integers, and psi's closed form and the
+dictionaries with one = L.  A sample's Fractions (ParamVector and
+SurfacePoint, or SchlesingerParams, x and y) are built only for a
+counterexample.  The shared rows (the 20 relations, phi_formula_equals_word and
 conjugation) draw the same samples, from one _scaled_state_draw per
 run_suite call; each other sampled row draws its own seeded stream.
 verify_equivalence runs the equivalence suite's last two rows.
@@ -20,18 +22,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
 
 from .birational import (
     SAMPLE_BOUND,
     MapComparison,
     ParamVector,
+    _fractions,
     _lowest_terms,
     _scaled_state_draw,
     eval_integers,
     generator_step,
     integer_maps_equal,
     sample_check,
-    sample_fraction,
+    sample_integers,
 )
 from .models import (
     CONJUGATOR_WORD,
@@ -42,7 +46,6 @@ from .models import (
     SchlesingerParams,
     _change_of_variables,
     _chart_dictionary,
-    _indices,
     _matched_dictionary,
     _psi_closed_form,
     _shifted,
@@ -96,16 +99,18 @@ class CheckResult(_Value):
 
     @classmethod
     def sampled(
-        cls, name: str, comparison: MapComparison, fields: tuple[str, ...] = ("b", "point")
+        cls, name: str, comparison: MapComparison, fields: tuple[str, ...] = ("b", "point"), rebuild=None
     ) -> "CheckResult":
         """The result of a randomized check.
 
         fields name the parts of a sample, or the sample itself when there
-        is one field; the first failing sample becomes the counterexample.
+        is one field; the first failing sample becomes the counterexample,
+        built by rebuild from the draw where the check drew integers.
         """
         counterexample = None
         if comparison.counterexample is not None:
-            parts = comparison.counterexample if len(fields) > 1 else (comparison.counterexample,)
+            sample = comparison.counterexample if rebuild is None else rebuild(comparison.counterexample)
+            parts = sample if len(fields) > 1 else (sample,)
             counterexample = {field: _sample_json(v) for field, v in zip(fields, parts)}
         return cls(
             name, comparison.equal, comparison.samples, comparison.rejected,
@@ -152,12 +157,15 @@ def _run(rows, trials: int = TRIALS, seed: int = 0, bound: int = SAMPLE_BOUND, d
     thunk() is the verdict or (verdict, note); "shared", map_a, map_b, two
     maps on integers (L b; L f, L g) compared by integer_maps_equal on draw,
     by default one _scaled_state_draw(seed, bound) for this call; "stream",
-    draw, holds, what, fields, sample_check on the row's own seeded stream;
-    "basis", basis, holds, fields, proved on the vectors of basis in order.
+    draw, holds, what, fields, rebuild, sample_check on the row's own seeded
+    stream of integer draws, rebuild making a failing one the sample it
+    stands for; "basis", basis, holds, fields, proved on the vectors of
+    basis in order.
     """
     draw = draw or _scaled_state_draw(seed, bound)
     checks = []
     for name, kind, *row in rows:
+        rebuild = None
         if kind == "exact":
             verdict = row[0]()
             passed, note = verdict if type(verdict) is tuple else (verdict, "")
@@ -166,12 +174,12 @@ def _run(rows, trials: int = TRIALS, seed: int = 0, bound: int = SAMPLE_BOUND, d
         if kind == "shared":
             comparison, fields = integer_maps_equal(*row, trials, draw), ("b", "point")
         elif kind == "stream":
-            sample, holds, what, fields = row
+            sample, holds, what, fields, rebuild = row
             comparison = sample_check(trials, sample, holds, what)
         else:
             basis, holds, fields = row
             comparison = sample_check(len(basis), lambda i: basis[i - 1], holds, "basis vectors")
-        checks.append(CheckResult.sampled(name, comparison, fields))
+        checks.append(CheckResult.sampled(name, comparison, fields, rebuild))
     return checks
 
 
@@ -221,9 +229,9 @@ RELATIONS = (
 )
 
 
-def _gauge_fixed(b: ParamVector) -> bool:
+def _gauge_fixed(drawn: tuple) -> bool:
     # On L b: every generator fixes the fourth integer and the sum.
-    _, ints = scale_to_integers(b.b)
+    ints = drawn[1]
     total = sum(ints)
     return all(new[3] == ints[3] and sum(new) == total for new in (generator_step(s).rows(ints) for s in SYMBOLS))
 
@@ -231,10 +239,11 @@ def _gauge_fixed(b: ParamVector) -> bool:
 def birational_suite(trials: int = TRIALS, seed: int = 0, bound: int = SAMPLE_BOUND, draw=None) -> list[CheckResult]:
     """Pointwise identities of the elementary maps at generic samples."""
     rng = random.Random(f"gauge:{seed}")
-    params = lambda _: ParamVector(tuple(sample_fraction(rng, bound) for _ in range(8)))
+    params = lambda _: sample_integers(rng, 8, bound)
+    rebuild = lambda drawn: ParamVector(_fractions(drawn[2]))
     return _run(
         [(name, "shared", partial(eval_integers, lhs), partial(eval_integers, rhs)) for name, lhs, rhs in RELATIONS]
-        + [("gauge_fixes_b4_and_chi_delta", "stream", params, _gauge_fixed, "parameter samples", ("b",))],
+        + [("gauge_fixes_b4_and_chi_delta", "stream", params, _gauge_fixed, "parameter samples", ("b",), rebuild)],
         trials, seed, bound, draw,
     )
 
@@ -266,7 +275,7 @@ def period_suite() -> list[CheckResult]:
         _, ints = scale_to_integers(b.b)
         a = root_values(ints)
         for s in SYMBOLS:
-            predicted = [sum(c * x for c, x in zip(row, a)) for row in _lattice_root_evolution((s,))]
+            predicted = [sum(map(mul, row, a)) for row in _lattice_root_evolution((s,))]
             if list(root_values(generator_step(s).rows(ints))) != predicted:
                 return False
         return True
@@ -299,20 +308,29 @@ def period_suite() -> list[CheckResult]:
 
 def sample_schlesinger(rng: random.Random, bound: int = SCHLESINGER_BOUND) -> SchlesingerParams:
     """Random indices satisfying the Fuchs relation (kappa3 balances the sum)."""
-    vals = [sample_fraction(rng, bound) for _ in range(6)]
-    kappa3 = -sum(vals, Fraction(0))
-    return SchlesingerParams(vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], kappa3)
+    theta = _fractions(sample_integers(rng, 6, bound)[2])
+    return SchlesingerParams(*theta, -sum(theta))
 
 
-def _schlesinger_sample(rng: random.Random) -> tuple[SchlesingerParams, Fraction, Fraction]:
-    """A sample (theta, x, y) of the two psi checks."""
-    return sample_schlesinger(rng), sample_fraction(rng, SCHLESINGER_BOUND), sample_fraction(rng, SCHLESINGER_BOUND)
+def _schlesinger_sample(rng: random.Random, bound: int = SCHLESINGER_BOUND) -> tuple:
+    """A sample (theta, x, y) of the two psi checks as integers: (L, L (theta, x, y), the eight drawn pairs).
+
+    theta is drawn as sample_schlesinger draws it, then x and y, and L is the lcm over those
+    eight: kappa3's denominator divides it, and L kappa3 is minus the sum of the six L theta.
+    """
+    one, ints, pairs = sample_integers(rng, 8, bound)
+    return one, (*ints[:6], -sum(ints[:6]), *ints[6:]), pairs
+
+
+def _schlesinger_of(drawn: tuple) -> tuple[SchlesingerParams, Fraction, Fraction]:
+    """The sample (theta, x, y) that a _schlesinger_sample draw stands for."""
+    *theta, x, y = _fractions(drawn[2])
+    return SchlesingerParams(*theta, -sum(theta)), x, y
 
 
 def _psi_matches_word(sample: tuple) -> bool | None:
     # On L (theta, x, y): psi's pairs against the word's from the chart's L b.
-    t, x, y = sample
-    one, values = scale_to_integers((*_indices(t), x, y))
+    one, values, _ = sample
     x_new, y_new = _psi_closed_form(values, one, bool)
     chart, point = _chart_dictionary(values[:7], one), ((values[7], 1), (values[8], 1))
     word_b, word_x, word_y = eval_integers(PSI_WORD, chart, *point)
@@ -325,8 +343,7 @@ def _psi_matches_word(sample: tuple) -> bool | None:
 
 def _transported(sample: tuple) -> bool | None:
     # One psi step, mapped by the change of variables, against one phi step under the matched dictionary.
-    t, x, y = sample
-    one, values = scale_to_integers((*_indices(t), x, y))
+    one, values, _ = sample
     indices, new_indices = values[:7], _shifted(values[:7], one)
     f_new, g_new = _change_of_variables(new_indices, *_psi_closed_form(values, one, bool))
     f, g = _change_of_variables(indices, (values[7], 1), (values[8], 1))
@@ -343,7 +360,7 @@ def _equivalence_rows(seed: int) -> tuple:
     draw = lambda index: _schlesinger_sample(random.Random(f"equivalence:{seed}:{index}"))
     return (
         ("conjugation", "shared", phi_integers, partial(eval_integers, conjugated)),
-        ("transported_dynamics", "stream", draw, _transported, "Schlesinger samples", ("theta", "x", "y")),
+        ("transported_dynamics", "stream", draw, _transported, "Schlesinger samples", ("theta", "x", "y"), _schlesinger_of),
     )
 
 
@@ -358,8 +375,8 @@ def verify_equivalence(trials: int = TRIALS, seed: int = 0, bound: int = SAMPLE_
        step (in (x, y)) with one phi step (in (f, g)) under the matched
        dictionary, including the parameter evolution.
 
-    Both compare on integers, each sample scaled once (every map involved is
-    homogeneous of degree 1).  The conjugation samples have numerators and
+    Both compare on integers, each sample drawn as integer pairs and scaled
+    once (every map involved is homogeneous of degree 1).  The conjugation samples have numerators and
     denominators up to bound, the Schlesinger samples of the transport
     check up to SCHLESINGER_BOUND.  Raises ValueError when trials is below
     1, since neither check would then compare a sample.
@@ -390,7 +407,7 @@ def equivalence_suite(
         ("conjugator_found", "exact", conjugator),
         ("phi_formula_equals_word", "shared", phi_integers, partial(eval_integers, PHI_WORD)),
         ("psi_formula_equals_word", "stream",
-         lambda _: _schlesinger_sample(rng), _psi_matches_word, "psi/word samples", ("theta", "x", "y")),
+         lambda _: _schlesinger_sample(rng), _psi_matches_word, "psi/word samples", ("theta", "x", "y"), _schlesinger_of),
         *_equivalence_rows(seed),
     ), trials, seed, bound, draw)
 

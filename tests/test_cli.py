@@ -398,13 +398,13 @@ def test_verify_draws_with_bound_except_schlesinger_samples(capsys, monkeypatch)
     # the Schlesinger samples (psi-word and transport checks) keep bound 100.
     from e6painleve import birational, verify
 
-    bounds, draw = set(), birational.sample_fraction
+    bounds, draw = set(), birational.sample_integers
     for module in (birational, verify):
-        def spy(rng, bound=birational.SAMPLE_BOUND, _name=module.__name__.rsplit(".", 1)[1]):
+        def spy(rng, count, bound=birational.SAMPLE_BOUND, _name=module.__name__.rsplit(".", 1)[1]):
             bounds.add((_name, bound))
-            return draw(rng, bound)
+            return draw(rng, count, bound)
 
-        monkeypatch.setattr(module, "sample_fraction", spy)
+        monkeypatch.setattr(module, "sample_integers", spy)
     code, out, _ = run_cli(capsys, "verify", "all", "--trials", "2", "--bound", "77")
     assert code == 0, out
     assert bounds == {("birational", 77), ("verify", 77), ("verify", 100)}
@@ -461,6 +461,20 @@ def test_verify_all_output_is_unchanged(capsys):
         code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(seed), "--trials", str(trials))
         assert code == 0
         assert out == (GOLDEN / f"verify_all_seed{seed}_trials{trials}.json").read_text()
+
+
+def test_verify_rejections_are_unchanged(capsys):
+    # Small bounds make many draws base points: the shared relation draws
+    # (bound 3) and phi's and the conjugation's (bound 2) reject some, and
+    # the rejected counts are pinned byte for byte.
+    for suite, bound, golden in (
+        ("birational", 3, "verify_birational_seed2_trials10_bound3.json"),
+        ("equivalence", 2, "verify_equivalence_seed2_bound2.json"),
+    ):
+        code, out, _ = run_cli(capsys, "verify", suite, "--seed", "2", "--trials", "10", "--bound", str(bound))
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+        assert any(check["rejected"] for check in json.loads(out)["checks"])
 
 
 def test_gens_lists_all_generators(capsys):

@@ -2,15 +2,20 @@
 
 import contextlib
 import importlib.util
+import json
 import pathlib
 import random
 import sys
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
 from e6painleve import birational, models, periodmap, verify
-from e6painleve.birational import ParamVector, TooManyDegenerateSamples, sample_check, sample_fraction
+from e6painleve.birational import ParamVector, SurfacePoint, TooManyDegenerateSamples, sample_check, sample_fraction
+from e6painleve.cli import main
+from e6painleve.models import SchlesingerParams
+from e6painleve.periodmap import scale_to_integers
 from e6painleve.verify import CheckResult, sample_schlesinger
 import oracles
 from oracles import (
@@ -173,23 +178,37 @@ def test_relation_checks_report_the_counterexample():
 
 
 def test_words_equal_reports_the_drawn_sample():
-    # On scaled draws, the same result as maps_equal, and the counterexample
-    # is the drawn (b, p), not its integer form.
+    # On draws made as integers, the same result as maps_equal, and the
+    # counterexample is the drawn (b, p), not its integer form.
     draw = birational._scaled_state_draw(10, 10_000)
     words = [partial(birational.eval_integers, word) for word in (("w3",), ("w5",))]
     comparison = birational.integer_maps_equal(*words, 5, draw)
     assert comparison == birational.maps_equal(
         birational.word_map(("w3",)), birational.word_map(("w5",)), trials=5, seed=10
     )
-    assert comparison.counterexample == draw(comparison.samples + comparison.rejected)[0]
+    rng = birational._per_sample_rng(10, comparison.samples + comparison.rejected)
+    assert comparison.counterexample == birational.sample_state(rng, 10_000)
+
+
+def test_integer_maps_equal_compares_coordinates_as_points_of_p1():
+    # (n : d), (-2n : -2d) and (3n : 3d) are one point; (n : 2d) is another unless n = 0.
+    draw = birational._scaled_state_draw(1, 100)
+    same = lambda b, f, g: (b, f, g)
+    rescaled = lambda b, f, g: (b, (-2 * f[0], -2 * f[1]), (3 * g[0], 3 * g[1]))
+    assert birational.integer_maps_equal(same, rescaled, 5, draw).equal
+    b, p = birational.sample_state(birational._per_sample_rng(1, 1), 100)
+    assert p.f.numerator and p.g.numerator
+    for halved in (lambda b, f, g: (b, (f[0], 2 * f[1]), g), lambda b, f, g: (b, f, (g[0], 2 * g[1]))):
+        comparison = birational.integer_maps_equal(same, halved, 5, draw)
+        assert (comparison.equal, comparison.samples, comparison.counterexample) == (False, 1, (b, p))
 
 
 def test_relation_draws_are_scaled_once_per_suite(monkeypatch):
     # Within a suite, and across the suites of "all": the 20 relations, the
     # phi-word check and the conjugation check share one draw per call.
     calls = []
-    scale = birational.scale_to_integers
-    monkeypatch.setattr(birational, "scale_to_integers", lambda values: calls.append(values) or scale(values))
+    sample = birational.sample_integers
+    monkeypatch.setattr(birational, "sample_integers", lambda *args: calls.append(args) or sample(*args))
     shared = {name for name, _, _ in verify.RELATIONS} | {"phi_formula_equals_word", "conjugation"}
     for run, count in (
         (lambda: verify.birational_suite(trials=10, seed=1), len(verify.RELATIONS)),
@@ -199,6 +218,64 @@ def test_relation_draws_are_scaled_once_per_suite(monkeypatch):
         checks = [c for c in run() if c.name in shared]
         assert len(checks) == count
         assert len(calls) == max(c.samples + c.rejected for c in checks) >= 10
+
+
+def _fraction_draws(rng, count, bound):
+    """count rationals drawn from rng as Fractions, numerator then denominator."""
+    return [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bound", (1, 2, 100, 10_000, 10**18))
+def test_integer_draws_are_the_scaled_fraction_draws(bound):
+    # Every sampled stream draws integers: scale_to_integers of the Fractions
+    # that the same seeded stream gives, with those Fractions as its pairs.
+    lowest = lambda drawn: [(x.numerator, x.denominator) for x in drawn]
+    for seed in range(1, 21):
+        shared = birational._scaled_state_draw(seed, bound)
+        gauge, gauge_ref = random.Random(f"gauge:{seed}"), random.Random(f"gauge:{seed}")
+        psi_word, psi_word_ref = random.Random(f"psi-word:{seed}"), random.Random(f"psi-word:{seed}")
+        for index in range(1, 4):
+            pairs, (b, f, g) = shared(index)
+            drawn = _fraction_draws(birational._per_sample_rng(seed, index), 10, bound)
+            ints = scale_to_integers(drawn)[1]
+            assert (pairs, b, f, g) == (lowest(drawn), ints[:8], (ints[8], 1), (ints[9], 1))
+            transport = f"equivalence:{seed}:{index}"
+            streams = [
+                (birational.sample_integers(gauge, 8, bound), _fraction_draws(gauge_ref, 8, bound), False),
+                (verify._schlesinger_sample(psi_word, bound), _fraction_draws(psi_word_ref, 8, bound), True),
+                (
+                    verify._schlesinger_sample(random.Random(transport), bound),
+                    _fraction_draws(random.Random(transport), 8, bound),
+                    True,
+                ),
+            ]
+            for (scale, ints, pairs), drawn, fuchs in streams:
+                # A Schlesinger sample is theta01..kappa2, then x and y; kappa3 balances the indices.
+                values = drawn[:6] + [-sum(drawn[:6])] + drawn[6:] if fuchs else drawn
+                assert (scale, ints) == scale_to_integers(values)
+                assert pairs == lowest(drawn)
+        # The public samplers draw the same values from the same helper.
+        rng, ref = random.Random(seed), random.Random(seed)
+        drawn = _fraction_draws(ref, 10, bound)
+        assert birational.sample_state(rng, bound) == (ParamVector(tuple(drawn[:8])), SurfacePoint.affine(*drawn[8:]))
+        theta = _fraction_draws(ref, 6, bound)
+        assert sample_schlesinger(rng, bound) == SchlesingerParams(*theta, -sum(theta))
+        assert sample_fraction(rng, bound) == _fraction_draws(ref, 1, bound)[0]
+
+
+def test_a_passing_verify_builds_no_parameter_vector_in_its_sampled_rows(capsys, monkeypatch):
+    # The sampled rows draw and compare integers; only the period suite's
+    # basis is made of ParamVectors, and no SchlesingerParams is built.
+    built = []
+    for cls in (ParamVector, SchlesingerParams):
+        def spy(self, *fields, _init=cls.__init__, _name=cls.__name__):
+            built.append((_name, fields))
+            _init(self, *fields)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    assert main(["verify", "all", "--trials", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert built == [("ParamVector", (tuple(int(i == j) for i in range(8)),)) for j in range(8)]
 
 
 def test_generator_consistency_catches_a_wrong_root_fold():
@@ -264,9 +341,9 @@ def test_integer_psi_checks_match_their_fraction_forms_on_small_samples(monkeypa
     # Schlesinger samples with numerators and denominators up to 2 meet the
     # rejections the seeded ones (up to 100) almost never do: the word or phi
     # at a base point, and the change of variables undefined.
-    small = lambda rng, bound: sample_fraction(rng, 2)
-    for module in (verify, oracles):
-        monkeypatch.setattr(module, "sample_fraction", small)
+    draw = birational.sample_integers
+    monkeypatch.setattr(verify, "sample_integers", lambda rng, count, bound: draw(rng, count, 2))
+    monkeypatch.setattr(oracles, "sample_fraction", lambda rng, bound: sample_fraction(rng, 2))
     psi_checks = ("psi_formula_equals_word", "transported_dynamics")
     reports = [c for seed in range(1, 6) for c in _equivalence_reports(seed, 10_000)]
     assert sum(c["rejected"] for c in reports if c["name"] in psi_checks) > 50
