@@ -1,19 +1,20 @@
 """Rewriting lattice automorphisms as words in the Weyl-group generators.
 
 The algorithm tracks the images of the seven symmetry simple roots under the
-running element, read off the columns of its matrix once (simple_root_coords
-keeps them on the matrix).  While some image is a negative root,
-right-multiplying by the corresponding simple reflection shortens the element
-(length drops exactly when the image of the reflecting root is negative), and
-the image vector updates cheaply: multiplying on the right by w_i replaces
-each image v_j by v_j + c_ij * v_i: with c_ii = -2 and c_ij = +1 on the
-diagram's edges, v_i is negated and added to its neighbours.  The step is the
-fold's w_i (weylgroup._fold_moves) on one integer code sum_i x_i 8^i per
-image, and the pivot is the first negative code: a group element sends every
+running element, read off its matrix once (simple_root_coords keeps them on
+the matrix).  While some image is a negative root, right-multiplying by the
+corresponding simple reflection shortens the element (length drops exactly
+when the image of the reflecting root is negative), and the image vector
+updates cheaply: multiplying on the right by w_i replaces each image v_j by
+v_j + c_ij * v_i: with c_ii = -2 and c_ij = +1 on the diagram's edges, v_i
+is negated and added to its neighbours.  The step is the fold's w_i
+(weylgroup._fold_moves) on one integer code sum_i x_i 8^i per image, and the
+pivot is the first negative code: a group element sends every
 simple root to a real root, whose entries share one sign, so the code's sign
-is the root's.  The reduction is one loop compiled on first use, an if/elif
-chain on the seven codes held in locals.  Once every image is positive, the
-images are simple roots (a_k ends with code 8^k), the residual permutation is
+is the root's.  The reduction is one function compiled on first use: it
+computes the seven codes from the images, then loops on an if/elif chain
+over the codes held in locals.  Once every image is positive, the images
+are simple roots (a_k ends with code 8^k), the residual permutation is
 matched against the diagram automorphisms, and undoing the accumulated
 cancellation gives the word, verified against the input by exact matrix
 equality.  This one pass writes every word; a trace replays its pivots on the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
-from operator import mul
 
 from .piclattice import RootVector, Sign, _compile, _Value, root_sign
 from .weylgroup import (
@@ -94,12 +94,17 @@ def simple_root_images(m: PicMap) -> SimpleRootImages:
 
 
 @lru_cache(maxsize=None)
-def _reduce_codes() -> Callable[..., tuple[tuple[int, ...], list[int]]]:
-    """The code reduction as one loop compiled on first use: seven codes in, the final codes and the pivots out.
+def _reduce_codes() -> Callable[[tuple], tuple[tuple[int, ...], list[int]]]:
+    """The code reduction compiled on first use: the seven images in, the final codes and the pivots out.
 
-    Each pass right-multiplies by w_i for the first negative code i, as the fold's _fold_moves for w_i: v_j
-    gains c_ij v_i.  It stops when no code is negative or after MAX_REDUCTION_STEPS pivots.
+    Image i enters as its code v_i = sum_k 8^k x_k.  Each pass right-multiplies by w_i for the first negative
+    code i, as the fold's _fold_moves for w_i: v_j gains c_ij v_i.  It stops when no code is negative or after
+    MAX_REDUCTION_STEPS pivots.
     """
+    unpack = ", ".join(f"({', '.join(f'x{i}_{k}' for k in range(7))})" for i in range(7))
+    codes = (
+        f"v{i} = x{i}_0 + {' + '.join(f'{w} * x{i}_{k}' for k, w in enumerate(_CODE_WEIGHTS) if k)}" for i in range(7)
+    )
     branches = []
     for i, symbol in enumerate(REFLECTION_SYMBOLS):
         moves = _fold_moves(symbol)
@@ -110,14 +115,15 @@ def _reduce_codes() -> Callable[..., tuple[tuple[int, ...], list[int]]]:
         ]
     values = ", ".join(f"v{i}" for i in range(7))
     return _compile(
-        values, "pivots = []", "push = pivots.append", f"for _ in range({MAX_REDUCTION_STEPS}):",
-        *branches, "    else:", "        break", f"return ({values}), pivots",
+        "images", f"{unpack} = images", *codes, "pivots = []", "push = pivots.append",
+        f"for _ in range({MAX_REDUCTION_STEPS}):", *branches, "    else:", "        break",
+        f"return ({values}), pivots",
     )
 
 
 def _code_reduction(images: tuple[tuple[int, ...], ...]) -> tuple[Word | None, list[int]]:
     """decompose's word, None where that fails, and its pivots, reduced on the codes of the images."""
-    codes, pivots = _reduce_codes()(*(sum(map(mul, _CODE_WEIGHTS, v)) for v in images))
+    codes, pivots = _reduce_codes()(images)
     residual = _RESIDUALS.get(codes)  # None unless every code is positive and names an automorphism
     word = None if residual is None else residual + tuple(map(REFLECTION_SYMBOLS.__getitem__, reversed(pivots)))
     return word, pivots

@@ -29,7 +29,6 @@ from .birational import (
     MapComparison,
     ParamVector,
     _fractions,
-    _lowest_terms,
     _scaled_state_draw,
     eval_integers,
     generator_step,
@@ -328,6 +327,11 @@ def _schlesinger_of(drawn: tuple) -> tuple[SchlesingerParams, Fraction, Fraction
     return SchlesingerParams(*theta, -sum(theta)), x, y
 
 
+def _same_points(f1: tuple, f2: tuple, g1: tuple, g2: tuple) -> bool:
+    """f1 = f2 and g1 = g2 in P1 by cross-multiplication: the psi checks' pairs have nonzero denominators."""
+    return f1[0] * f2[1] == f2[0] * f1[1] and g1[0] * g2[1] == g2[0] * g1[1]
+
+
 def _psi_matches_word(sample: tuple) -> bool | None:
     # On L (theta, x, y): psi's pairs against the word's from the chart's L b.
     one, values, _ = sample
@@ -336,9 +340,7 @@ def _psi_matches_word(sample: tuple) -> bool | None:
     word_b, word_x, word_y = eval_integers(PSI_WORD, chart, *point)
     if not (word_x[1] and word_y[1]):
         return None
-    return word_b == _chart_dictionary(_shifted(values[:7], one), one) and all(
-        _lowest_terms(*a) == _lowest_terms(*b) for a, b in ((word_x, x_new), (word_y, y_new))
-    )
+    return word_b == _chart_dictionary(_shifted(values[:7], one), one) and _same_points(word_x, x_new, word_y, y_new)
 
 
 def _transported(sample: tuple) -> bool | None:
@@ -350,8 +352,7 @@ def _transported(sample: tuple) -> bool | None:
     b_phi, f_phi, g_phi = phi_integers(_matched_dictionary(indices, one), f, g)
     if not (f_phi[1] and g_phi[1]):
         return None
-    expected = _matched_dictionary(new_indices, one), _lowest_terms(*f_new), _lowest_terms(*g_new)
-    return (b_phi, f_phi, g_phi) == expected
+    return b_phi == _matched_dictionary(new_indices, one) and _same_points(f_phi, f_new, g_phi, g_new)
 
 
 def _equivalence_rows(seed: int) -> tuple:

@@ -20,9 +20,10 @@ G leaves alone or permutes, and builds the others entry by entry from the
 unpacked entries of the columns they read.  All twelve are compiled together
 on the first product, and a product reads each letter's step from their dict.
 
-The image m(a_i) of a simple root is a signed sum of the two to four
-columns of m that the +-1 entries of a_i pick.  simple_root_coords reads the
-seven images once per matrix and keeps them on it, outside its fields.
+The image m(a_i) of a simple root (or d_j of a surface root) is a signed
+sum of the columns of m that its +-1 entries pick, read for all seven (three)
+at once by straight-line code on the rows of m, compiled on first use.
+simple_root_coords reads them once per matrix and keeps them on it.
 
 fold_root_values is the group's one action on root coordinates: a word
 moves seven integer values, a reflection adding multiples of one value to
@@ -44,10 +45,10 @@ conjugating words.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 
 from .piclattice import (
     CARTAN,
@@ -182,6 +183,8 @@ def generator_picmap(symbol: str) -> PicMap:
 
 
 _SIMPLE_ROOTS = tuple(symmetry_root(i) for i in range(7))
+#: The root coordinates of a_0, ..., a_6.
+_ROOT_UNITS = tuple(tuple(int(i == j) for j in range(7)) for i in range(7))
 
 #: Action of each diagram automorphism on the symmetry-root indices, as a
 #: mapping i -> sigma(i) with sigma(a_i) = a_sigma(i), read off the lattice
@@ -192,29 +195,33 @@ ALPHA_PERMUTATIONS = {
 }
 
 
-#: The nonzero entries of each simple root a_i, then of each surface root d_j, as (k,
-#: add or sub), so that m(c) = sum_k c[k] col_k(m); every entry is +-1 (any other raises KeyError).
+#: The nonzero entries (k, +-1) of each simple root a_i, then of each surface root d_j, so that
+#: m(c) = sum_k c[k] col_k(m).
 _ROOT_TERMS, _SURFACE_TERMS = (
-    tuple(tuple((k, {1: add, -1: sub}[x]) for k, x in enumerate(c.coeffs) if x) for c in classes)
+    tuple(tuple((k, x) for k, x in enumerate(c.coeffs) if x) for c in classes)
     for classes in (_SIMPLE_ROOTS, map(surface_root, range(3)))
 )
 
 
-def _column_sums(m: PicMap, terms: tuple) -> Iterator[Iterator[int]]:
-    """The images m(c) of the classes c with these terms, each computed when asked for."""
-    cols = tuple(zip(*m.rows))
-    for class_terms in terms:
-        image = (0,) * RANK
-        for k, op in class_terms:
-            image = map(op, image, cols[k])
-        yield image
+@lru_cache(maxsize=None)
+def _class_images(surface: bool) -> Callable[[tuple], tuple[tuple[int, ...], ...]]:
+    """The images m(c) of the simple roots (of the surface roots if surface) as straight-line code from the
+    rows of m: entry i of an image is the signed sum of the entries x{i}_{k} of row i that its terms pick.
+    Every entry is +-1 (any other raises KeyError), as in _column_step."""
+    sign = {1: "+", -1: "-"}
+    unpack = ", ".join(f"({', '.join(f'x{i}_{k}' for k in range(RANK))})" for i in range(RANK))
+    images = (
+        ", ".join("".join(f"{sign[x]}x{i}_{k}" for k, x in terms).lstrip("+") for i in range(RANK))
+        for terms in (_SURFACE_TERMS if surface else _ROOT_TERMS)
+    )
+    return _compile("rows", f"{unpack} = rows", f"return {', '.join(f'({image})' for image in images)}")
 
 
 def simple_root_coords(m: PicMap) -> tuple[tuple[int, ...] | None, ...]:
     """Root coordinates of m(a_0), ..., m(a_6), None outside Q; computed once per matrix and kept on it."""
     coords = m._root_coords
     if coords is None:
-        coords = tuple(map(_alpha_coords, _column_sums(m, _ROOT_TERMS)))
+        coords = tuple(map(_alpha_coords, _class_images(False)(m.rows)))
         object.__setattr__(m, "_root_coords", coords)  # not a field: equality, hash and repr ignore it
     return coords
 
@@ -225,7 +232,7 @@ def surface_root_permutation(m: PicMap) -> tuple[int, ...] | None:
     None when m does not map the three surface roots onto themselves.
     """
     roots = [surface_root(j).coeffs for j in range(3)]
-    images = [tuple(image) for image in _column_sums(m, _SURFACE_TERMS)]
+    images = _class_images(True)(m.rows)
     if any(x not in roots for x in images):
         return None
     perm = tuple(roots.index(x) for x in images)
@@ -326,7 +333,7 @@ def translation_delta_vector(m: PicMap) -> tuple[int, ...]:
         if coords is None:
             raise NotTranslation(f"image of a_{i} is outside the symmetry lattice")
         n = coords[0] - (i == 0)  # the a_0 coefficient of delta is 1
-        if any(c - (j == i) != n * w for j, (c, w) in enumerate(zip(coords, DELTA_WEIGHTS))):
+        if coords != tuple(map(add, _ROOT_UNITS[i], map(n.__mul__, DELTA_WEIGHTS))):
             raise NotTranslation(f"image of a_{i} is not a_{i} plus a multiple of delta")
         ns.append(n)
     return tuple(ns)
@@ -367,10 +374,10 @@ def _scaled_kac_vector(m: PicMap) -> tuple[int, tuple[int, ...], tuple[int, ...]
     sum delta_i n_i = 0, the one test made here.
     """
     ns = translation_delta_vector(m)
-    if sum(w * n for w, n in zip(DELTA_WEIGHTS, ns)) != 0:
+    if sum(map(mul, DELTA_WEIGHTS, ns)) != 0:
         raise NotTranslation("inconsistent translation vector")
     det, adjugate = _finite_cartan_adjugate()
-    return det, (0,) + tuple(sum(c * n for c, n in zip(row, ns[1:])) for row in adjugate), ns
+    return det, (0,) + tuple(sum(map(mul, row, ns[1:])) for row in adjugate), ns
 
 
 def kac_vector(m: PicMap) -> RationalRootVector:

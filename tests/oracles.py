@@ -35,10 +35,13 @@ pivot by root_sign on the seven RootVector images, traced its steps, and
 wrote its word from those pivots (decompose now writes every word from its
 integer-code pass and replays the pivots for a trace),
 decompose_scanning_oracle, the reduction that applies the matrix to each
-simple root and rescans all seven images for the pivot at every step, and
+simple root and rescans all seven images for the pivot at every step,
 translation_delta_vector_oracle and translation_norm_oracle, the delta
 vector from those images and the norm as a Fraction pairing of the
-eliminated defining vector, fold_oracle, the letter loop that moves root
+eliminated defining vector, class_images_oracle, the simple- and
+surface-root images as one chained map per signed column of the matrix
+(replaced by straight-line code compiled from the same term tables),
+fold_oracle, the letter loop that moves root
 values (the compiled steps' reference, which evolution_oracle runs on
 Fractions), param_rows_oracle, the parameter rows read off ParamVectors
 through the Fraction period map, find_conjugator_oracle, the conjugator
@@ -63,7 +66,7 @@ import textwrap
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Callable, Sequence
 
 from e6painleve.birational import (
@@ -654,6 +657,17 @@ def period_checks_oracle(
         (name, sample_check(len(basis), lambda i: basis[i - 1], holds, "basis vectors"), fields)
         for name, basis, holds, fields in checks
     ]
+
+
+def class_images_oracle(m: PicMap, terms: tuple) -> tuple[tuple[int, ...], ...]:
+    """The images m(c) = sum_k c[k] col_k(m) of the classes c with these terms (k, +-1), one chained map per term."""
+    cols, images = tuple(zip(*m.rows)), []
+    for class_terms in terms:
+        image = (0,) * 10
+        for k, x in class_terms:
+            image = map({1: add, -1: sub}[x], image, cols[k])
+        images.append(tuple(image))
+    return tuple(images)
 
 
 def _images_oracle(m: PicMap) -> list[tuple[int, ...] | None]:

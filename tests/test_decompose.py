@@ -19,9 +19,11 @@ from e6painleve.decompose import (
     simple_root_images,
 )
 from e6painleve.models import PHI_PIC_ACTION, PHI_WORD, PSI_PIC_ACTION, PSI_WORD
-from e6painleve.piclattice import CARTAN, RootVector, Sign, root_sign, symmetry_root
+from e6painleve.piclattice import CARTAN, RootVector, Sign, root_sign, surface_root, symmetry_root
 from oracles import (
     ALPHA_PERMUTATIONS,
+    _images_oracle,
+    class_images_oracle,
     decompose_oracle,
     decompose_scanning_oracle,
     translation_delta_vector_oracle,
@@ -33,6 +35,8 @@ from e6painleve.weylgroup import (
     SYMBOLS,
     generator_picmap,
     invert_word,
+    simple_root_coords,
+    surface_root_permutation,
     translation_delta_vector,
     translation_norm,
     word_to_picmap,
@@ -372,3 +376,69 @@ def test_untraced_decompose_builds_no_root_vector(monkeypatch):
     monkeypatch.setattr(importlib.import_module("e6painleve.decompose"), "RootVector", forbidden)
     for m in _seeded_elements()[::20]:
         assert word_to_picmap(decompose(m)) == m
+
+
+def _column_shifted(m, shifts, c):
+    """m with t_k c added to column k for each (k, t_k) in shifts, so that m(x) gains (sum_k x_k t_k) c."""
+    rows = [list(r) for r in m.rows]
+    for k, t in shifts:
+        for r, x in zip(rows, c):
+            r[k] += t * x
+    return _picmap(rows)
+
+
+def test_class_images_match_the_column_loop_on_seeded_elements_and_perturbations():
+    # The compiled simple- and surface-root images against the loop of signed column sums, on group elements,
+    # on one entry moved by +-1, and on images pushed outside Q by multiples of a basis class (none is in Q).
+    rng = random.Random(31)
+    elements = _seeded_elements()
+    perturbed = [_perturbed_copy(m, 0, rng) for m in elements[::2]]
+    perturbed += [
+        _column_shifted(m, [(k, rng.randint(-2, 2)) for k in range(10)], IDENTITY_ROWS[rng.randrange(10)])
+        for m in elements[1::2]
+    ]
+    roots = [surface_root(j).coeffs for j in range(3)]
+    outside, permuted = collections.Counter(), 0
+    for m in elements + perturbed:
+        images = weylgroup._class_images(False)(m.rows)
+        assert images == class_images_oracle(m, weylgroup._ROOT_TERMS)
+        surface = weylgroup._class_images(True)(m.rows)
+        assert surface == class_images_oracle(m, weylgroup._SURFACE_TERMS)
+        coords = simple_root_coords(PicMap(m.rows))
+        assert coords == tuple(_images_oracle(m))
+        perm = tuple(roots.index(x) if x in roots else None for x in surface)
+        expected = perm if None not in perm and len(set(perm)) == 3 else None
+        assert surface_root_permutation(m) == expected
+        outside[sum(c is None for c in coords)] += 1
+        permuted += expected is not None
+    # Only the group elements permute the surface roots and keep every image in Q; most perturbations leave Q
+    # at some images but not all, so the None branch is read image by image.
+    assert permuted == outside[0] == len(elements)
+    assert sum(n for count, n in outside.items() if 0 < count < 7) > len(perturbed) / 4, outside
+
+
+def _translations():
+    """phi^n and psi^n for n <= 8, bare and conjugated by a seeded word of length 1-6."""
+    rng = random.Random(33)
+    powers = [base * n for base in (PHI_WORD, PSI_WORD) for n in range(9)]
+    conjugators = [tuple(rng.choices(SYMBOLS, k=rng.randint(1, 6))) for _ in powers]
+    return [word_to_picmap(w) for w in powers + [c + w + invert_word(c) for c, w in zip(conjugators, powers)]]
+
+
+def test_translation_delta_vector_matches_the_oracle_on_perturbed_translations():
+    # Image i of a translation moved off a_i + n delta by a simple root, and pushed outside Q by a basis class,
+    # each added to a column that a_i reads and no earlier root does: the same vector, or the same message.
+    rng = random.Random(34)
+    terms = [{k for k, _ in class_terms} for class_terms in weylgroup._ROOT_TERMS]
+    for m in _translations():
+        assert translation_delta_vector(m) == translation_delta_vector_oracle(m)
+        for i in range(7):
+            k = min(terms[i].difference(*terms[:i]))
+            off = _column_shifted(m, [(k, rng.choice((-1, 1)))], symmetry_root(rng.randrange(7)).coeffs)
+            out = _column_shifted(m, [(k, rng.choice((-1, 1)))], IDENTITY_ROWS[rng.randrange(10)])
+            messages = f"is not a_{i} plus a multiple of delta", "is outside the symmetry lattice"
+            for moved, message in zip((off, out), messages):
+                outcome = _outcome(translation_delta_vector, moved)
+                assert outcome == _outcome(translation_delta_vector_oracle, moved) == (
+                    NotTranslation, f"image of a_{i} {message}"
+                )
