@@ -26,9 +26,18 @@ multiplied out, and the kernel reduces what is left with one gcd per
 half-step.  The pieces recur as tau-function factors along an orbit: x_1
 and x_2 are, up to a few bits, the cofactors q_2 / x_2 and q_1 / x_1 of
 the half-step before last, and s_i is the cofactor A_i / s_i of the
-previous half-step.  So phi_orbit and psi_orbit carry the cofactors from
-step to step and seed each piece's gcd with them; phi_step is the kernel
-without a carry.  Where X, W, S or some A_i or q_j is zero, the unknown is
+previous half-step.  X and S recur too: the half-steps chain as
+(u, v) -> (-v, -u~) -> (u~, .), and the one gcd leaves u~ / L = N / D with
+D = L w c_1 c_2 S' / gamma, for gamma the signed factor it removed and
+w = W where W does not divide the numerator, else 1:
+
+    u~ + v = X' a_1 a_2 a_3 a_4 / (W c_1 c_2 S'),
+    next S = -W D (v + u~) = -L w X' a_1 a_2 a_3 a_4 / gamma,
+    next X = D             =  L w c_1 c_2 S' / gamma   (two half-steps on).
+
+So phi_orbit and psi_orbit carry the pieces, seed each piece's gcd with
+the cofactors and read X' and S' off those small factors; phi_step is the
+kernel without a carry.  Where X, W, S or some A_i or q_j is zero, u~ is
 the ratio of two bihomogeneous integer polynomials on P1 x P1, which makes
 it exact on the lines at infinity and leaves 0/0 only at base points.
 
@@ -169,8 +178,9 @@ class SchlesingerParams(_Value):
 #: The pieces of one generic half-step (see _solve_qrt_relation): x_j, the
 #: confined factors of X in q_j; c_j = q_j / x_j; X', what is left of X;
 #: s_i, the confined factors of S in A_i; a_i = A_i / s_i; S', what is left
-#: of S.  X' and S' are integers, the others lists of integers.
-_Pieces = namedtuple("_Pieces", "x c X s a S")
+#: of S; gamma, the signed factor the final gcd removed; w, W where W does
+#: not divide the numerator, else 1.  x, c, s and a are lists of integers.
+_Pieces = namedtuple("_Pieces", "x c X s a S gamma w")
 
 
 def _solve_qrt_relation(
@@ -178,28 +188,31 @@ def _solve_qrt_relation(
     v: tuple[int, int],
     r: Sequence[int],
     p: Sequence[int],
-    x_seeds: Sequence[int] | None = None,
-    s_seeds: Sequence[int] | None = None,
-) -> tuple[int, int, _Pieces | None]:
-    """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)) for u~.
+    scale: int,
+    before_last: _Pieces | None = None,
+    previous: _Pieces | None = None,
+) -> tuple[tuple[int, int], _Pieces | None]:
+    """Solve (u + v)(u~ + v) = prod_i (v + r_i) / ((v - p_1)(v - p_2)): u~ / L in lowest terms, and the pieces.
 
     u = (U : X) and v = (V : W) are integer pairs, a zero second entry
     meaning infinity, and r (four) and p (two) are integers, all scaled by
-    one L (the relation is homogeneous of degree 1).  With A_i = V + r_i W,
-    q_j = V - p_j W and S = U W + V X, u~ + v = X prod_i A_i / (W q_1 q_2 S).
-    The confined factors x_j of X in q_j and s_i of S in A_i cancel first
-    (_cancel_pieces).  With the cofactors c_j = q_j / x_j and
-    a_i = A_i / s_i, and X' and S' what is left of X and S,
+    one L = scale (the relation is homogeneous of degree 1).  With
+    A_i = V + r_i W, q_j = V - p_j W and S = U W + V X,
+    u~ + v = X prod_i A_i / (W q_1 q_2 S).  The confined factors x_j of X in
+    q_j and s_i of S in A_i cancel first (_cancel_pieces).  With the
+    cofactors c_j = q_j / x_j and a_i = A_i / s_i, and X' and S' what is
+    left of X and S,
 
         u~ = ((X' prod_i a_i - V c_1 c_2 S') / W) : (c_1 c_2 S'),
 
-    returned unreduced with its pieces.  W divides that numerator when it
-    is prime to L (v in lowest terms); otherwise it stays in the
-    denominator.  x_seeds is (c_1, c_2) of the half-step before last, whose
-    c_2 and c_1 are x_1 and x_2 here up to a few bits, and s_seeds is
-    (a_1..a_4) of the previous half-step, likewise s_1..s_4; without them
-    each piece is a direct gcd.  What the seeds miss stays in the pair, for
-    the kernel's one gcd.
+    and _lowest_terms removes the signed factor gamma from u~ / L.  W
+    divides that numerator when it is prime to L (v in lowest terms);
+    otherwise w = W stays in the denominator.  The pieces of the
+    half-steps before (None where not generic) seed each piece's gcd: a_i
+    of previous and c_2, c_1 of before_last are s_i and x_1, x_2 here up
+    to a few bits.  By the module docstring S = -L w X' prod_i a_i / gamma
+    of previous and X = L w c_1 c_2 S' / gamma of before_last, so S' and
+    X' come off those small factors: S = U W + V X runs only without previous.
 
     Where X, W, S or some A_i or q_j is zero the pieces are None and the
     pair is the bihomogeneous form of bidegree (1, 3) in (u, v), with W
@@ -213,15 +226,17 @@ def _solve_qrt_relation(
     p1, p2 = p
     A = (V + r1 * W, V + r2 * W, V + r3 * W, V + r4 * W)
     q = (V - p1 * W, V - p2 * W)
-    S = U * W + V * X
+    S = -scale * previous.w * previous.X if previous else U * W + V * X
     if X and W and S and all(A) and all(q):
-        x, c, X = _cancel_pieces(q, X, x_seeds and x_seeds[::-1])
-        s, a, S = _cancel_pieces(A, S, s_seeds)
-        pieces = _Pieces(x, c, X, s, a, S)
+        old = before_last
+        x, c, X = _cancel_pieces(q, scale * old.w * old.S, old.c[::-1], old.gamma) if old else _cancel_pieces(q, X)
+        s, a, S = _cancel_pieces(A, S, previous.a, previous.gamma) if previous else _cancel_pieces(A, S)
         c12S = c[0] * c[1] * S
         num = (a[0] * a[1]) * (a[2] * a[3]) * X - V * c12S
         quotient, rest = divmod(num, W)
-        return (num, W * c12S, pieces) if rest else (quotient, c12S, pieces)
+        num, den, w = (num, W * c12S * scale, W) if rest else (quotient, c12S * scale, 1)
+        pair = _lowest_terms(num, den)
+        return pair, _Pieces(x, c, X, s, a, S, den // pair[1], w)
     s12, s34, m12, m34 = r1 + r2, r3 + r4, r1 * r2, r3 * r4
     W2 = W * W
     Q = q[0] * q[1]
@@ -230,18 +245,20 @@ def _solve_qrt_relation(
          + (s12 * m34 + s34 * m12) * W2) * V
         + m12 * m34 * W2 * W
     )
-    return X * R - V * Q * U, Q * S, None
+    return _lowest_terms(X * R - V * Q * U, Q * (U * W + V * X) * scale), None
 
 
 def _cancel_pieces(
-    factors: Sequence[int], n: int, seeds: Sequence[int] | None
+    factors: Sequence[int], n: int, seeds: Sequence[int] | None = None, gamma: int = 1
 ) -> tuple[list[int], list[int], int]:
-    """([g_i], [factors[i] / g_i], n / prod g_i) for divisors g_i of factors[i] whose product divides n.
+    """([g_i], [factors[i] / g_i], N / prod g_i) for divisors g_i of factors[i] whose product divides N.
 
-    Without seeds g_i = gcd(factors[i], n / (g_1 .. g_(i-1))).  With seeds
-    g_i = gcd(factors[i], seeds[i]), less the few bits of their product that
-    n does not hold.  A seed shares nearly all its bits with the factor, so
-    one long division finds both g_i and the cofactor (_divide_out).
+    N = n without seeds, and g_i = gcd(factors[i], N / (g_1 .. g_(i-1))).
+    With seeds N = n prod_i seeds[i] / gamma, and g_i = gcd(factors[i],
+    seeds[i]), found with its cofactor by one long division (_divide_out),
+    less the few bits of their product that N does not hold: with the small
+    t = n prod_i (seeds[i] / g_i) and h = gcd(t, gamma), N / prod g_i is
+    sign(gamma) t / h once |gamma| / h is taken back from the g_i.
     """
     gs, cofactors = [], []
     if seeds is None:
@@ -255,16 +272,16 @@ def _cancel_pieces(
         g, cofactor = _divide_out(m, seed)
         gs.append(g)
         cofactors.append(cofactor)
-    total = math.prod(gs)
-    excess = total // math.gcd(n, total)
+        n *= seed // g
+    h = math.gcd(n, gamma)
+    excess = abs(gamma) // h
     if excess > 1:
-        total //= excess
         for i, g in enumerate(gs):
             shared = math.gcd(g, excess)
             gs[i] = g // shared
             cofactors[i] *= shared
             excess //= shared
-    return gs, cofactors, n // total
+    return gs, cofactors, n // h if gamma > 0 else -n // h
 
 
 def _divide_out(m: int, seed: int) -> tuple[int, int]:
@@ -289,10 +306,10 @@ def _phi_kernel(
     Each relation is one _solve_qrt_relation on the pairs of L f and L g:
     the first with (u, v) = (f, g), the second, at the new parameters, with
     (u, v) = (-g, -f~), r = b~1..b~4 and p = (b~7, b~8).  f and g may be any
-    representatives; f~ and g~ come out reduced, each by one _lowest_terms.
-    carry holds the _Pieces of the previous step's two half-steps, each None
-    where its half-step was not generic, and the result holds this step's.
-    Raises Indeterminate only at base points.
+    representatives; f~ and g~ come out reduced, each by the solver's one
+    _lowest_terms.  carry holds the _Pieces of the previous step's two
+    half-steps, each None where its half-step was not generic, and the
+    result holds this step's.  Raises Indeterminate only at base points.
     """
     b1, b2, b3, b4, b5, b6, b7, b8 = b
     d = b1 + b2 + b3 + b4 + b5 + b6 + b7 + b8
@@ -301,16 +318,14 @@ def _phi_kernel(
     first, second = carry or (None, None)
     f, g = _scaled(f, scale), _scaled(g, scale)
     try:
-        num, den, first = _solve_qrt_relation(f, g, roots, (b5, b6), first and first.c, second and second.a)
-        f_new = _lowest_terms(num, den * scale)
+        f_new, first = _solve_qrt_relation(f, g, roots, (b5, b6), scale, first, second)
         f_num, f_den = _scaled(f_new, scale)
-        num, den, second = _solve_qrt_relation(
-            (-g[0], g[1]), (-f_num, f_den), roots, new_b[6:], second and second.c, first and first.a
+        (num, den), second = _solve_qrt_relation(
+            (-g[0], g[1]), (-f_num, f_den), roots, new_b[6:], scale, second, first
         )
-        g_new = _lowest_terms(-num, den * scale)
     except Indeterminate as exc:
         raise Indeterminate("phi hit a base point", symbol="phi") from exc
-    return new_b, f_new, g_new, (first, second)
+    return new_b, f_new, (-num, den) if den else (num, den), (first, second)
 
 
 def phi_integers(b: Sequence[int], f: tuple[int, int], g: tuple[int, int]) -> tuple:
@@ -530,7 +545,7 @@ def _psi_from_pieces(b: Sequence[int], scale: int, f: tuple[int, int], carry: tu
     first, second = carry
     if second is None:
         return None
-    (x1, _), (c1, c2), X, (s1, *_), (_, a2, a3, a4), S = second
+    (x1, _), (c1, c2), X, (s1, *_), (_, a2, a3, a4), S, *_ = second
     f_num, W = _scaled(f, scale)
     P = X * a2 * a3 * a4
     c2s1S = c2 * s1 * S

@@ -25,9 +25,10 @@ eval_integers_oracle, words evaluated on it and on apply_rows, the generic
 loop over a generator's param_rows (both replaced by straight-line code
 compiled from the same tables),
 cancel_pieces_oracle, the two-division seeded cancellation of
-phi's confined factors, decimal_str_oracle, Decimal division of the
-numerator by the denominator, to_alpha_coords_oracle, membership in Q
-decided by rebuilding the class from its root coordinates, and
+phi's confined factors on the number multiplied out, decimal_str_oracle,
+Decimal division of the numerator by the denominator,
+to_alpha_coords_oracle, membership in Q decided by rebuilding the class
+from its root coordinates, and
 birational_checks_oracle and period_checks_oracle, verify's sampled
 relation and gauge checks and its period checks on their bases, compared on
 Fractions, decompose_oracle, the former reduction loop that picked each
@@ -542,12 +543,13 @@ def kac_vector_oracle(
 
 
 def cancel_pieces_oracle(
-    factors: Sequence[int], n: int, seeds: Sequence[int] | None
+    factors: Sequence[int], n: int, seeds: Sequence[int] | None = None, gamma: int = 1
 ) -> tuple[list[int], int]:
-    """([factors[i] / g_i], n / prod g_i), each g_i a gcd and a second division.
+    """([factors[i] / g_i], N / prod g_i), each g_i a gcd and a second division.
 
-    Without seeds g_i = gcd(factors[i], n / (g_1 .. g_(i-1))); with seeds
-    g_i = gcd(factors[i], seeds[i]), less the bits of their product that n
+    N = n without seeds, and g_i = gcd(factors[i], N / (g_1 .. g_(i-1))).
+    With seeds N = n prod_i seeds[i] / gamma, multiplied out, and
+    g_i = gcd(factors[i], seeds[i]), less the bits of their product that N
     does not hold, taken from the g_i in order.
     """
     if seeds is None:
@@ -557,6 +559,8 @@ def cancel_pieces_oracle(
             n //= g
             cofactors.append(m // g)
         return cofactors, n
+    n, rest = divmod(n * math.prod(seeds), gamma)
+    assert not rest, "n prod(seeds) / gamma must be an integer"
     gs = [math.gcd(m, s) for m, s in zip(factors, seeds)]
     total = math.prod(gs)
     excess = total // math.gcd(n, total)

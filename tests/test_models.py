@@ -737,9 +737,9 @@ def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
     seeded, final_bits = [], []
     solve = models._solve_qrt_relation
 
-    def spy_solve(u, v, r, p, x_seeds=None, s_seeds=None):
-        seeded.append(x_seeds is not None and s_seeds is not None)
-        return solve(u, v, r, p, x_seeds, s_seeds)
+    def spy_solve(u, v, r, p, scale, before_last=None, previous=None):
+        seeded.append(before_last is not None and previous is not None)
+        return solve(u, v, r, p, scale, before_last, previous)
 
     def spy_reduce(num, den):
         final_bits.append(math.gcd(num, den).bit_length())
@@ -758,6 +758,62 @@ def test_phi_orbit_cancels_the_confined_factors_piece_by_piece(monkeypatch):
         assert len(seeded) == len(final_bits) == 2 * steps
         assert seeded[:2] == [False, False] and all(seeded[2:])
         assert max(final_bits[2:]) <= 64
+
+
+#: A start with L = 6 where W does not divide the numerator at 10 of the 40
+#: generic half-steps of 20 steps (the workflow pins this orbit's CSV).
+W_SPLIT_START = (
+    ParamVector.of(-1, Fraction(-5, 3), Fraction(-2, 3), 9, Fraction(3, 2), Fraction(-9, 2), 0, Fraction(-8, 3)),
+    SurfacePoint.affine(Fraction(7, 4), Fraction(1, 4)),
+)
+
+
+def test_half_steps_read_S_and_X_off_the_carried_pieces(monkeypatch):
+    # At each generic half-step, S = U W + V X is -L w X' prod a / gamma of
+    # the previous half-step and X is L w S' c_1 c_2 / gamma of the one
+    # before it, and the pieces read off them multiply back to S and X;
+    # with previous pieces U enters no product, so U W + V X never runs.
+    # The README phi orbit (L = 1), the README psi chart (L = 210) and
+    # W_SPLIT_START (L = 6, w = W at 10 half-steps).
+    calls = []
+    solve = models._solve_qrt_relation
+
+    def spy_solve(u, v, r, p, scale, before_last=None, previous=None):
+        (U, X), (V, W) = u, v
+        if previous:
+            S, rest = divmod(-scale * previous.w * previous.X * math.prod(previous.a), previous.gamma)
+            assert not rest and S == U * W + V * X
+        if before_last:
+            assert scale * before_last.w * before_last.S * math.prod(before_last.c) == X * before_last.gamma
+        products = []
+
+        class Watched(int):
+            def __mul__(self, other):
+                products.append(other)
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        pair, pieces = solve((Watched(U), X), v, r, p, scale, before_last, previous)
+        assert pieces is not None and (products == []) == (previous is not None)
+        assert math.prod(pieces.s) * pieces.S == U * W + V * X and math.prod(pieces.x) * pieces.X == X
+        calls.append((scale, before_last is not None, previous is not None, pieces.w != 1))
+        return pair, pieces
+
+    monkeypatch.setattr(models, "_solve_qrt_relation", spy_solve)
+    chart = (
+        b_from_schlesinger_matched(README_THETA),
+        SurfacePoint.affine(*change_of_variables(README_THETA, Fraction(17, 5), Fraction(23, 9))),
+    )
+    starts = [
+        (ParamVector.of(1, 2, 3, 4, 5, 6, 7, 8), SurfacePoint.affine(2, 3), 28), (*chart, 24), (*W_SPLIT_START, 20)
+    ]
+    for (b, p, steps), (scale, split) in zip(starts, [(1, 0), (210, 0), (6, 10)]):
+        calls.clear()
+        phi_orbit(b, p, steps)
+        assert len(calls) == 2 * steps and {call[0] for call in calls} == {scale}
+        assert [call[1:3] for call in calls] == [(False, False), (False, True)] + [(True, True)] * (2 * steps - 2)
+        assert sum(call[3] for call in calls) == split
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -785,7 +841,7 @@ def test_phi_kernel_at_a_multiple_of_the_scale_gives_the_same_states(seed, k):
 
 #: Pieces of _cancel_pieces: (core, missing, dropped, extra, cofactor, factor
 #: sign, seed sign).  The factor's piece is core * missing * dropped; its seed
-#: lacks missing and holds extra bits besides; n lacks dropped.
+#: lacks missing and holds extra bits besides; the number N lacks dropped.
 _piece = st.tuples(
     st.integers(1, 2 ** 70), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
     st.integers(1, 2 ** 70), st.booleans(), st.booleans(),
@@ -793,22 +849,31 @@ _piece = st.tuples(
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.lists(_piece, min_size=1, max_size=4), st.integers(1, 2 ** 40), st.booleans())
-def test_cancel_pieces_equals_the_two_division_reference(pieces, k, seeded):
+@given(
+    st.lists(_piece, min_size=1, max_size=4), st.integers(1, 2 ** 40), st.integers(1, 2 ** 20),
+    st.booleans(), st.booleans(), st.booleans(),
+)
+def test_cancel_pieces_equals_the_two_division_reference(pieces, k, shared, negative_n, negative_gamma, seeded):
     # One long division per seeded piece finds what gcd(factor, seed) and
-    # factor // gcd did, for negative seeds, seeds with excess bits, seeds
-    # that miss bits, exact seeds (missing = extra = 1) and pieces n does
-    # not hold (dropped > 1).
-    factors, seeds, n = [], [], k
+    # factor // gcd did, and the seeded N = n prod(seeds) / gamma is never
+    # multiplied out: for negative seeds and gamma, seeds with excess bits,
+    # seeds that miss bits, exact seeds (missing = extra = 1), gamma sharing
+    # bits with n, and pieces N does not hold (dropped > 1), an excess that
+    # gamma carries.
+    factors, seeds, N = [], [], (-1) ** negative_n * k
     for core, missing, dropped, extra, cofactor, negative_factor, negative_seed in pieces:
         factors.append((-1) ** negative_factor * core * missing * dropped * cofactor)
         seeds.append((-1) ** negative_seed * core * dropped * extra)
-        n *= core * missing
-    seeds = seeds if seeded else None
-    gs, cofactors, rest = models._cancel_pieces(factors, n, seeds)
-    assert (cofactors, rest) == cancel_pieces_oracle(factors, n, seeds)
+        N *= core * missing
+    if seeded:
+        gamma = (-1) ** negative_gamma * shared * math.prod(piece[2] * piece[3] for piece in pieces)
+        args = (N * gamma // math.prod(seeds), seeds, gamma)
+    else:
+        args = (N,)
+    gs, cofactors, rest = models._cancel_pieces(factors, *args)
+    assert (cofactors, rest) == cancel_pieces_oracle(factors, *args)
     assert [g * c for g, c in zip(gs, cofactors)] == factors
-    assert min(gs) >= 1 and math.prod(gs) * rest == n
+    assert min(gs) >= 1 and math.prod(gs) * rest == N
 
 
 #: Four README-height psi starts, with README_THETA: the README point and
